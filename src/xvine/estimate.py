@@ -33,6 +33,7 @@ from .families import (
 )
 from .model import XVineSpec
 from .numerics import _TRANSFORMS, ScalarProblem, minimize_scalar
+from .simulate import resolve_threads
 from .vines import VineSequence
 
 DEFAULT_TAIL_CATALOGUE = TAIL_KINDS
@@ -552,7 +553,7 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
     else:
         q_fit = q_cap
 
-    n_threads = opts.threads if opts.threads is not None else 1
+    n_threads = resolve_threads(opts.threads)
     errors: list[str] = []
     levels: list[list[_EdgeState]] = []
 

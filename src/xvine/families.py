@@ -23,6 +23,7 @@ from .numerics import (
     reg_beta_quantile,
     std_normal_cdf,
     std_normal_quantile,
+    wright_omega,
 )
 
 #: Pair-copula arguments are clamped to this closed sub-interval of (0, 1).
@@ -286,11 +287,28 @@ def _h_inv_base(kind: str, w, v, th) -> np.ndarray:
         gv, g1 = np.expm1(-th * v), math.expm1(-th)
         gu = w * g1 / (1.0 + (1.0 - w) * gv)
         return -np.log1p(gu) / th
-    # gumbel / joe: monotone bisection on the h-function
+    if kind == "gumbel":
+        # With x = -log u, y = -log v, z = (x**th + y**th)**(1/th), h = w reads
+        # z + (th-1) log z = c, solved by the Wright omega function
+        # (Lawrence, Corless & Jeffrey 2012, ACM TOMS 38). z <= y means x = 0.
+        y = -np.log(v)
+        ly = np.log(y)
+        a = th - 1.0
+        c = y + a * ly - np.log(w)
+        z = a * wright_omega(c / a - math.log(a)) if a > 0.0 else c
+        z = np.maximum(z, y)
+        x = z * (-np.expm1(th * (ly - np.log(z)))) ** (1.0 / th)
+        return np.exp(-x)
+    # joe: monotone bisection on the h-function. Targets beyond the h-values at
+    # the bracket ends are clipped to them, so those rows get the bracket end.
     w_arr, v_arr = np.broadcast_arrays(np.asarray(w, dtype=float),
                                        np.asarray(v, dtype=float))
-    return invert_monotone(lambda uu: _h_base(kind, uu, v_arr, th), w_arr,
-                           (EPS_UNIT, 1.0 - EPS_UNIT), tol=1e-11)
+
+    def h(uu):
+        return _h_base(kind, uu, v_arr, th)
+
+    w_arr = np.clip(w_arr, h(EPS_UNIT), h(1.0 - EPS_UNIT))
+    return invert_monotone(h, w_arr, (EPS_UNIT, 1.0 - EPS_UNIT), tol=1e-11)
 
 
 def pair_log_density(fam: PairFamily, u, v):

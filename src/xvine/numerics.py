@@ -60,6 +60,11 @@ def reg_beta_quantile(u, a: float, b: float):
     return special.betaincinv(a, b, u)
 
 
+def wright_omega(x):
+    """Wright omega function: the real w with w + log(w) = x, vectorized."""
+    return special.wrightomega(np.asarray(x, dtype=float))
+
+
 def log_gamma(a):
     """log Gamma(a) for a > 0."""
     a = np.asarray(a, dtype=float)

@@ -93,6 +93,19 @@ def survival_clayton_copula_density(u, v, theta: float):
     return clayton_copula_density(1.0 - np.asarray(u, float), 1.0 - np.asarray(v, float), theta)
 
 
+def gumbel_copula_h(u: float, v: float, theta: float) -> float:
+    """dC(u, v)/dv of C = exp(-((-log u)**theta + (-log v)**theta)**(1/theta))."""
+    x, y = -np.log(u), -np.log(v)
+    a = (x**theta + y**theta) ** (1.0 / theta)
+    return float(np.exp(-a) * a ** (1.0 - theta) * y ** (theta - 1.0) / v)
+
+
+def invert_gumbel_h(w: float, v: float, theta: float) -> float:
+    """Scalar root u of gumbel_copula_h(u, v, theta) = w by Brent's method."""
+    return brentq(lambda u: gumbel_copula_h(u, v, theta) - w, 1e-300, 1.0 - 1e-16,
+                  xtol=1e-300, rtol=1e-15, maxiter=500)
+
+
 # ---------------------------------------------------------------------------
 # local quadrature (panelled Gauss-Legendre in log space)
 # ---------------------------------------------------------------------------

@@ -334,6 +334,28 @@ def test_pipeline_threads_do_not_change_fits(bench, bench_sample):
     assert r1.edges == r3.edges
 
 
+def test_pipeline_threads_default_from_env(monkeypatch, bench, bench_sample):
+    import xvine.estimate as est
+
+    workers: list = []
+
+    class RecordingPool(est.ThreadPoolExecutor):
+        def __init__(self, max_workers=None):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(est, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setenv("XVINE_THREADS", "2")
+    opts = FitOptions(structure=bench.vine, truncation=2)
+    r_env = fit_pipeline(bench_sample, 200, options=opts)
+    assert workers and set(workers) == {2}
+    workers.clear()
+    r_one = fit_pipeline(bench_sample, 200,
+                         options=FitOptions(structure=bench.vine, truncation=2, threads=1))
+    assert workers == []
+    assert r_env.edges == r_one.edges
+
+
 def test_pipeline_truncation_levels(bench, bench_sample):
     opts = FitOptions(structure=bench.vine, truncation=2)
     report = fit_pipeline(bench_sample, 200, options=opts)

@@ -1,6 +1,8 @@
 """Bivariate tail and pair families: densities, h-functions, summaries."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ import oracles as oc
 from conftest import PAIR_RANGES, TAIL_RANGES
 from xvine.errors import DomainError
 from xvine.families import (
+    EPS_UNIT,
+    PAIR_BOXES,
     PAIR_KINDS,
     TAIL_KINDS,
     PairFamily,
@@ -203,6 +207,43 @@ def test_pair_h_round_trip(kind, w, v, frac):
     u = float(pair_h_inv(fam, w, v))
     assert 0.0 <= u <= 1.0
     assert abs(float(pair_h(fam, u, v)) - w) < 1e-7
+
+
+@pytest.mark.parametrize("kind", ["gumbel", "survgumbel"])
+def test_gumbel_h_inv_round_trip_full_box(kind):
+    lo, hi, _ = PAIR_BOXES[kind]
+    grid = np.linspace(1e-3, 1.0 - 1e-3, 150)
+    w, v = (a.ravel() for a in np.meshgrid(grid, grid))
+    thetas = np.concatenate([[lo], 1.0 + np.geomspace(1e-6, hi - 1.0, 14)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in thetas:
+            fam = PairFamily(kind, float(theta))
+            err = np.abs(pair_h(fam, pair_h_inv(fam, w, v), v) - w).max()
+            assert err <= 1e-12, (theta, err)
+
+
+@pytest.mark.parametrize("theta,w,v", [
+    (1.0 + 1e-8, 0.3, 0.6), (1.5, 0.05, 0.2), (2.5, 0.5, 0.5),
+    (6.0, 0.9, 0.01), (17.0, 0.2, 0.97), (3.0, 0.001, 0.999)])
+def test_gumbel_h_inv_matches_scalar_root(theta, w, v):
+    want = oc.invert_gumbel_h(w, v, theta)
+    got = float(pair_h_inv(PairFamily("gumbel", theta), w, v))
+    assert abs(got - want) <= 1e-11 * want
+
+
+def test_pair_h_inv_clips_unreachable_targets():
+    # roots beyond the EPS_UNIT clip: those rows get the clip end, the batch
+    # does not fail
+    w, v = 0.9999977967125581, 0.9999999999943999
+    u = float(pair_h_inv(PairFamily("joe", 3.0), w, v))
+    assert abs(u - (1.0 - EPS_UNIT)) < 1e-14
+    u = float(pair_h_inv(PairFamily("survjoe", 3.0), 1.0 - w, 1.0 - v))
+    assert abs(u - EPS_UNIT) < 1e-14
+    fam = PairFamily("gumbel", 2.5)
+    u = pair_h_inv(fam, [0.5, 2.5294546861993176e-12], [0.5, 1.2819392570923834e-10])
+    assert u[1] == EPS_UNIT
+    assert abs(float(pair_h(fam, u[0], 0.5)) - 0.5) < 1e-12
 
 
 def test_survival_reflection_identity():

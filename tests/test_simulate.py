@@ -6,11 +6,14 @@ import pytest
 from scipy.stats import kstest
 
 import oracles as oc
+from xvine import simulate
 from xvine.errors import DomainError
 from xvine.families import TailFamily, tail_chi
 from xvine.model import XVineSpec, conditional_cdf
-from xvine.reference import chain_vine, five_variable_spec
+from xvine.numerics import rng_stream
+from xvine.reference import chain_vine, five_variable_spec, truncated_cvine_study_spec
 from xvine.simulate import (
+    BLOCK,
     RejectionStats,
     SamplerConfig,
     resolve_threads,
@@ -53,6 +56,29 @@ def test_rejection_sampler_thread_invariant(bench):
     zb, sb = sample_inverted_pareto(bench, 3000, seed=31, threads=3)
     np.testing.assert_array_equal(za, zb)
     assert (sa.proposals, sa.accepted) == (sb.proposals, sb.accepted)
+
+
+@pytest.mark.parametrize("spec,min_rounds", [(truncated_cvine_study_spec(), 1),
+                                              (hr2_spec(0.01), 2)], ids=["cvine10", "hr2"])
+def test_rejection_sampler_thread_invariant_across_blocks(spec, min_rounds, monkeypatch):
+    # three blocks, so two worker threads really split the work; at d = 2 and
+    # gamma = 0.01 the acceptance rate (2 - chi)/2 ~ 0.52 is below what the
+    # first round is sized for, so blocks also take a second round
+    rounds: set[int] = set()
+
+    def recording_stream(seed, *path):
+        rounds.add(path[1] if len(path) > 1 else 0)
+        return rng_stream(seed, *path)
+
+    n = 2 * BLOCK + 808
+    monkeypatch.setattr(simulate, "rng_stream", recording_stream)
+    za, sa = sample_inverted_pareto(spec, n, seed=32, threads=1)
+    monkeypatch.undo()
+    zb, sb = sample_inverted_pareto(spec, n, seed=32, threads=2)
+    np.testing.assert_array_equal(za, zb)
+    assert (sa.proposals, sa.accepted) == (sb.proposals, sb.accepted)
+    assert len(za) == n and sa.accepted >= n
+    assert len(rounds) >= min_rounds
 
 
 def test_threads_env_fallback(monkeypatch):
