@@ -13,12 +13,7 @@ import numpy as np
 from .errors import XVineError
 from .estimate import FitOptions, fit_pipeline
 from .model import XVineSpec, model_chi, model_from_json
-from .simulate import (
-    SamplerConfig,
-    sample_conditional,
-    sample_inverted_pareto,
-    sample_pareto,
-)
+from .simulate import sample_conditional, sample_inverted_pareto, sample_pareto
 from .vines import StructureMatrix, from_structure_matrix
 
 EXIT_OK = 0
@@ -75,25 +70,18 @@ def _read_csv(path: str) -> np.ndarray:
 
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.spec)
-    cfg = SamplerConfig(
-        n=args.n,
-        seed=args.seed,
-        conditioning=args.conditional,
-        pareto=args.pareto,
-        threads=args.threads if args.threads is not None else 1,
-    )
-    if cfg.conditioning is not None:
-        out = sample_conditional(spec, cfg.conditioning, cfg.n, cfg.seed,
+    if args.conditional is not None:
+        out = sample_conditional(spec, args.conditional, args.n, args.seed,
                                  threads=args.threads)
         prefix = "Z"
-    elif cfg.pareto:
-        out, stats = sample_pareto(spec, cfg.n, cfg.seed, threads=args.threads)
+    elif args.pareto:
+        out, stats = sample_pareto(spec, args.n, args.seed, threads=args.threads)
         prefix = "Y"
     else:
-        out, stats = sample_inverted_pareto(spec, cfg.n, cfg.seed,
+        out, stats = sample_inverted_pareto(spec, args.n, args.seed,
                                             threads=args.threads)
         prefix = "Z"
-    if cfg.conditioning is None and cfg.n > 0:
+    if args.conditional is None and args.n > 0:
         print(
             f"acceptance rate {stats.acceptance_rate:.6f} "
             f"({stats.accepted}/{stats.proposals} proposals)",
@@ -214,9 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--spec", required=True, help="model JSON file")
     sim.add_argument("--n", type=int, required=True, help="number of samples")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--conditional", type=int, default=None, metavar="J",
+    # conditional sampling is defined on the inverted scale only
+    law = sim.add_mutually_exclusive_group()
+    law.add_argument("--conditional", type=int, default=None, metavar="J",
                      help="sample conditionally on coordinate J being below 1")
-    sim.add_argument("--pareto", action="store_true",
+    law.add_argument("--pareto", action="store_true",
                      help="emit multivariate-Pareto-scale samples (reciprocal)")
     sim.add_argument("--threads", type=int, default=None)
     sim.add_argument("--out", required=True, help="output CSV file")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
@@ -33,7 +32,7 @@ from .families import (
 )
 from .model import XVineSpec
 from .numerics import _TRANSFORMS, ScalarProblem, minimize_scalar
-from .simulate import resolve_threads
+from .simulate import parallel_map, resolve_threads
 from .vines import VineSequence
 
 DEFAULT_TAIL_CATALOGUE = TAIL_KINDS
@@ -557,12 +556,6 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
     errors: list[str] = []
     levels: list[list[_EdgeState]] = []
 
-    def run_fits(worker, slots):
-        if n_threads > 1 and len(slots) > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                return list(pool.map(worker, slots))
-        return [worker(slot) for slot in slots]
-
     # --- first tree -------------------------------------------------------
     if opts.structure is not None:
         slots1 = [
@@ -590,7 +583,7 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
             u_b=u_b,
         )
 
-    levels.append(run_fits(tail_worker, slots1))
+    levels.append(parallel_map(tail_worker, slots1, n_threads))
 
     # --- deeper trees -----------------------------------------------------
     for level in range(2, q_fit + 1):
@@ -658,7 +651,7 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
                 u_b=u_b,
             )
 
-        levels.append(run_fits(pair_worker, slots))
+        levels.append(parallel_map(pair_worker, slots, n_threads))
 
     # --- truncation -------------------------------------------------------
     records = [[_record(s) for s in lvl] for lvl in levels]

@@ -105,11 +105,16 @@ def _rows(spec: XVineSpec, x) -> tuple[np.ndarray, bool]:
         raise DomainError(f"expected points with {spec.d} coordinates, got shape {arr.shape}")
     if np.any(np.isnan(arr)):
         raise DomainError("coordinates must not be NaN")
+    if np.any(arr == np.inf):
+        raise DomainError("coordinates must not be +inf")
     return arr, squeeze
 
 
 def log_density(spec: XVineSpec, x):
-    """log of the tail-copula density; -inf on rows with a nonpositive coordinate."""
+    """log of the tail-copula density; -inf on rows with a nonpositive coordinate.
+
+    A coordinate of -inf counts as nonpositive. NaN or +inf raises DomainError.
+    """
     arr, squeeze = _rows(spec, x)
     pos = {n: i for i, n in enumerate(spec.vine.nodes)}
     ok = np.all(arr > 0.0, axis=1)
@@ -143,7 +148,10 @@ def density(spec: XVineSpec, x):
 
 
 def exponent_measure_density(spec: XVineSpec, y):
-    """Density of the exponent measure at y: r applied at 1/y times prod(y_j^-2)."""
+    """Density of the exponent measure at y: r applied at 1/y times prod(y_j^-2).
+
+    Zero on rows with a nonpositive coordinate; NaN or +inf raises DomainError.
+    """
     arr, squeeze = _rows(spec, y)
     ok = np.all(arr > 0.0, axis=1)
     out = np.zeros(arr.shape[0])

@@ -125,7 +125,8 @@ def invert_monotone(f, target, bracket, tol: float = 1e-10,
     f : callable mapping arrays to arrays (monotone in its argument).
     target : scalar or array of target values.
     bracket : (lo, hi) scalars or arrays bracketing every solution.
-    tol : stop when |f(mid) - target| <= tol everywhere.
+    tol : an entry stops at the first midpoint with |f(mid) - target| <= tol,
+        or once its bracket has shrunk to rounding level.
     expand : geometrically widen the bracket (hi *= 2, positive lo /= 2) until
         it straddles every target; without it a non-straddling bracket raises
         BracketFailure.
@@ -162,21 +163,26 @@ def invert_monotone(f, target, bracket, tol: float = 1e-10,
     if not np.all(straddle):
         raise BracketFailure("target not bracketed")
 
-    mid = 0.5 * (lo + hi)
+    # Each entry keeps the midpoint at which it alone met a stopping rule, so
+    # its result does not depend on the other entries of the batch.
+    out = np.full(target.shape, np.nan)
+    done = np.zeros(target.shape, dtype=bool)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         fm = np.asarray(f(mid), dtype=float)
         err = fm - target
-        if np.all(np.abs(err) <= tol):
-            break
+        stop = np.abs(err) <= tol
         go_up = sign * err < 0
         lo = np.where(go_up, mid, lo)
         hi = np.where(go_up, hi, mid)
-        if np.all((hi - lo) <= 1e-15 * np.maximum(1.0, np.abs(mid))):
+        stop |= (hi - lo) <= 1e-15 * np.maximum(1.0, np.abs(mid))
+        out = np.where(stop & ~done, mid, out)
+        done |= stop
+        if np.all(done):
             break
     else:
         raise NoConvergence("bisection did not reach tolerance")
-    return float(mid) if scalar_in else mid
+    return float(out) if scalar_in else out
 
 
 def quad_1d(f, lo: float, hi: float, tol: float = 1e-8) -> float:

@@ -28,23 +28,6 @@ BLOCK = 4096
 
 
 @dataclass(frozen=True)
-class SamplerConfig:
-    """CLI-facing sampling request."""
-
-    n: int
-    seed: int
-    conditioning: int | None = None
-    pareto: bool = False
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise DomainError(f"sample size must be nonnegative, got {self.n}")
-        if self.conditioning is not None and self.pareto:
-            raise DomainError("conditional sampling is defined on the inverted scale only")
-
-
-@dataclass(frozen=True)
 class RejectionStats:
     """Bookkeeping from the rejection sampler."""
 
@@ -90,13 +73,34 @@ def _conditional_plan(spec: XVineSpec, j: int):
     return m[0][0], cols
 
 
-def _conditional_block(spec: XVineSpec, plan, rng, n: int, trace=None) -> np.ndarray:
+def _conditional_block(spec: XVineSpec, plan, rng, n: int, accept_u=None,
+                       trace=None) -> tuple[np.ndarray, np.ndarray]:
+    """n inverse-Rosenblatt draws along a plan; returns (rows, row indices).
+
+    The whole (n, d) uniform matrix is drawn up front. Given accept_u, the
+    rejection sampler's uniforms for these rows, a row is dropped before the
+    next column once accept_u * (its coordinates below 1 so far) >= 1: that
+    count only grows, so the row would fail the final acceptance test anyway.
+    The values drawn so far and the evaluator's memo are compacted to the rows
+    still live, and the returned indices say which of the n rows those are.
+    """
     first, cols = plan
     w = rng.random((n, spec.d))
     values: dict[int, np.ndarray] = {first: w[:, 0]}
     ev = _Evaluator(spec, values, trace=trace)
+    live = np.arange(n)
+    below = np.ones(n, dtype=np.int64)  # the conditioned coordinate is below 1
     for k, (target, chain) in enumerate(cols):
-        u = w[:, k + 1]
+        if accept_u is not None:
+            keep = np.flatnonzero(accept_u * below < 1.0)
+            if keep.size < live.size:
+                live, accept_u, below = live[keep], accept_u[keep], below[keep]
+                for arrays in (values, ev.memo):
+                    for key, arr in arrays.items():
+                        arrays[key] = arr.take(keep)
+        if live.size == 0:
+            break
+        u = w[live, k + 1]
         for e in reversed(chain[1:]):
             partner = e.b if target == e.a else e.a
             child_o = e.child_a if partner == e.a else e.child_b
@@ -109,20 +113,27 @@ def _conditional_block(spec: XVineSpec, plan, rng, n: int, trace=None) -> np.nda
         if trace is not None:
             trace.append(("tail_h_inv", e1.key, target))
         values[target] = tail_h_inv(spec.tail[e1], u, values[partner])
+        below += values[target] < 1.0
     order = {node: idx for idx, node in enumerate(spec.vine.nodes)}
-    out = np.empty((n, spec.d))
+    out = np.empty((live.size, spec.d))
     for node, arr in values.items():
         out[:, order[node]] = arr
-    return out
+    return out, live
+
+
+def parallel_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items] on up to `threads` worker threads, in input order."""
+    items = list(items)
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def _blocked(n: int, threads: int, worker) -> list:
     """Run worker(block_index, block_size) over fixed-size blocks, in order."""
     sizes = [(b, min(BLOCK, n - b * BLOCK)) for b in range((n + BLOCK - 1) // BLOCK)]
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda bs: worker(*bs), sizes))
-    return [worker(*bs) for bs in sizes]
+    return parallel_map(lambda bs: worker(*bs), sizes, threads)
 
 
 def sample_conditional(spec: XVineSpec, j: int, n: int, seed: int,
@@ -142,9 +153,9 @@ def sample_conditional(spec: XVineSpec, j: int, n: int, seed: int,
     if n == 0:
         return np.empty((0, spec.d))
     if _trace is not None:
-        return _conditional_block(spec, plan, rng_stream(seed, 0), n, trace=_trace)
+        return _conditional_block(spec, plan, rng_stream(seed, 0), n, trace=_trace)[0]
     parts = _blocked(n, threads,
-                     lambda b, m: _conditional_block(spec, plan, rng_stream(seed, b), m))
+                     lambda b, m: _conditional_block(spec, plan, rng_stream(seed, b), m)[0])
     return np.vstack(parts)
 
 
@@ -156,6 +167,15 @@ def _rejection_block(spec: XVineSpec, plans, n: int, seed: int, block: int):
     without it the 5-d sampler draws a sixth fewer proposals, but at d = 10,
     where the rate is below the guess, most blocks take a second round and
     the sampler runs slower.
+
+    A proposal is kept when accept_u * N < 1, where N counts its coordinates
+    below 1. Rejection is early: each conditioning group drops a proposal as
+    soon as its count so far makes it fail that test, and draws none of its
+    later columns. This is exact. The count only grows along the sampling
+    order, every uniform (`which`, `accept_u` and each group's `w`) is drawn
+    up front, and every kernel works row by row, so the kept rows and the
+    proposal counts are those of drawing every column of every proposal. The
+    survivors are put back in proposal order before the final test.
     """
     d = spec.d
     rows: list[np.ndarray] = []
@@ -170,13 +190,17 @@ def _rejection_block(spec: XVineSpec, plans, n: int, seed: int, block: int):
         rng = rng_stream(seed, block, rnd)
         which = rng.integers(0, d, size=m)
         accept_u = rng.random(m)
-        z = np.empty((m, d))
+        idx_parts, z_parts = [], []
         for jdx in np.unique(which):
-            sel = which == jdx
+            sel = np.flatnonzero(which == jdx)
             sub = rng_stream(seed, block, rnd, int(jdx) + 1)
-            z[sel] = _conditional_block(spec, plans[jdx], sub, int(sel.sum()))
-        below = (z < 1.0).sum(axis=1)
-        keep = accept_u * below < 1.0
+            zj, live = _conditional_block(spec, plans[jdx], sub, sel.size, accept_u[sel])
+            idx_parts.append(sel[live])
+            z_parts.append(zj)
+        idx = np.concatenate(idx_parts)
+        order = np.argsort(idx)
+        idx, z = idx[order], np.vstack(z_parts)[order]
+        keep = accept_u[idx] * (z < 1.0).sum(axis=1) < 1.0
         rows.append(z[keep])
         got += int(keep.sum())
         proposals += m

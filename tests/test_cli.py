@@ -87,6 +87,20 @@ def test_simulate_bad_inputs(bench_spec_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_rejects_bad_requests(bench_spec_file, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    base = ["simulate", "--spec", bench_spec_file, "--out", str(out)]
+    for law in ([], ["--pareto"], ["--conditional", "2"]):
+        assert main([*base, "--n", "-1", *law]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+    # conditional sampling is defined on the inverted scale only
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--n", "10", "--conditional", "2", "--pareto"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------

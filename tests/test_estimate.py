@@ -335,16 +335,17 @@ def test_pipeline_threads_do_not_change_fits(bench, bench_sample):
 
 
 def test_pipeline_threads_default_from_env(monkeypatch, bench, bench_sample):
-    import xvine.estimate as est
+    import xvine.simulate as sim
 
     workers: list = []
 
-    class RecordingPool(est.ThreadPoolExecutor):
+    class RecordingPool(sim.ThreadPoolExecutor):
         def __init__(self, max_workers=None):
             workers.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(est, "ThreadPoolExecutor", RecordingPool)
+    # fit_pipeline runs its per-edge fits through simulate.parallel_map
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setenv("XVINE_THREADS", "2")
     opts = FitOptions(structure=bench.vine, truncation=2)
     r_env = fit_pipeline(bench_sample, 200, options=opts)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,22 @@ def test_density_zero_on_nonpositive_rows(bench):
     out = density(bench, x)
     assert out[0] > 0.0 and out[1] == 0.0
     assert log_density(bench, [1, 1, 0, 1, 1]) == -np.inf
+
+
+def test_infinite_coordinates(bench):
+    # +inf fails where it enters; -inf is nonpositive, so its log-density is -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in range(bench.d):
+            row = np.ones(bench.d)
+            row[j] = np.inf
+            with pytest.raises(DomainError):
+                log_density(bench, row)
+            with pytest.raises(DomainError):
+                log_density(bench, np.vstack([np.ones(bench.d), row]))
+            row[j] = -np.inf
+            assert log_density(bench, row) == -np.inf
+            assert density(bench, row) == 0.0
 
 
 def test_density_input_validation(bench):

@@ -1,6 +1,9 @@
 """Samplers: determinism, conditional law, rejection bookkeeping, traces."""
 from __future__ import annotations
 
+import math
+import time
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -8,14 +11,14 @@ from scipy.stats import kstest
 import oracles as oc
 from xvine import simulate
 from xvine.errors import DomainError
-from xvine.families import TailFamily, tail_chi
+from xvine.families import PairFamily, TailFamily, tail_chi
 from xvine.model import XVineSpec, conditional_cdf
 from xvine.numerics import rng_stream
 from xvine.reference import chain_vine, five_variable_spec, truncated_cvine_study_spec
 from xvine.simulate import (
     BLOCK,
     RejectionStats,
-    SamplerConfig,
+    parallel_map,
     resolve_threads,
     sample_conditional,
     sample_inverted_pareto,
@@ -31,6 +34,54 @@ def bench():
 
 def hr2_spec(gamma: float = 1.5) -> XVineSpec:
     return XVineSpec(VineSequence([[(1, 2)]], d=2), {(1, 2): TailFamily("hr", gamma)})
+
+
+def joe4_spec() -> XVineSpec:
+    """A 4-d D-vine whose second tree inverts by bisection (joe, survjoe)."""
+    vine = chain_vine(4)
+    tail = {(1, 2): TailFamily("logistic", 2.0), (2, 3): TailFamily("hr", 1.0),
+            (3, 4): TailFamily("neglogistic", 1.5)}
+    pairs = {(1, 3, (2,)): PairFamily("joe", 2.0), (2, 4, (3,)): PairFamily("survjoe", 1.5),
+             (1, 4, (2, 3)): PairFamily("gaussian", 0.2)}
+    return XVineSpec(vine, {vine.find_edge(k): f for k, f in tail.items()},
+                     {vine.find_edge(k): f for k, f in pairs.items()})
+
+
+def late_rejection(spec: XVineSpec, n: int, seed: int):
+    """sample_inverted_pareto with every column of every proposal drawn.
+
+    The same blocks, rounds and random streams as the sampler, but each
+    conditioning group runs _conditional_block in full, with nothing dropped,
+    and the test accept_u * N < 1 comes only once all d columns are drawn.
+    """
+    d = spec.d
+    plans = [simulate._conditional_plan(spec, j) for j in spec.vine.nodes]
+    rows, proposals, accepted = [], 0, 0
+    for block in range((n + BLOCK - 1) // BLOCK):
+        want = min(BLOCK, n - block * BLOCK)
+        kept, got, drawn, rate, rnd = [], 0, 0, 2.0 / (d + 1), 0
+        while got < want:
+            m = min(max(int(math.ceil((want - got) / rate * 1.2)), 64), 1 << 18)
+            rng = rng_stream(seed, block, rnd)
+            which = rng.integers(0, d, size=m)
+            accept_u = rng.random(m)
+            z = np.empty((m, d))
+            for jdx in np.unique(which):
+                sel = which == jdx
+                sub = rng_stream(seed, block, rnd, int(jdx) + 1)
+                z[sel], live = simulate._conditional_block(spec, plans[jdx], sub,
+                                                           int(sel.sum()))
+                assert live.size == sel.sum()
+            keep = accept_u * (z < 1.0).sum(axis=1) < 1.0
+            kept.append(z[keep])
+            got += int(keep.sum())
+            drawn += m
+            rate = max(got / drawn, 1.0 / (2 * d))
+            rnd += 1
+        rows.append(np.vstack(kept)[:want])
+        proposals += drawn
+        accepted += got
+    return np.vstack(rows), RejectionStats(proposals, accepted)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +132,47 @@ def test_rejection_sampler_thread_invariant_across_blocks(spec, min_rounds, monk
     assert len(rounds) >= min_rounds
 
 
+@pytest.mark.parametrize("spec", [five_variable_spec(), truncated_cvine_study_spec(),
+                                  joe4_spec(), hr2_spec(0.5)],
+                         ids=["bench5", "cvine10", "joe4", "hr2"])
+def test_early_rejection_is_exact(spec):
+    # dropping rows sure to be rejected changes neither the rows nor the counts;
+    # at d = 2 no row can be dropped before the final test
+    n = BLOCK + 700
+    want, want_stats = late_rejection(spec, n, seed=81)
+    for threads in (1, 2):
+        z, stats = sample_inverted_pareto(spec, n, seed=81, threads=threads)
+        np.testing.assert_array_equal(z, want)
+        assert stats == want_stats
+
+
+def test_conditional_block_drops_only_sure_rejections():
+    spec = joe4_spec()
+    plan = simulate._conditional_plan(spec, 2)
+    full, _ = simulate._conditional_block(spec, plan, rng_stream(5), 600)
+    accept_u = rng_stream(6).random(600)
+    z, live = simulate._conditional_block(spec, plan, rng_stream(5), 600, accept_u)
+    np.testing.assert_array_equal(z, full[live])
+    assert 0 < live.size < 600
+    dropped = np.setdiff1d(np.arange(600), live)
+    assert np.all(accept_u[dropped] * (full[dropped] < 1.0).sum(axis=1) >= 1.0)
+    # with accept_u = 1 every row fails before its first drawn column: no kernel runs
+    trace: list = []
+    z, live = simulate._conditional_block(spec, plan, rng_stream(5), 600,
+                                          np.ones(600), trace=trace)
+    assert z.shape == (0, 4) and live.size == 0 and trace == []
+
+
+def test_parallel_map_keeps_input_order():
+    # later items finish first, results still come back in input order
+    def slow_square(x):
+        time.sleep(0.01 * (5 - x))
+        return x * x
+
+    for threads in (1, 2, 4):
+        assert parallel_map(slow_square, range(5), threads) == [0, 1, 4, 9, 16]
+
+
 def test_threads_env_fallback(monkeypatch):
     monkeypatch.setenv("XVINE_THREADS", "5")
     assert resolve_threads(None) == 5
@@ -97,14 +189,6 @@ def test_empty_and_invalid_requests(bench):
         sample_conditional(bench, 9, 10, seed=0)
     with pytest.raises(DomainError):
         sample_conditional(bench, 1, -1, seed=0)
-
-
-def test_sampler_config_validation():
-    with pytest.raises(DomainError):
-        SamplerConfig(n=-1, seed=0)
-    with pytest.raises(DomainError):
-        SamplerConfig(n=10, seed=0, conditioning=2, pareto=True)
-    assert SamplerConfig(n=10, seed=0).threads == 1
 
 
 # ---------------------------------------------------------------------------
