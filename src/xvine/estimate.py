@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     DegenerateColumn,
@@ -26,17 +26,14 @@ from .families import (
     PairFamily,
     TailFamily,
     pair_h,
-    pair_log_density,
+    prepare_pair_log_density,
+    prepare_tail_log_density,
     tail_h,
-    tail_log_density,
 )
 from .model import XVineSpec
 from .numerics import _TRANSFORMS, ScalarProblem, minimize_scalar
 from .simulate import parallel_map, resolve_threads
 from .vines import VineSequence
-
-DEFAULT_TAIL_CATALOGUE = TAIL_KINDS
-DEFAULT_PAIR_CATALOGUE = PAIR_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +81,13 @@ def rank_transform(data: np.ndarray, k: int) -> PseudoSample:
     for j in range(d):
         if np.all(X[:, j] == X[0, j]):
             raise DegenerateColumn(f"column {j + 1} is constant")
-    rnk = stats.rankdata(X, method="max", axis=0)
+    # maximal ranks: the rank of an entry is the count of column entries <= it
+    order = np.argsort(X, axis=0)
+    rnk = np.empty(X.shape, dtype=np.intp)
+    for j in range(d):
+        idx = order[:, j]
+        col = X[idx, j]
+        rnk[idx, j] = np.searchsorted(col, col, side="right")
     u_hat = 1.0 - (rnk - 0.5) / n
     z = u_hat * (n / float(k))
     return PseudoSample(z=z, k=float(k), n=n, exceed=z < 1.0)
@@ -125,16 +128,64 @@ def empirical_chi(ps: PseudoSample, idx: Sequence[int]) -> float:
     return float(mask.sum()) / ps.k
 
 
+def _tied_pairs(counts: np.ndarray) -> int:
+    """Pairs within groups of the given sizes."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _discordant_pairs(y: np.ndarray) -> int:
+    """Pairs i < j with y[i] > y[j] in an integer array, in O(n log n).
+
+    Knight's (1966, JASA 61) merge count, bottom up: at each width, every
+    sorted left block is merged with its right neighbour in one vectorised
+    step, counting for each right entry the larger entries on its left.
+    """
+    n = y.size
+    y = y.astype(np.int64)
+    span = int(y.max()) + 1
+    pos = np.arange(n)
+    dis = 0
+    width = 1
+    while width < n:
+        offset = pos // (2 * width) * span  # keeps block pairs apart in one sort
+        keys = offset + y
+        left = pos % (2 * width) < width
+        lk, rk = keys[left], keys[~left]
+        end = np.searchsorted(lk, offset[~left] + span)
+        dis += int((end - np.searchsorted(lk, rk, side="right")).sum())
+        y = np.sort(keys, kind="stable") - offset
+        width *= 2
+    return dis
+
+
 def empirical_tau(u: np.ndarray, v: np.ndarray) -> float:
-    """Sample Kendall's tau; degenerate inputs give 0."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    """Sample Kendall's tau-b; degenerate inputs give 0.
+
+    Ties and the final ratio follow scipy.stats.kendalltau, so the two agree
+    bit for bit.
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
     if u.size != v.size:
         raise DomainError("mismatched sample sizes")
-    if u.size < 2:
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise DomainError("Kendall's tau needs finite values")
+    n = u.size
+    if n < 2:
         return 0.0
-    t = stats.kendalltau(u, v).statistic
-    return float(t) if np.isfinite(t) else 0.0
+    order = np.lexsort((v, u))  # by u, ties by v
+    us = u[order]
+    x = np.r_[True, us[1:] != us[:-1]].cumsum()
+    y = np.unique(v, return_inverse=True)[1][order]
+    joint = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]
+    ntie = _tied_pairs(np.diff(np.flatnonzero(joint)))
+    xtie, ytie = _tied_pairs(np.bincount(x)), _tied_pairs(np.bincount(y))
+    tot = n * (n - 1) // 2
+    if xtie == tot or ytie == tot:
+        return 0.0
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * _discordant_pairs(y)
+    tau = con_minus_dis / math.sqrt(tot - xtie) / math.sqrt(tot - ytie)
+    return min(1.0, max(-1.0, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +204,20 @@ class EdgeFit:
     selected_over: tuple[tuple[str, float], ...] = ()
 
 
-def _maximize(kind: str, box: tuple, make_loglik: Callable[[float], float]) -> tuple[float, float, bool]:
+def _maximize(
+    box: tuple, loglik: Callable[[float], np.ndarray], family: Callable[[float], object]
+) -> tuple[float, float, bool]:
+    """Maximize sum(loglik(theta)) over the box: (theta, maximum, at_boundary).
+
+    `family(theta)` builds the family; building it at both ends of the box
+    checks the box against the family's domain once, so the objective itself
+    does only theta-dependent arithmetic.
+    """
     lo, hi, transform = box
+    family(lo), family(hi)
 
     def objective(theta: float) -> float:
-        val = make_loglik(theta)
-        return -val if math.isfinite(val) else 1e300
+        return -float(loglik(theta).sum())
 
     theta, neg = minimize_scalar(ScalarProblem(objective, (lo, hi), transform), tol=1e-7)
     fwd = _TRANSFORMS[transform][0]
@@ -196,14 +255,8 @@ def fit_tail_edge(
         )
     thetas, logls, flags = [], [], []
     for mask in (mask_a, mask_b):
-        za = ps.z[mask, a - 1]
-        zb = ps.z[mask, b - 1]
-
-        def loglik(theta: float, za=za, zb=zb) -> float:
-            vals = tail_log_density(TailFamily(kind, theta), za, zb)
-            return float(np.sum(vals))
-
-        theta, ll, flag = _maximize(kind, TAIL_BOXES[kind], loglik)
+        loglik = prepare_tail_log_density(kind, ps.z[mask, a - 1], ps.z[mask, b - 1])
+        theta, ll, flag = _maximize(TAIL_BOXES[kind], loglik, partial(TailFamily, kind))
         thetas.append(theta)
         logls.append(ll)
         flags.append(flag)
@@ -234,11 +287,8 @@ def fit_pair_edge(u: np.ndarray, v: np.ndarray, kind: str, *, n_min: int = 10) -
     if n < n_min:
         raise InsufficientData(f"need at least {n_min} rows, got {n}")
 
-    def loglik(theta: float) -> float:
-        vals = pair_log_density(PairFamily(kind, theta), u, v)
-        return float(np.sum(vals))
-
-    theta, ll, flag = _maximize(kind, PAIR_BOXES[kind], loglik)
+    loglik = prepare_pair_log_density(kind, u, v)
+    theta, ll, flag = _maximize(PAIR_BOXES[kind], loglik, partial(PairFamily, kind))
     return EdgeFit(
         family=PairFamily(kind, theta),
         loglik=ll,
@@ -252,7 +302,7 @@ def select_tail_family(
     ps: PseudoSample,
     a: int,
     b: int,
-    catalogue: Sequence[str] = DEFAULT_TAIL_CATALOGUE,
+    catalogue: Sequence[str] = TAIL_KINDS,
     *,
     n_min: int = 10,
     aic_convention: str = "paper",
@@ -280,7 +330,7 @@ def select_tail_family(
 def select_pair_family(
     u: np.ndarray,
     v: np.ndarray,
-    catalogue: Sequence[str] = DEFAULT_PAIR_CATALOGUE,
+    catalogue: Sequence[str] = PAIR_KINDS,
     *,
     tau_min: float = 0.05,
     n_min: int = 10,
@@ -351,8 +401,8 @@ class FitOptions:
     input_kind: str = "raw"
     structure: VineSequence | None = None
     truncation: int | str = "auto"
-    tail_catalogue: tuple[str, ...] = DEFAULT_TAIL_CATALOGUE
-    pair_catalogue: tuple[str, ...] = DEFAULT_PAIR_CATALOGUE
+    tail_catalogue: tuple[str, ...] = TAIL_KINDS
+    pair_catalogue: tuple[str, ...] = PAIR_KINDS
     tail_families: Mapping[tuple, str] = field(default_factory=dict)
     pair_families: Mapping[tuple, str] = field(default_factory=dict)
     psi0: float = 0.9
@@ -534,7 +584,11 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
         ps = rank_transform(data, k)
     else:
         ps = from_inverted_pareto(data)
-    d = ps.d
+    n, d = ps.n, ps.d
+    # Every mask below is a subset of the rows with an exceedance, and boolean
+    # masks keep row order, so fitting on those rows alone gives the same sums.
+    rows = ps.exceed.any(axis=1)
+    ps = PseudoSample(z=ps.z[rows], k=ps.k, n=int(rows.sum()), exceed=ps.exceed[rows])
     if opts.structure is not None and opts.structure.d != d:
         raise DomainError(
             f"structure has {opts.structure.d} variables but data has {d} columns"
@@ -553,7 +607,7 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
         q_fit = q_cap
 
     n_threads = resolve_threads(opts.threads)
-    errors: list[str] = []
+    errors: list[str] = []  # in tree and slot order, whatever the thread count
     levels: list[list[_EdgeState]] = []
 
     # --- first tree -------------------------------------------------------
@@ -619,16 +673,15 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
                 weighted.append((w, _edge_key(a, b, cond), slot))
             slots = _kruskal([s.raw for s in prev], weighted)
 
-        def pair_worker(slot, level=level):
+        def pair_worker(slot, level=level) -> tuple[_EdgeState, str | None]:
             mask = np.logical_and.reduce(
                 [ps.exceed[:, j - 1] for j in sorted(slot.cond)]
             )
+            error = None
             try:
                 fit, u_a, u_b = _fit_one_pair(ps, slot, mask, opts)
             except XVineError as exc:
-                errors.append(
-                    f"edge ({slot.a},{slot.b};{','.join(map(str, sorted(slot.cond)))}): {exc}"
-                )
+                error = f"edge ({slot.a},{slot.b};{','.join(map(str, sorted(slot.cond)))}): {exc}"
                 fit = EdgeFit(
                     family=PairFamily("indep"),
                     loglik=0.0,
@@ -639,7 +692,7 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
                 side_a = slot.sa.u_a if slot.sa.a == slot.a else slot.sa.u_b
                 side_b = slot.sb.u_a if slot.sb.a == slot.b else slot.sb.u_b
                 u_a, u_b = side_a, side_b
-            return _EdgeState(
+            state = _EdgeState(
                 a=slot.a,
                 b=slot.b,
                 cond=slot.cond,
@@ -650,8 +703,11 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
                 u_a=u_a,
                 u_b=u_b,
             )
+            return state, error
 
-        levels.append(parallel_map(pair_worker, slots, n_threads))
+        done = parallel_map(pair_worker, slots, n_threads)
+        levels.append([state for state, _ in done])
+        errors.extend(error for _, error in done if error is not None)
 
     # --- truncation -------------------------------------------------------
     records = [[_record(s) for s in lvl] for lvl in levels]
@@ -683,7 +739,7 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
         spec=spec,
         edges=tuple(kept),
         k=ps.k,
-        n=ps.n,
+        n=n,
         mbic=mbic_list,
         q_star=q_star,
         errors=tuple(errors),

@@ -10,6 +10,7 @@ overflows inside the estimation search boxes.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,24 +97,71 @@ class TailFamily:
             raise DomainError(f"{self.kind} needs theta > 0, got {th}")
 
 
+# Log-densities are split into a theta-free prepare step on the points
+# (clipping, reflection, logs, normal scores) and a per-theta evaluate step,
+# so a likelihood search over theta prepares its data once.
+
+def _hr_prepare(x, y):
+    lx = np.log(x)
+    return -lx, lx - np.log(y)
+
+
+def _hr_evaluate(p, th):
+    nlx, dl = p
+    z = dl - th / 2.0
+    return nlx - 0.5 * math.log(2.0 * math.pi * th) - z * z / (2.0 * th)
+
+
+def _log_pair_prepare(x, y):
+    lx, ly = np.log(x), np.log(y)
+    return lx, ly, lx + ly
+
+
+def _logistic_evaluate(p, th):
+    lx, ly, s = p
+    return (math.log(th - 1.0) + (th - 1.0) * s
+            + (1.0 / th - 2.0) * np.logaddexp(th * lx, th * ly))
+
+
+def _neglogistic_evaluate(p, th):
+    lx, ly, s = p
+    return (math.log1p(th) - (th + 1.0) * s
+            + (-1.0 / th - 2.0) * np.logaddexp(-th * lx, -th * ly))
+
+
+def _dirichlet_prepare(x, y):
+    return np.log(x) + np.log(y), np.log(x + y)
+
+
+def _dirichlet_evaluate(p, th):
+    s, lxy = p
+    c = math.log(2.0) + log_gamma(2.0 * th) - 2.0 * log_gamma(th)
+    return c + th * s - (2.0 * th + 1.0) * lxy
+
+
+#: Tail kind -> (prepare(x, y), evaluate(prepared, theta)) for log r(x, y).
+_TAIL_LOG_DENSITY = {
+    "hr": (_hr_prepare, _hr_evaluate),
+    "logistic": (_log_pair_prepare, _logistic_evaluate),
+    "neglogistic": (_log_pair_prepare, _neglogistic_evaluate),
+    "dirichlet": (_dirichlet_prepare, _dirichlet_evaluate),
+}
+
+
+def prepare_tail_log_density(kind: str, x, y) -> Callable[[float], np.ndarray]:
+    """theta -> log r(x, y) for the tail kind, with the theta-free work done once.
+
+    theta is not checked: callers keep it inside the family's domain.
+    """
+    x, y = _pos("tail density", x, y)
+    prepare, evaluate = _TAIL_LOG_DENSITY[kind]
+    p = prepare(x, y)
+    return lambda th: evaluate(p, th)
+
+
 def tail_log_density(fam: TailFamily, x, y):
     """log r(x, y); homogeneous of order -1 with unit margins."""
-    x, y = _pos("tail density", x, y)
-    th = fam.theta
-    lx, ly = np.log(x), np.log(y)
-    if fam.kind == "hr":
-        z = lx - ly - th / 2.0
-        out = -lx - 0.5 * math.log(2.0 * math.pi * th) - z * z / (2.0 * th)
-    elif fam.kind == "logistic":
-        out = (math.log(th - 1.0) + (th - 1.0) * (lx + ly)
-               + (1.0 / th - 2.0) * np.logaddexp(th * lx, th * ly))
-    elif fam.kind == "neglogistic":
-        out = (math.log1p(th) - (th + 1.0) * (lx + ly)
-               + (-1.0 / th - 2.0) * np.logaddexp(-th * lx, -th * ly))
-    else:  # dirichlet
-        c = math.log(2.0) + log_gamma(2.0 * th) - 2.0 * log_gamma(th)
-        out = c + th * (lx + ly) - (2.0 * th + 1.0) * np.log(x + y)
-    return _ret(out)
+    return _ret(prepare_tail_log_density(fam.kind, x, y)(fam.theta))
 
 
 def tail_density(fam: TailFamily, x, y):
@@ -210,43 +258,90 @@ def _reflected(kind: str) -> bool:
     return kind.startswith("surv")
 
 
-def _clayton_log_s(u, v, th):
-    """log(u**-th + v**-th - 1), overflow-safe."""
-    la, lb = -th * np.log(u), -th * np.log(v)
+def _clayton_log_s(lu, lv, th):
+    """log(u**-th + v**-th - 1) from log u and log v, overflow-safe."""
+    la, lb = -th * lu, -th * lv
     m = np.maximum(la, lb)
     return m + np.log(np.exp(la - m) + np.exp(lb - m) - np.exp(-m))
 
 
-def _log_density_base(kind: str, u, v, th) -> np.ndarray:
-    if kind == "indep":
-        return np.zeros(np.broadcast(u, v).shape)
-    if kind == "gaussian":
-        x, y = std_normal_quantile(u), std_normal_quantile(v)
-        r2 = th * th
-        return (-0.5 * math.log1p(-r2)
-                - (r2 * (x * x + y * y) - 2.0 * th * x * y) / (2.0 * (1.0 - r2)))
-    if kind == "clayton":
-        ls = _clayton_log_s(u, v, th)
-        return math.log1p(th) - (th + 1.0) * (np.log(u) + np.log(v)) - (2.0 + 1.0 / th) * ls
-    if kind == "gumbel":
-        lxt, lyt = np.log(-np.log(u)), np.log(-np.log(v))
-        la = np.logaddexp(th * lxt, th * lyt)
-        a_pow = np.exp(la / th)
-        return (-a_pow + (th - 1.0) * (lxt + lyt) + (1.0 / th - 2.0) * la
-                - np.log(u) - np.log(v) + np.log(a_pow + th - 1.0))
-    if kind == "frank":
-        gu, gv, g1 = np.expm1(-th * u), np.expm1(-th * v), math.expm1(-th)
-        return (math.log(-th * g1) + np.log1p(gu) + np.log1p(gv)
-                - 2.0 * np.log(np.abs(g1 + gu * gv)))
-    # joe
+def _indep_prepare(u, v):
+    return np.broadcast(u, v).shape
+
+
+def _indep_evaluate(shape, th):
+    return np.zeros(shape)
+
+
+def _gaussian_prepare(u, v):
+    x, y = std_normal_quantile(u), std_normal_quantile(v)
+    return x, y, x * x + y * y
+
+
+def _gaussian_evaluate(p, th):
+    x, y, sq = p
+    r2 = th * th
+    return (-0.5 * math.log1p(-r2)
+            - (r2 * sq - 2.0 * th * x * y) / (2.0 * (1.0 - r2)))
+
+
+def _clayton_evaluate(p, th):
+    lu, lv, s = p
+    ls = _clayton_log_s(lu, lv, th)
+    return math.log1p(th) - (th + 1.0) * s - (2.0 + 1.0 / th) * ls
+
+
+def _gumbel_prepare(u, v):
+    lu, lv = np.log(u), np.log(v)
+    lxt, lyt = np.log(-lu), np.log(-lv)
+    return lu, lv, lxt, lyt, lxt + lyt
+
+
+def _gumbel_evaluate(p, th):
+    lu, lv, lxt, lyt, s = p
+    la = np.logaddexp(th * lxt, th * lyt)
+    a_pow = np.exp(la / th)
+    return (-a_pow + (th - 1.0) * s + (1.0 / th - 2.0) * la
+            - lu - lv + np.log(a_pow + th - 1.0))
+
+
+def _frank_prepare(u, v):
+    return u, v
+
+
+def _frank_evaluate(p, th):
+    u, v = p
+    gu, gv, g1 = np.expm1(-th * u), np.expm1(-th * v), math.expm1(-th)
+    return (math.log(-th * g1) + np.log1p(gu) + np.log1p(gv)
+            - 2.0 * np.log(np.abs(g1 + gu * gv)))
+
+
+def _joe_prepare(u, v):
     lxb, lyb = np.log1p(-u), np.log1p(-v)   # log of 1-u, 1-v
+    return lxb, lyb, lxb + lyb
+
+
+def _joe_evaluate(p, th):
+    lxb, lyb, s = p
     la, lb = th * lxb, th * lyb             # log of (1-u)**th, (1-v)**th
-    lt = np.logaddexp(la, lb + np.log1p(-np.exp(la)))
+    l1a = np.log1p(-np.exp(la))
+    lt = np.logaddexp(la, lb + l1a)
     bracket = np.logaddexp(
-        math.log(th - 1.0) + np.log1p(-np.exp(la)) + np.log1p(-np.exp(lb))
-        if th > 1.0 else -np.inf,
+        math.log(th - 1.0) + l1a + np.log1p(-np.exp(lb)) if th > 1.0 else -np.inf,
         math.log(th) + lt)
-    return (th - 1.0) * (lxb + lyb) + (1.0 / th - 2.0) * lt + bracket
+    return (th - 1.0) * s + (1.0 / th - 2.0) * lt + bracket
+
+
+#: Base pair kind -> (prepare(u, v), evaluate(prepared, theta)) for the log
+#: copula density; survival kinds reflect their points before prepare.
+_PAIR_LOG_DENSITY = {
+    "indep": (_indep_prepare, _indep_evaluate),
+    "gaussian": (_gaussian_prepare, _gaussian_evaluate),
+    "clayton": (_log_pair_prepare, _clayton_evaluate),
+    "gumbel": (_gumbel_prepare, _gumbel_evaluate),
+    "frank": (_frank_prepare, _frank_evaluate),
+    "joe": (_joe_prepare, _joe_evaluate),
+}
 
 
 def _h_base(kind: str, u, v, th) -> np.ndarray:
@@ -257,8 +352,9 @@ def _h_base(kind: str, u, v, th) -> np.ndarray:
         x, y = std_normal_quantile(u), std_normal_quantile(v)
         return std_normal_cdf((x - th * y) / math.sqrt(1.0 - th * th))
     if kind == "clayton":
-        ls = _clayton_log_s(u, v, th)
-        return np.exp(-(th + 1.0) * np.log(v) - (1.0 + 1.0 / th) * ls)
+        lv = np.log(v)
+        ls = _clayton_log_s(np.log(u), lv, th)
+        return np.exp(-(th + 1.0) * lv - (1.0 + 1.0 / th) * ls)
     if kind == "gumbel":
         lxt, lyt = np.log(-np.log(u)), np.log(-np.log(v))
         la = np.logaddexp(th * lxt, th * lyt)
@@ -311,11 +407,21 @@ def _h_inv_base(kind: str, w, v, th) -> np.ndarray:
     return invert_monotone(h, w_arr, (EPS_UNIT, 1.0 - EPS_UNIT), tol=1e-11)
 
 
-def pair_log_density(fam: PairFamily, u, v):
+def prepare_pair_log_density(kind: str, u, v) -> Callable[[float], np.ndarray]:
+    """theta -> log c(u, v) for the pair kind, with the theta-free work done once.
+
+    theta is not checked: callers keep it inside the family's domain.
+    """
     u, v = _clip_unit(u), _clip_unit(v)
-    if _reflected(fam.kind):
+    if _reflected(kind):
         u, v = 1.0 - u, 1.0 - v
-    return _ret(_log_density_base(_base_kind(fam.kind), u, v, fam.theta))
+    prepare, evaluate = _PAIR_LOG_DENSITY[_base_kind(kind)]
+    p = prepare(u, v)
+    return lambda th: evaluate(p, th)
+
+
+def pair_log_density(fam: PairFamily, u, v):
+    return _ret(prepare_pair_log_density(fam.kind, u, v)(fam.theta))
 
 
 def pair_density(fam: PairFamily, u, v):

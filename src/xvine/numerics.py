@@ -2,11 +2,12 @@
 quadrature, and reproducible random streams.
 
 Everything here is a thin, contract-checked layer over numpy/scipy. The rest of
-the package never imports scipy directly for these tasks, so tolerances and
-truncation conventions live in one place.
+the package never imports scipy directly, so tolerances and truncation
+conventions live in one place.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -105,15 +106,14 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-6) -> tuple[float, f
     def goal(t: float) -> float:
         val = problem.objective(float(inv(t)))
         # fminbound compares values; replace non-finite by a huge finite penalty
-        return float(val) if np.isfinite(val) else 1e300
+        return float(val) if math.isfinite(val) else 1e300
 
-    res = optimize.minimize_scalar(
-        goal, bounds=(t_lo, t_hi), method="bounded",
-        options={"xatol": tol, "maxiter": 500},
-    )
-    if not res.success:
-        raise NoConvergence(f"bounded scalar search failed: {res.message}")
-    return float(inv(res.x)), float(res.fun)
+    t_min, f_min, status, _ = optimize.fminbound(
+        goal, t_lo, t_hi, xtol=tol, maxfun=500, full_output=True, disp=0)
+    if status != 0:
+        why = "500 evaluations reached" if status == 1 else "NaN encountered"
+        raise NoConvergence(f"bounded scalar search failed: {why}")
+    return float(inv(t_min)), float(f_min)
 
 
 def invert_monotone(f, target, bracket, tol: float = 1e-10,

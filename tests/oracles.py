@@ -6,10 +6,12 @@ is evidence, not tautology.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
-from scipy.special import betaln, ndtr, ndtri
+from scipy.special import betaln, gammaln, ndtr, ndtri
 from scipy.stats import multivariate_normal
 
 # ---------------------------------------------------------------------------
@@ -104,6 +106,65 @@ def invert_gumbel_h(w: float, v: float, theta: float) -> float:
     """Scalar root u of gumbel_copula_h(u, v, theta) = w by Brent's method."""
     return brentq(lambda u: gumbel_copula_h(u, v, theta) - w, 1e-300, 1.0 - 1e-16,
                   xtol=1e-300, rtol=1e-15, maxiter=500)
+
+
+# ---------------------------------------------------------------------------
+# one-pass log densities in the package's floating-point operation order
+# ---------------------------------------------------------------------------
+
+def tail_log_density_one_pass(kind: str, theta: float, x, y):
+    """log r(x, y) computed in one pass, each operation in the package's order."""
+    th = theta
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    lx, ly = np.log(x), np.log(y)
+    if kind == "hr":
+        z = lx - ly - th / 2.0
+        return -lx - 0.5 * math.log(2.0 * math.pi * th) - z * z / (2.0 * th)
+    if kind == "logistic":
+        return (math.log(th - 1.0) + (th - 1.0) * (lx + ly)
+                + (1.0 / th - 2.0) * np.logaddexp(th * lx, th * ly))
+    if kind == "neglogistic":
+        return (math.log1p(th) - (th + 1.0) * (lx + ly)
+                + (-1.0 / th - 2.0) * np.logaddexp(-th * lx, -th * ly))
+    c = math.log(2.0) + gammaln(2.0 * th) - 2.0 * gammaln(th)
+    return c + th * (lx + ly) - (2.0 * th + 1.0) * np.log(x + y)
+
+
+def pair_log_density_one_pass(kind: str, theta: float, u, v):
+    """log c(u, v) computed in one pass, each operation in the package's order."""
+    th = theta
+    u = np.clip(np.asarray(u, float), 1e-12, 1.0 - 1e-12)
+    v = np.clip(np.asarray(v, float), 1e-12, 1.0 - 1e-12)
+    if kind.startswith("surv"):
+        kind, u, v = kind[4:], 1.0 - u, 1.0 - v
+    if kind == "gaussian":
+        x, y = ndtri(u), ndtri(v)
+        r2 = th * th
+        return (-0.5 * math.log1p(-r2)
+                - (r2 * (x * x + y * y) - 2.0 * th * x * y) / (2.0 * (1.0 - r2)))
+    if kind == "clayton":
+        la, lb = -th * np.log(u), -th * np.log(v)
+        m = np.maximum(la, lb)
+        ls = m + np.log(np.exp(la - m) + np.exp(lb - m) - np.exp(-m))
+        return math.log1p(th) - (th + 1.0) * (np.log(u) + np.log(v)) - (2.0 + 1.0 / th) * ls
+    if kind == "gumbel":
+        lxt, lyt = np.log(-np.log(u)), np.log(-np.log(v))
+        la = np.logaddexp(th * lxt, th * lyt)
+        a_pow = np.exp(la / th)
+        return (-a_pow + (th - 1.0) * (lxt + lyt) + (1.0 / th - 2.0) * la
+                - np.log(u) - np.log(v) + np.log(a_pow + th - 1.0))
+    if kind == "frank":
+        gu, gv, g1 = np.expm1(-th * u), np.expm1(-th * v), math.expm1(-th)
+        return (math.log(-th * g1) + np.log1p(gu) + np.log1p(gv)
+                - 2.0 * np.log(np.abs(g1 + gu * gv)))
+    lxb, lyb = np.log1p(-u), np.log1p(-v)
+    la, lb = th * lxb, th * lyb
+    lt = np.logaddexp(la, lb + np.log1p(-np.exp(la)))
+    bracket = np.logaddexp(
+        math.log(th - 1.0) + np.log1p(-np.exp(la)) + np.log1p(-np.exp(lb))
+        if th > 1.0 else -np.inf,
+        math.log(th) + lt)
+    return (th - 1.0) * (lxb + lyb) + (1.0 / th - 2.0) * lt + bracket
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import kendalltau, rankdata
 
+import xvine
 from xvine.errors import (
     DegenerateColumn,
     DomainError,
@@ -99,6 +105,20 @@ def test_rank_transform_validation():
         rank_transform(X[:1], 0)
 
 
+def test_rank_transform_matches_max_ranks_on_ties():
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 7, size=(500, 4)).astype(float)
+    X[:, 3] = rng.normal(size=500)
+    want = (1.0 - (rankdata(X, method="max", axis=0) - 0.5) / 500) * (500 / 40.0)
+    np.testing.assert_array_equal(rank_transform(X, 40).z, want)
+
+
+def test_import_leaves_scipy_stats_out():
+    code = "import sys, xvine; assert 'scipy.stats' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(xvine.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
 def test_from_inverted_pareto_bookkeeping():
     Z = np.array([[0.5, 2.0], [1.5, 0.25], [3.0, 0.75], [0.2, 4.0]])
     ps = from_inverted_pareto(Z)
@@ -150,6 +170,36 @@ def test_empirical_tau():
     assert empirical_tau(x[:1], x[:1]) == 0.0
     with pytest.raises(DomainError):
         empirical_tau(x, x[:10])
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[3] = bad
+        with pytest.raises(DomainError):
+            empirical_tau(x, y)
+        with pytest.raises(DomainError):
+            empirical_tau(y, x)
+
+
+def _tau_cases(rng, n):
+    """Untied, tied and clipped-pseudo-observation samples of size n."""
+    u = rng.normal(size=n)
+    yield u, 0.5 * u + rng.normal(size=n)
+    a, b = rng.integers(0, 4, n), rng.integers(0, 4, n)
+    yield a.astype(float), (a + b).astype(float)
+    yield a.astype(float), -b.astype(float)
+    w = rng.uniform(size=n)
+    yield (np.clip(w ** 6, 1e-12, 1 - 1e-12),
+           np.clip(1.0 - (w + 0.1 * rng.uniform(size=n)) ** 9, 1e-12, 1 - 1e-12))
+    yield u, np.full(n, 0.3)  # constant column
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 33, 34, 257, 1000])
+def test_empirical_tau_matches_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        for u, v in _tau_cases(rng, n):
+            want = kendalltau(u, v).statistic
+            got = empirical_tau(u, v)
+            assert got == (float(want) if np.isfinite(want) else 0.0), (u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +382,38 @@ def test_pipeline_threads_do_not_change_fits(bench, bench_sample):
     r1 = fit_pipeline(bench_sample, 200, options=opts1)
     r3 = fit_pipeline(bench_sample, 200, options=opts3)
     assert r1.edges == r3.edges
+
+
+def test_pipeline_errors_in_tree_and_slot_order(bench, bench_sample):
+    # n_min above the deeper trees' sample sizes: every pinned edge there raises
+    fams = spec_families(bench)
+    reports = [
+        fit_pipeline(bench_sample, 200, options=FitOptions(
+            structure=bench.vine, pair_families=fams, n_min=190, threads=t))
+        for t in (1, 2)
+    ]
+    assert reports[0].errors == reports[1].errors
+    failed = [f"edge ({r['a']},{r['b']};{','.join(map(str, r['cond']))}):"
+              for r in reports[0].edges if r["level"] >= 3]
+    assert len(failed) == 3
+    assert [e.split(" need")[0] for e in reports[0].errors] == failed
+
+
+def test_pipeline_ignores_rows_without_exceedances(bench):
+    z, _ = sample_inverted_pareto(bench, 2000, seed=31)
+    rng = np.random.default_rng(32)
+    extra = rng.uniform(1.0, 50.0, size=(3000, 5))  # no coordinate below 1
+    slots = np.zeros(5000, dtype=bool)
+    slots[rng.choice(5000, 3000, replace=False)] = True
+    mixed = np.empty((5000, 5))
+    mixed[slots], mixed[~slots] = extra, z  # z keeps its row order
+    opts = FitOptions(input_kind="inverted-pareto", truncation="mbic")
+    plain, padded = fit_pipeline(z, options=opts), fit_pipeline(mixed, options=opts)
+    assert padded.edges == plain.edges
+    assert padded.mbic == plain.mbic and padded.q_star == plain.q_star
+    assert (plain.n, padded.n) == (2000, 5000)
+    for rec in padded.edges[:4]:  # the first tree sees every exceedance of a or b
+        assert rec["n_eff"] == int(((z[:, rec["a"] - 1] < 1) | (z[:, rec["b"] - 1] < 1)).sum())
 
 
 def test_pipeline_threads_default_from_env(monkeypatch, bench, bench_sample):

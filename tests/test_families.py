@@ -16,6 +16,7 @@ from xvine.families import (
     EPS_UNIT,
     PAIR_BOXES,
     PAIR_KINDS,
+    TAIL_BOXES,
     TAIL_KINDS,
     PairFamily,
     TailFamily,
@@ -24,6 +25,8 @@ from xvine.families import (
     pair_h_inv,
     pair_log_density,
     pair_tau,
+    prepare_pair_log_density,
+    prepare_tail_log_density,
     tail_chi,
     tail_density,
     tail_h,
@@ -136,6 +139,22 @@ def test_tail_rejects_nonpositive_points():
         tail_log_density(fam, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("kind", TAIL_KINDS)
+def test_prepared_tail_log_density_is_bit_identical(kind):
+    # theta over the whole search box, both ends included; points span 1e-13..1e13
+    rng = np.random.default_rng(5)
+    x = np.exp(rng.uniform(-30.0, 30.0, 300))
+    y = np.exp(rng.uniform(-30.0, 30.0, 300))
+    lo, hi, _ = TAIL_BOXES[kind]
+    loglik = prepare_tail_log_density(kind, x, y)
+    with np.errstate(all="ignore"):
+        for th in np.linspace(lo, hi, 24):
+            got = loglik(th)
+            np.testing.assert_array_equal(got, oc.tail_log_density_one_pass(kind, th, x, y))
+            want = float(np.sum(tail_log_density(TailFamily(kind, th), x, y)))
+            assert float(np.sum(got)) == want or (np.isnan(want) and np.isnan(np.sum(got)))
+
+
 def test_tail_density_vector_shape():
     fam = TailFamily("logistic", 2.0)
     out = tail_density(fam, GRID, 1.0)
@@ -244,6 +263,22 @@ def test_pair_h_inv_clips_unreachable_targets():
     u = pair_h_inv(fam, [0.5, 2.5294546861993176e-12], [0.5, 1.2819392570923834e-10])
     assert u[1] == EPS_UNIT
     assert abs(float(pair_h(fam, u[0], 0.5)) - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [k for k in PAIR_KINDS if k != "indep"])
+def test_prepared_pair_log_density_is_bit_identical(kind):
+    # theta over the whole search box, both ends included; points reach the clip
+    rng = np.random.default_rng(6)
+    u = np.r_[rng.uniform(size=300), 0.0, 1.0, 1e-14, 1.0 - 1e-14, 0.5]
+    v = np.r_[rng.uniform(size=300), 1.0, 0.0, 0.5, 1e-13, 0.5]
+    lo, hi, _ = PAIR_BOXES[kind]
+    loglik = prepare_pair_log_density(kind, u, v)
+    with np.errstate(all="ignore"):
+        for th in np.linspace(lo, hi, 24):  # an even count skips frank's theta = 0
+            got = loglik(th)
+            np.testing.assert_array_equal(got, oc.pair_log_density_one_pass(kind, th, u, v))
+            want = float(np.sum(pair_log_density(PairFamily(kind, th), u, v)))
+            assert float(np.sum(got)) == want or (np.isnan(want) and np.isnan(np.sum(got)))
 
 
 def test_survival_reflection_identity():
