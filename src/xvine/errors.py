@@ -82,13 +82,5 @@ class InsufficientData(XVineError):
     """Too few effective observations for the requested fit."""
 
 
-class EmptyConditioningSet(XVineError):
-    """Pseudo-observation recursion applied to a first-tree edge."""
-
-
-class NoClosedForm(XVineError):
-    """Closed-form inversion unavailable for this family."""
-
-
 class InfeasibleLevel(XVineError):
     """Requested truncation level outside 1..d-1."""

@@ -25,15 +25,13 @@ from .families import (
     TAIL_KINDS,
     PairFamily,
     TailFamily,
-    pair_h,
     prepare_pair_log_density,
     prepare_tail_log_density,
-    tail_h,
 )
-from .model import XVineSpec
+from .model import XVineSpec, _Evaluator
 from .numerics import _TRANSFORMS, ScalarProblem, minimize_scalar
 from .simulate import parallel_map, resolve_threads
-from .vines import VineSequence
+from .vines import Edge, VineSequence, _components
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +365,13 @@ def select_pair_family(
 # ---------------------------------------------------------------------------
 # maximum spanning trees
 
-def _kruskal(nodes: Sequence, weighted: Sequence[tuple[float, tuple, object]]) -> list:
-    """Maximum spanning tree by Kruskal with deterministic tie-breaking."""
+def _kruskal(nodes: Sequence, weighted: Sequence[tuple[float, tuple, tuple]]) -> list:
+    """Maximum spanning tree by Kruskal with deterministic tie-breaking.
+
+    Each candidate is (weight, key, (x, y)): the key breaks ties between equal
+    weights, and (x, y) is the pair of nodes it joins. Returns the chosen
+    pairs in the order Kruskal takes them.
+    """
     parent = {node: node for node in nodes}
 
     def find(x):
@@ -378,12 +381,12 @@ def _kruskal(nodes: Sequence, weighted: Sequence[tuple[float, tuple, object]]) -
         return x
 
     chosen = []
-    for _w, _key, payload in sorted(weighted, key=lambda t: (-t[0], t[1])):
-        ra, rb = find(payload.link[0]), find(payload.link[1])
+    for _w, _key, (x, y) in sorted(weighted, key=lambda t: (-t[0], t[1])):
+        ra, rb = find(x), find(y)
         if ra == rb:
             continue
         parent[ra] = rb
-        chosen.append(payload)
+        chosen.append((x, y))
         if len(chosen) == len(nodes) - 1:
             break
     if len(chosen) != len(nodes) - 1:
@@ -423,46 +426,6 @@ class FitOptions:
             raise DomainError("psi0 must lie in (0, 1)")
         if self.aic_convention not in ("paper", "standard"):
             raise DomainError(f"unknown AIC convention {self.aic_convention!r}")
-
-
-def _edge_key(a: int, b: int, cond: frozenset) -> tuple:
-    lo, hi = (a, b) if a < b else (b, a)
-    return (lo, hi, tuple(sorted(cond)))
-
-
-@dataclass
-class _EdgeState:
-    """One fitted edge carried through the sequential pipeline."""
-
-    a: int
-    b: int
-    cond: frozenset
-    raw: frozenset
-    union: frozenset
-    level: int
-    fit: EdgeFit
-    u_a: np.ndarray
-    u_b: np.ndarray
-
-    @property
-    def key(self) -> tuple:
-        return _edge_key(self.a, self.b, self.cond)
-
-
-@dataclass(frozen=True)
-class _Slot:
-    """A position in the tree sequence waiting to be fitted."""
-
-    a: int
-    b: int
-    cond: frozenset
-    raw: frozenset
-    sa: _EdgeState | None
-    sb: _EdgeState | None
-
-    @property
-    def link(self) -> tuple:
-        return (self.sa.raw, self.sb.raw) if self.sa is not None else (self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -509,62 +472,92 @@ def mbic_curve(records: Sequence[Sequence[dict]], psi0: float = 0.9) -> list[flo
     return out
 
 
-def _fit_one_tail(ps, slot, opts) -> tuple[EdgeFit, np.ndarray, np.ndarray]:
-    fixed = opts.tail_families.get(_edge_key(slot.a, slot.b, slot.cond))
+def _fit_one_tail(ps: PseudoSample, e: Edge, opts: FitOptions) -> EdgeFit:
+    fixed = opts.tail_families.get(e.key)
     if fixed is not None:
-        fit = fit_tail_edge(
-            ps, slot.a, slot.b, fixed, n_min=opts.n_min, aic_convention=opts.aic_convention
+        return fit_tail_edge(
+            ps, e.a, e.b, fixed, n_min=opts.n_min, aic_convention=opts.aic_convention
         )
-    else:
-        fit = select_tail_family(
-            ps,
-            slot.a,
-            slot.b,
-            opts.tail_catalogue,
-            n_min=opts.n_min,
-            aic_convention=opts.aic_convention,
-        )
-    za = ps.z[:, slot.a - 1]
-    zb = ps.z[:, slot.b - 1]
-    u_a = tail_h(fit.family, za, zb)
-    u_b = tail_h(fit.family, zb, za)
-    return fit, u_a, u_b
+    return select_tail_family(
+        ps,
+        e.a,
+        e.b,
+        opts.tail_catalogue,
+        n_min=opts.n_min,
+        aic_convention=opts.aic_convention,
+    )
 
 
-def _fit_one_pair(ps, slot, mask, opts) -> tuple[EdgeFit, np.ndarray, np.ndarray]:
-    side_a = slot.sa.u_a if slot.sa.a == slot.a else slot.sa.u_b
-    side_b = slot.sb.u_a if slot.sb.a == slot.b else slot.sb.u_b
-    fixed = opts.pair_families.get(_edge_key(slot.a, slot.b, slot.cond))
-    if fixed is not None:
-        fit = fit_pair_edge(side_a[mask], side_b[mask], fixed, n_min=opts.n_min)
-    else:
-        fit = select_pair_family(
-            side_a[mask],
-            side_b[mask],
+def _fit_one_pair(job: tuple, opts: FitOptions) -> tuple[EdgeFit, str | None]:
+    """Fit of a deeper edge on its pseudo-observations; independence and the
+    error message when the fit fails."""
+    e, u, v, mask = job
+    try:
+        fixed = opts.pair_families.get(e.key)
+        if fixed is not None:
+            return fit_pair_edge(u[mask], v[mask], fixed, n_min=opts.n_min), None
+        return select_pair_family(
+            u[mask],
+            v[mask],
             opts.pair_catalogue,
             tau_min=opts.tau_min,
             n_min=opts.n_min,
+        ), None
+    except XVineError as exc:
+        fit = EdgeFit(
+            family=PairFamily("indep"),
+            loglik=0.0,
+            aic=0.0,
+            n_eff=int(mask.sum()),
+            forced_indep=True,
         )
-    u_a = pair_h(fit.family, side_a, side_b)
-    u_b = pair_h(fit.family, side_b, side_a)
-    return fit, u_a, u_b
+        return fit, f"edge {e.label}: {exc}"
 
 
-def _record(state: _EdgeState) -> dict:
-    fam = state.fit.family
+def _joint_exceedance(ps: PseudoSample, cond) -> np.ndarray:
+    return np.logical_and.reduce([ps.exceed[:, j - 1] for j in sorted(cond)])
+
+
+def _candidates(ps: PseudoSample, ev: _Evaluator, prev: list[Edge] | None):
+    """Nodes and weighted joins from which Kruskal picks the next tree.
+
+    Tree 1 joins variables, weighted by empirical chi. Tree L+1 joins pairs
+    of tree-L edges that share one component, weighted by the absolute
+    Kendall's tau of their conditional values on the joint exceedances of
+    the conditioning set.
+    """
+    if prev is None:
+        nodes = list(range(1, ps.d + 1))
+        return nodes, [(empirical_chi(ps, p), p, p) for p in combinations(nodes, 2)]
+    weighted = []
+    for s, t in combinations(prev, 2):
+        if len(_components(s) & _components(t)) != 1:
+            continue
+        cond = s.union & t.union
+        a, b = sorted((s.union | t.union) - cond)
+        sa, sb = (s, t) if a in s.union else (t, s)
+        mask = _joint_exceedance(ps, cond)
+        u, v = ev.r(sa, a), ev.r(sb, b)
+        w = abs(empirical_tau(u[mask], v[mask])) if int(mask.sum()) >= 2 else 0.0
+        weighted.append((w, (a, b, tuple(sorted(cond))), (s, t)))
+    return prev, weighted
+
+
+def _record(e: Edge, fit: EdgeFit) -> dict:
+    fam = fit.family
     return {
-        "a": state.a,
-        "b": state.b,
-        "cond": sorted(state.cond),
-        "level": state.level,
+        "a": e.a,
+        "b": e.b,
+        "cond": sorted(e.cond),
+        "level": e.level,
         "family": fam.kind,
         "theta": fam.theta,
-        "loglik": state.fit.loglik,
-        "aic": state.fit.aic,
-        "n_eff": state.fit.n_eff,
-        "at_boundary": state.fit.at_boundary,
-        "forced_indep": state.fit.forced_indep,
-        "selected_over": [[kind, aic] for kind, aic in state.fit.selected_over],
+        "loglik": fit.loglik,
+        "aic": fit.aic,
+        "n_eff": fit.n_eff,
+        "at_boundary": fit.at_boundary,
+        "forced_indep": fit.forced_indep,
+        "selected_over": [[kind, aic] for kind, aic in fit.selected_over],
     }
 
 
@@ -575,7 +568,9 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
     deeper trees carry pair copulas fitted on conditional pseudo-observations
     restricted to joint exceedances of the conditioning variables.  Without a
     given structure, trees are maximum spanning trees under empirical chi
-    (first tree) or absolute Kendall's tau (deeper trees).
+    (first tree) or absolute Kendall's tau (deeper trees), and the vine is
+    extended one tree at a time (Dissmann et al. 2013). The pseudo-observations
+    are the model's own h-function recursion on the vine fitted so far.
     """
     opts = options or FitOptions()
     if opts.input_kind == "raw":
@@ -607,110 +602,41 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
         q_fit = q_cap
 
     n_threads = resolve_threads(opts.threads)
-    errors: list[str] = []  # in tree and slot order, whatever the thread count
-    levels: list[list[_EdgeState]] = []
-
-    # --- first tree -------------------------------------------------------
-    if opts.structure is not None:
-        slots1 = [
-            _Slot(e.a, e.b, frozenset(), frozenset({e.a, e.b}), None, None)
-            for e in opts.structure.level_edges(1)
-        ]
-    else:
-        weighted = []
-        for a, b in combinations(range(1, d + 1), 2):
-            slot = _Slot(a, b, frozenset(), frozenset({a, b}), None, None)
-            weighted.append((empirical_chi(ps, (a, b)), (a, b), slot))
-        slots1 = _kruskal(list(range(1, d + 1)), weighted)
-
-    def tail_worker(slot):
-        fit, u_a, u_b = _fit_one_tail(ps, slot, opts)
-        return _EdgeState(
-            a=slot.a,
-            b=slot.b,
-            cond=frozenset(),
-            raw=slot.raw,
-            union=frozenset({slot.a, slot.b}),
-            level=1,
-            fit=fit,
-            u_a=u_a,
-            u_b=u_b,
-        )
-
-    levels.append(parallel_map(tail_worker, slots1, n_threads))
-
-    # --- deeper trees -----------------------------------------------------
-    for level in range(2, q_fit + 1):
-        prev = levels[-1]
+    tail: dict[Edge, TailFamily] = {}
+    pairs: dict[Edge, PairFamily] = {}
+    fits: dict[Edge, EdgeFit] = {}
+    levels: list[list[Edge]] = []  # each tree's edges in fitting order
+    errors: list[str] = []  # in tree and fitting order, whatever the thread count
+    # one memo for every tree; the family maps grow as the trees are fitted
+    ev = _Evaluator(tail, pairs, {j: ps.z[:, j - 1] for j in range(1, d + 1)})
+    vine = None
+    for level in range(1, q_fit + 1):
         if opts.structure is not None:
-            by_key = {s.key: s for s in prev}
-            slots = []
-            for e in opts.structure.level_edges(level):
-                ca, cb = e.child_a, e.child_b
-                sa = by_key[_edge_key(ca.a, ca.b, ca.cond)]
-                sb = by_key[_edge_key(cb.a, cb.b, cb.cond)]
-                slots.append(_Slot(e.a, e.b, e.cond, frozenset({sa.raw, sb.raw}), sa, sb))
+            vine = opts.structure.truncate(level)
+            edges = list(vine.trees[-1])
         else:
-            weighted = []
-            for s, t in combinations(prev, 2):
-                if len(s.raw & t.raw) != 1:
-                    continue
-                cond = s.union & t.union
-                pair = sorted((s.union | t.union) - cond)
-                a, b = pair
-                sa, sb = (s, t) if a in s.union else (t, s)
-                mask = np.logical_and.reduce(
-                    [ps.exceed[:, j - 1] for j in sorted(cond)]
-                )
-                side_a = sa.u_a if sa.a == a else sa.u_b
-                side_b = sb.u_a if sb.a == b else sb.u_b
-                w = (
-                    abs(empirical_tau(side_a[mask], side_b[mask]))
-                    if int(mask.sum()) >= 2
-                    else 0.0
-                )
-                slot = _Slot(a, b, cond, frozenset({s.raw, t.raw}), sa, sb)
-                weighted.append((w, _edge_key(a, b, cond), slot))
-            slots = _kruskal([s.raw for s in prev], weighted)
-
-        def pair_worker(slot, level=level) -> tuple[_EdgeState, str | None]:
-            mask = np.logical_and.reduce(
-                [ps.exceed[:, j - 1] for j in sorted(slot.cond)]
-            )
-            error = None
-            try:
-                fit, u_a, u_b = _fit_one_pair(ps, slot, mask, opts)
-            except XVineError as exc:
-                error = f"edge ({slot.a},{slot.b};{','.join(map(str, sorted(slot.cond)))}): {exc}"
-                fit = EdgeFit(
-                    family=PairFamily("indep"),
-                    loglik=0.0,
-                    aic=0.0,
-                    n_eff=int(mask.sum()),
-                    forced_indep=True,
-                )
-                side_a = slot.sa.u_a if slot.sa.a == slot.a else slot.sa.u_b
-                side_b = slot.sb.u_a if slot.sb.a == slot.b else slot.sb.u_b
-                u_a, u_b = side_a, side_b
-            state = _EdgeState(
-                a=slot.a,
-                b=slot.b,
-                cond=slot.cond,
-                raw=slot.raw,
-                union=frozenset(slot.cond | {slot.a, slot.b}),
-                level=level,
-                fit=fit,
-                u_a=u_a,
-                u_b=u_b,
-            )
-            return state, error
-
-        done = parallel_map(pair_worker, slots, n_threads)
-        levels.append([state for state, _ in done])
-        errors.extend(error for _, error in done if error is not None)
+            chosen = _kruskal(*_candidates(ps, ev, levels[-1] if levels else None))
+            vine = VineSequence([chosen], d=d) if level == 1 else vine.extend(chosen)
+            joined = {_components(e): e for e in vine.trees[-1]}
+            edges = [joined[frozenset(p)] for p in chosen]
+        levels.append(edges)
+        # conditional values come from the memo here, so workers only fit
+        if level == 1:
+            done = parallel_map(lambda e: (_fit_one_tail(ps, e, opts), None), edges, n_threads)
+        else:
+            jobs = [
+                (e, ev.r(e.child_a, e.a), ev.r(e.child_b, e.b), _joint_exceedance(ps, e.cond))
+                for e in edges
+            ]
+            done = parallel_map(lambda job: _fit_one_pair(job, opts), jobs, n_threads)
+        for e, (fit, error) in zip(edges, done):
+            fits[e] = fit
+            (tail if level == 1 else pairs)[e] = fit.family
+            if error is not None:
+                errors.append(error)
 
     # --- truncation -------------------------------------------------------
-    records = [[_record(s) for s in lvl] for lvl in levels]
+    records = [[_record(e, fits[e]) for e in lvl] for lvl in levels]
     mbic_list: tuple[float, ...] = ()
     q_star: int | None = None
     if opts.truncation == "mbic":
@@ -721,23 +647,10 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
     else:
         q_emit = q_fit
 
-    trees = [[s.raw for s in lvl] for lvl in levels[:q_emit]]
-    vine = VineSequence(trees, d=d)
-    tail = {}
-    pairs = {}
-    kept: list[dict] = []
-    for lvl in levels[:q_emit]:
-        for s in lvl:
-            edge = vine.find_edge((s.a, s.b, s.cond))
-            if s.level == 1:
-                tail[edge] = s.fit.family
-            else:
-                pairs[edge] = s.fit.family
-            kept.append(_record(s))
-    spec = XVineSpec(vine, tail, pairs)
+    kept_pairs = {e: c for e, c in pairs.items() if e.level <= q_emit}
     return FitReport(
-        spec=spec,
-        edges=tuple(kept),
+        spec=XVineSpec(vine.truncate(q_emit), tail, kept_pairs),
+        edges=tuple(rec for lvl in records[:q_emit] for rec in lvl),
         k=ps.k,
         n=n,
         mbic=mbic_list,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoClosedForm
+from .errors import DomainError
 from .numerics import (
     invert_monotone,
     log_gamma,
@@ -472,7 +472,7 @@ def pair_tau(fam: PairFamily) -> float:
     return 1.0 + 4.0 * quad_1d(gen_ratio, 0.0, 1.0, tol=1e-11)
 
 
-def tau_inverse(kind: str, tau: float, closed_form_only: bool = False) -> float:
+def tau_inverse(kind: str, tau: float) -> float:
     """Parameter whose population tau equals `tau`; numeric for frank/joe."""
     base = _base_kind(kind)
     if base == "indep":
@@ -489,8 +489,6 @@ def tau_inverse(kind: str, tau: float, closed_form_only: bool = False) -> float:
         if not 0.0 <= tau < 1.0:
             raise DomainError(f"gumbel tau must lie in [0, 1), got {tau}")
         return 1.0 / (1.0 - tau)
-    if closed_form_only:
-        raise NoClosedForm(f"no closed-form tau inverse for {base}")
     lo, hi, _ = PAIR_BOXES[base]
     lo_tau = pair_tau(PairFamily(base, lo))
     hi_tau = pair_tau(PairFamily(base, hi))

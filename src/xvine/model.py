@@ -11,7 +11,6 @@ conditionals of a and b given D. Everything here exploits that recursion.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .errors import (
     DomainError,
     InvalidIndex,
     RecursionUnavailable,
-    UnknownEdge,
 )
 from .families import (
     PAIR_KINDS,
@@ -34,7 +32,7 @@ from .families import (
     tail_h_inv,
     tail_log_density,
 )
-from .numerics import invert_monotone, quad_1d
+from .numerics import invert_monotone
 from .vines import Edge, StructureMatrix, VineSequence, from_structure_matrix
 
 
@@ -123,21 +121,13 @@ def log_density(spec: XVineSpec, x):
         xa = arr[ok]
         col = {n: xa[:, pos[n]] for n in spec.vine.nodes}
         total = np.zeros(xa.shape[0])
-        stored: dict[Edge, dict[int, np.ndarray]] = {}
         for e in spec.vine.trees[0]:
-            f = spec.tail[e]
-            total += tail_log_density(f, col[e.a], col[e.b])
-            if spec.q >= 2:
-                stored[e] = {e.a: tail_h(f, col[e.a], col[e.b]),
-                             e.b: tail_h(f, col[e.b], col[e.a])}
-        for lvl in range(2, spec.q + 1):
-            for e in spec.vine.trees[lvl - 1]:
-                za = stored[e.child_a][e.a]
-                zb = stored[e.child_b][e.b]
-                c = spec.pairs[e]
-                total += pair_log_density(c, za, zb)
-                if lvl < spec.q:
-                    stored[e] = {e.a: pair_h(c, za, zb), e.b: pair_h(c, zb, za)}
+            total += tail_log_density(spec.tail[e], col[e.a], col[e.b])
+        ev = _Evaluator(spec.tail, spec.pairs, col)
+        for t in spec.vine.trees[1:]:
+            for e in t:
+                total += pair_log_density(spec.pairs[e], ev.r(e.child_a, e.a),
+                                          ev.r(e.child_b, e.b))
         out[ok] = total
     return float(out[0]) if squeeze else out
 
@@ -166,12 +156,22 @@ def exponent_measure_density(spec: XVineSpec, y):
 # ---------------------------------------------------------------------------
 
 class _Evaluator:
-    """Per-call memo of forward conditional values R_{node | A_e minus node}."""
+    """The h-function recursion, memoised per call.
 
-    __slots__ = ("spec", "col", "memo", "trace")
+    r(e, node) is the conditional value R_{node | A_e minus node}: tail_h on
+    tree 1, and deeper the pair h-function of e applied to the values of its
+    two children. quantile inverts it down the same children. Density,
+    conditional CDFs and quantiles, the sampler and the fitter all go
+    through it. It reads only the families of the edges it visits, so the
+    fitter can hand it family maps that grow one tree at a time.
+    """
 
-    def __init__(self, spec: XVineSpec, col: dict[int, np.ndarray], trace=None):
-        self.spec = spec
+    __slots__ = ("tail", "pairs", "col", "memo", "trace")
+
+    def __init__(self, tail: Mapping[Edge, TailFamily], pairs: Mapping[Edge, PairFamily],
+                 col: dict[int, np.ndarray], trace=None):
+        self.tail = tail
+        self.pairs = pairs
         self.col = col
         self.memo: dict[tuple[Edge, int], np.ndarray] = {}
         self.trace = trace
@@ -183,7 +183,7 @@ class _Evaluator:
             return got
         other = e.b if node == e.a else e.a
         if e.level == 1:
-            val = tail_h(self.spec.tail[e], self.col[node], self.col[other])
+            val = tail_h(self.tail[e], self.col[node], self.col[other])
             if self.trace is not None:
                 self.trace.append(("tail_h", e.key, node))
         else:
@@ -191,7 +191,7 @@ class _Evaluator:
             child_o = e.child_b if child_t is e.child_a else e.child_a
             zt = self.r(child_t, node)
             zo = self.r(child_o, other)
-            val = pair_h(self.spec.pairs[e], zt, zo)
+            val = pair_h(self.pairs[e], zt, zo)
             if self.trace is not None:
                 self.trace.append(("pair_h", e.key, node))
         self.memo[key] = val
@@ -202,22 +202,13 @@ class _Evaluator:
         if e.level == 1:
             if self.trace is not None:
                 self.trace.append(("tail_h_inv", e.key, node))
-            return tail_h_inv(self.spec.tail[e], u, self.col[other])
+            return tail_h_inv(self.tail[e], u, self.col[other])
         child_t = e.child_a if node == e.a else e.child_b
         child_o = e.child_b if child_t is e.child_a else e.child_a
         zo = self.r(child_o, other)
         if self.trace is not None:
             self.trace.append(("pair_h_inv", e.key, node))
-        return self.quantile(child_t, node, pair_h_inv(self.spec.pairs[e], u, zo))
-
-
-@dataclass(frozen=True)
-class ConditionalIndex:
-    """A resolvable conditional target: variable i given the variables in `given`."""
-
-    i: int
-    given: tuple[int, ...]
-    kind: str = "cdf"
+        return self.quantile(child_t, node, pair_h_inv(self.pairs[e], u, zo))
 
 
 def resolve_conditional(spec: XVineSpec, i: int, given: Iterable[int]) -> Edge:
@@ -263,35 +254,43 @@ def _columns(spec: XVineSpec, i: int, given, x_given, x_i=None):
             raise InvalidIndex(f"expected {len(giv)} conditioning values")
         vals = {g: np.asarray(v, dtype=float) for g, v in zip(giv, seq)}
     for g, v in vals.items():
-        if np.any(~(v > 0.0)):
-            raise DomainError(f"conditioning value for variable {g} must be positive")
+        if np.any(~((v > 0.0) & (v < np.inf))):
+            raise DomainError(f"conditioning value for variable {g} must be positive and finite")
     if x_i is not None:
         xi = np.asarray(x_i, dtype=float)
-        if np.any(~(xi > 0.0)):
-            raise DomainError("evaluation points must be positive")
+        if np.any(~((xi > 0.0) & (xi < np.inf))):
+            raise DomainError("evaluation points must be positive and finite")
         vals[int(i)] = xi
     return vals
 
 
 def conditional_cdf(spec: XVineSpec, i: int, given: Iterable[int], x_i, x_given,
                     _trace: list | None = None):
-    """R_{i | given}(x_i | x_given) via the vine recursion."""
+    """R_{i | given}(x_i | x_given) via the vine recursion.
+
+    Every value of x_i and x_given must be positive and finite; NaN, zero,
+    negative values and +inf raise DomainError.
+    """
     e = resolve_conditional(spec, i, given)
     col = _columns(spec, i, given, x_given, x_i=x_i)
-    ev = _Evaluator(spec, col, trace=_trace)
+    ev = _Evaluator(spec.tail, spec.pairs, col, trace=_trace)
     out = ev.r(e, int(i))
     return out
 
 
 def conditional_quantile(spec: XVineSpec, i: int, given: Iterable[int], u, x_given,
                          _trace: list | None = None):
-    """Inverse of conditional_cdf in x_i at fixed conditioning values."""
+    """Inverse of conditional_cdf in x_i at fixed conditioning values.
+
+    u must lie strictly inside (0, 1), and every conditioning value must be
+    positive and finite; anything else raises DomainError.
+    """
     e = resolve_conditional(spec, i, given)
     col = _columns(spec, i, given, x_given)
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise DomainError("conditional quantile needs u strictly inside (0, 1)")
-    ev = _Evaluator(spec, col, trace=_trace)
+    ev = _Evaluator(spec.tail, spec.pairs, col, trace=_trace)
     return ev.quantile(e, int(i), u)
 
 
@@ -449,6 +448,8 @@ def model_from_json(obj: Mapping) -> XVineSpec:
         records = obj["edges"]
     except KeyError as exc:
         raise DomainError(f"model JSON missing key {exc}") from exc
+    if not isinstance(records, list):
+        raise DomainError(f"model JSON edges must be a list, got {records!r}")
     vine = from_structure_matrix(StructureMatrix.from_json(structure))
     tail: dict = {}
     pairs: dict = {}
@@ -460,12 +461,18 @@ def model_from_json(obj: Mapping) -> XVineSpec:
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed edge record {rec!r}: {exc}") from exc
         e = vine.find_edge(ref)
+        if theta is not None or e.level == 1:
+            try:
+                theta = float(theta)
+            except (TypeError, ValueError):
+                raise DomainError(
+                    f"edge {e.label}: theta must be a number, got {theta!r}") from None
         if e.level == 1:
             if kind not in TAIL_KINDS:
                 raise DomainError(f"edge {e.label} needs a tail family, got {kind!r}")
-            tail[e] = TailFamily(kind, float(theta))
+            tail[e] = TailFamily(kind, theta)
         else:
             if kind not in PAIR_KINDS:
                 raise DomainError(f"edge {e.label} needs a pair family, got {kind!r}")
-            pairs[e] = PairFamily(kind, None if theta is None else float(theta))
+            pairs[e] = PairFamily(kind, theta)
     return XVineSpec(vine, tail, pairs)

@@ -73,13 +73,6 @@ def cvine(d: int, q: int | None = None) -> VineSequence:
     return VineSequence(trees, d=d)
 
 
-def markov_chain_spec(d: int, theta: float) -> XVineSpec:
-    """Truncation-level-1 model: logistic tails along a path, nothing deeper."""
-    vine = chain_vine(d, q=1)
-    tail = {e: TailFamily("logistic", theta) for e in vine.level_edges(1)}
-    return XVineSpec(vine, tail, {})
-
-
 def logistic_vine_spec(vine: VineSequence, theta: float) -> XVineSpec:
     """Exact multivariate logistic model on any vine.
 

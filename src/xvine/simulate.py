@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidIndex
-from .families import pair_h_inv, tail_h_inv
 from .model import XVineSpec, _Evaluator
 from .numerics import rng_stream
 from .vines import Edge, sampling_order
@@ -40,36 +39,43 @@ class RejectionStats:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Explicit argument, else the XVINE_THREADS variable, else 1."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("XVINE_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+    """Explicit argument, else the XVINE_THREADS variable, else 1.
+
+    A count below 1, or an XVINE_THREADS that is not an integer, raises
+    DomainError.
+    """
+    if threads is None:
+        env = os.environ.get("XVINE_THREADS", "")
+        if not env:
+            return 1
+        try:
+            threads = int(env)
+        except ValueError:
+            raise DomainError(f"XVINE_THREADS must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise DomainError(f"thread count must be at least 1, got {threads}")
+    return int(threads)
 
 
 def _conditional_plan(spec: XVineSpec, j: int):
-    """Sampling order, realized as per-column edge chains of a structure matrix."""
+    """Sampling order from a structure matrix: the first column's node, then
+    each later column's node with the deepest edge that conditions it on the
+    nodes above it in that column."""
     vine = spec.vine
     if not vine.is_truncated:
         sm = vine.to_structure_matrix(diagonal=sampling_order(vine, j).sigma)
     else:
         sm = vine.to_structure_matrix(first_diag=j)
     m = sm.matrix
-    cols: list[tuple[int, list[Edge]]] = []
+    cols: list[tuple[int, Edge]] = []
     for i in range(2, sm.d + 1):
         target = m[i - 1][i - 1]
-        chain: list[Edge] = []
-        for lvl in range(1, min(i - 1, sm.trunc) + 1):
-            giv = frozenset(m[t - 1][i - 1] for t in range(1, lvl + 1))
-            hit = vine.conditional_edge(target, giv)
-            if hit is None:
-                raise InvalidIndex(
-                    f"structure matrix column {i} does not resolve {target} | {sorted(giv)}")
-            chain.append(hit[0])
-        cols.append((target, chain))
+        giv = frozenset(m[t - 1][i - 1] for t in range(1, min(i - 1, sm.trunc) + 1))
+        hit = vine.conditional_edge(target, giv)
+        if hit is None:
+            raise InvalidIndex(
+                f"structure matrix column {i} does not resolve {target} | {sorted(giv)}")
+        cols.append((target, hit[0]))
     return m[0][0], cols
 
 
@@ -87,10 +93,10 @@ def _conditional_block(spec: XVineSpec, plan, rng, n: int, accept_u=None,
     first, cols = plan
     w = rng.random((n, spec.d))
     values: dict[int, np.ndarray] = {first: w[:, 0]}
-    ev = _Evaluator(spec, values, trace=trace)
+    ev = _Evaluator(spec.tail, spec.pairs, values, trace=trace)
     live = np.arange(n)
     below = np.ones(n, dtype=np.int64)  # the conditioned coordinate is below 1
-    for k, (target, chain) in enumerate(cols):
+    for k, (target, top) in enumerate(cols):
         if accept_u is not None:
             keep = np.flatnonzero(accept_u * below < 1.0)
             if keep.size < live.size:
@@ -100,19 +106,7 @@ def _conditional_block(spec: XVineSpec, plan, rng, n: int, accept_u=None,
                         arrays[key] = arr.take(keep)
         if live.size == 0:
             break
-        u = w[live, k + 1]
-        for e in reversed(chain[1:]):
-            partner = e.b if target == e.a else e.a
-            child_o = e.child_a if partner == e.a else e.child_b
-            zo = ev.r(child_o, partner)
-            if trace is not None:
-                trace.append(("pair_h_inv", e.key, target))
-            u = pair_h_inv(spec.pairs[e], u, zo)
-        e1 = chain[0]
-        partner = e1.b if target == e1.a else e1.a
-        if trace is not None:
-            trace.append(("tail_h_inv", e1.key, target))
-        values[target] = tail_h_inv(spec.tail[e1], u, values[partner])
+        values[target] = ev.quantile(top, target, w[live, k + 1])
         below += values[target] < 1.0
     order = {node: idx for idx, node in enumerate(spec.vine.nodes)}
     out = np.empty((live.size, spec.d))

@@ -48,10 +48,6 @@ class Edge:
         return self.a, self.b, tuple(sorted(self.cond))
 
     @property
-    def conditioned(self) -> frozenset[int]:
-        return frozenset((self.a, self.b))
-
-    @property
     def label(self) -> str:
         if self.cond:
             return f"({self.a},{self.b};{','.join(map(str, sorted(self.cond)))})"
@@ -96,10 +92,57 @@ def _check_tree(node_set: set, pairs: list[tuple], level: int) -> None:
         raise NotATree(f"tree {level} is disconnected")
 
 
+def _components(e: Edge) -> frozenset:
+    """What e joins: two nodes on tree 1, two edges of the previous tree deeper."""
+    return e.union if e.level == 1 else frozenset((e.child_a, e.child_b))
+
+
+def _join(prev: Sequence[Edge], pairs: Iterable) -> list[Edge]:
+    """The tree after `prev`, one edge per pair of its edges, in input order.
+
+    Each pair must share exactly one component (proximity), and the pairs
+    must form a spanning tree on `prev`.
+    """
+    lvl = prev[0].level + 1
+    if len(prev) < 2:
+        raise WrongCardinality(f"tree {lvl - 1} has a single edge, so no tree follows it")
+    pairs = [tuple(p) for p in pairs]
+    if len(pairs) != len(prev) - 1:
+        raise WrongCardinality(
+            f"tree {lvl} must have {len(prev) - 1} edges, got {len(pairs)}")
+    own = {e: e for e in prev}
+    edges: list[Edge] = []
+    for p in pairs:
+        if len(p) != 2:
+            raise WrongCardinality(f"tree {lvl} entry {p!r} must join two edges")
+        e1, e2 = (own.get(x) if isinstance(x, Edge) else None for x in p)
+        if e1 is None or e2 is None:
+            raise NotATree(f"tree {lvl} endpoint is not an edge of tree {lvl - 1}")
+        shared = _components(e1) & _components(e2)
+        if len(shared) != 1:
+            raise ProximityViolation(
+                f"edges {e1.label} and {e2.label} share "
+                f"{len(shared)} components, need exactly 1")
+        union = e1.union | e2.union
+        cond = e1.union & e2.union
+        conditioned = union - cond
+        if len(conditioned) != 2:
+            raise WrongCardinality(
+                f"joining {e1.label} and {e2.label} leaves "
+                f"{len(conditioned)} conditioned variables")
+        x, y = sorted(conditioned)
+        ca = e1 if x in e1.union else e2
+        cb = e2 if ca is e1 else e1
+        edges.append(Edge(a=x, b=y, cond=cond, union=union, level=lvl,
+                          child_a=ca, child_b=cb))
+    _check_tree(set(prev), [(e.child_a, e.child_b) for e in edges], lvl)
+    return edges
+
+
 class VineSequence:
     """A validated (possibly truncated) regular vine tree sequence."""
 
-    __slots__ = ("d", "nodes", "trees", "_by_key", "_by_union", "_cond")
+    __slots__ = ("d", "nodes", "trees", "_by_key", "_cond")
 
     def __init__(self, trees: Sequence[Iterable], d: int | None = None,
                  nodes: Iterable[int] | None = None):
@@ -117,73 +160,48 @@ class VineSequence:
         if not raw_trees or len(raw_trees) > len(node_set) - 1:
             raise WrongCardinality(
                 f"need between 1 and {len(node_set) - 1} trees, got {len(raw_trees)}")
+        if len(raw_trees[0]) != len(node_set) - 1:
+            raise WrongCardinality(
+                f"tree 1 must have {len(node_set) - 1} edges, got {len(raw_trees[0])}")
 
-        built: list[tuple[Edge, ...]] = []
-        prev: dict[frozenset, Edge] = {}
-        for lvl, raw in enumerate(raw_trees, start=1):
-            expected = len(node_set) - lvl
-            if len(raw) != expected:
-                raise WrongCardinality(
-                    f"tree {lvl} must have {expected} edges, got {len(raw)}")
-            edges: list[Edge] = []
-            cur: dict[frozenset, Edge] = {}
-            pairs: list[tuple] = []
-            if lvl == 1:
-                for item in raw:
-                    ck = _canon(item, 1)
-                    x, y = sorted(ck)
-                    if not ck <= node_set:
-                        raise NotATree(f"edge ({x},{y}) uses a node outside the node set")
-                    if ck in cur:
-                        raise NotATree(f"duplicate edge ({x},{y}) in tree 1")
-                    e = Edge(a=x, b=y, cond=frozenset(), union=ck, level=1)
-                    cur[ck] = e
-                    edges.append(e)
-                    pairs.append((x, y))
-                _check_tree(node_set, pairs, 1)
-            else:
-                for item in raw:
-                    ck = _canon(item, lvl)
-                    k1, k2 = tuple(ck)
-                    if k1 not in prev or k2 not in prev:
-                        raise NotATree(
-                            f"tree {lvl} endpoint is not an edge of tree {lvl - 1}")
-                    e1, e2 = prev[k1], prev[k2]
-                    if len(k1 & k2) != 1:
-                        raise ProximityViolation(
-                            f"edges {e1.label} and {e2.label} share "
-                            f"{len(k1 & k2)} components, need exactly 1")
-                    union = e1.union | e2.union
-                    cond = e1.union & e2.union
-                    conditioned = union - cond
-                    if len(conditioned) != 2:
-                        raise WrongCardinality(
-                            f"joining {e1.label} and {e2.label} leaves "
-                            f"{len(conditioned)} conditioned variables")
-                    x, y = sorted(conditioned)
-                    ca = e1 if x in e1.union else e2
-                    cb = e2 if ca is e1 else e1
-                    if ck in cur:
-                        raise NotATree(f"duplicate edge in tree {lvl}")
-                    e = Edge(a=x, b=y, cond=cond, union=union, level=lvl,
-                             child_a=ca, child_b=cb)
-                    cur[ck] = e
-                    edges.append(e)
-                    pairs.append((k1, k2))
-                _check_tree(set(prev), pairs, lvl)
-            built.append(tuple(sorted(edges, key=lambda e: e.key)))
-            prev = cur
+        first: list[Edge] = []
+        for item in raw_trees[0]:
+            ck = _canon(item, 1)
+            x, y = sorted(ck)
+            if not ck <= node_set:
+                raise NotATree(f"edge ({x},{y}) uses a node outside the node set")
+            first.append(Edge(a=x, b=y, cond=frozenset(), union=ck, level=1))
+        _check_tree(node_set, [(e.a, e.b) for e in first], 1)
+        built = [first]
+        by_raw = {e.union: e for e in first}  # canonical raw form -> edge of the last tree
+        for lvl, raw in enumerate(raw_trees[1:], start=2):
+            cks = [_canon(item, lvl) for item in raw]
+            built.append(_join(built[-1], [[by_raw.get(k) for k in ck] for ck in cks]))
+            by_raw = dict(zip(cks, built[-1]))
+        self._set(node_set, built)
 
-        self.d = len(node_set)
-        self.nodes = tuple(sorted(node_set))
-        self.trees = tuple(built)
+    def _set(self, nodes: Iterable[int], trees: Iterable[Iterable[Edge]]) -> None:
+        self.nodes = tuple(sorted(nodes))
+        self.d = len(self.nodes)
+        self.trees = tuple(tuple(sorted(t, key=lambda e: e.key)) for t in trees)
         self._by_key = {e.key: e for t in self.trees for e in t}
-        self._by_union = {(e.level, e.union): e for t in self.trees for e in t}
         self._cond = {}
         for t in self.trees:
             for e in t:
                 self._cond[(e.a, e.cond | {e.b})] = (e, "a")
                 self._cond[(e.b, e.cond | {e.a})] = (e, "b")
+
+    @classmethod
+    def _of(cls, nodes: Iterable[int], trees) -> VineSequence:
+        """A vine of already-validated trees."""
+        out = cls.__new__(cls)
+        out._set(nodes, trees)
+        return out
+
+    def extend(self, pairs: Iterable[tuple[Edge, Edge]]) -> VineSequence:
+        """This vine with one more tree, whose edges join the given pairs of
+        edges of the last tree. Only the new tree is validated."""
+        return VineSequence._of(self.nodes, (*self.trees, _join(self.trees[-1], pairs)))
 
     # --- basic views ---------------------------------------------------------
 
@@ -200,9 +218,6 @@ class VineSequence:
         if not 1 <= j <= self.q:
             raise DomainError(f"tree index {j} outside 1..{self.q}")
         return self.trees[j - 1]
-
-    def edges(self):
-        return itertools.chain.from_iterable(self.trees)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VineSequence):
@@ -238,38 +253,26 @@ class VineSequence:
         except KeyError:
             raise UnknownEdge(f"no edge ({key[0]},{key[1]};{key[2]}) in this vine") from None
 
-    def edge_metadata(self, ref):
-        """Return (a_e, b_e, D_e, A_e) for the referenced edge."""
-        e = self.find_edge(ref)
-        return e.a, e.b, e.cond, e.union
-
     def conditional_edge(self, i: int, given: Iterable[int]):
         """Edge and side providing the conditional of i given `given`, if explicit."""
         return self._cond.get((i, frozenset(given)))
 
     # --- derived structures ----------------------------------------------------
 
-    def _raw(self, e: Edge):
-        if e.level == 1:
-            return e.union
-        return frozenset((self._raw(e.child_a), self._raw(e.child_b)))
-
     def sub_vine(self, ref) -> VineSequence:
         """The vine induced on the complete union of the referenced edge."""
         top = self.find_edge(ref)
-        raw_trees = []
-        for lvl in range(1, top.level + 1):
-            raw_trees.append([self._raw(e) for e in self.trees[lvl - 1]
-                              if e.union <= top.union])
-        return VineSequence(raw_trees, nodes=top.union)
+        inside = [[e for e in t if e.union <= top.union] for t in self.trees[:top.level]]
+        sub = VineSequence([[(e.a, e.b) for e in inside[0]]], nodes=top.union)
+        for t in inside[1:]:
+            sub = sub.extend((e.child_a, e.child_b) for e in t)
+        return sub
 
     def truncate(self, q: int) -> VineSequence:
         """Keep only trees 1..q."""
         if not 1 <= q <= self.q:
             raise DomainError(f"truncation level {q} outside 1..{self.q}")
-        raw_trees = [[self._raw(e) for e in self.trees[lvl - 1]]
-                     for lvl in range(1, q + 1)]
-        return VineSequence(raw_trees, nodes=self.nodes)
+        return VineSequence._of(self.nodes, self.trees[:q])
 
     def telescoping_product(self, gamma: Mapping[frozenset, float]) -> float:
         """Evaluate the telescoping edge product of a subset functional.
@@ -397,10 +400,6 @@ class StructureMatrix:
                             f"entry at ({r+1},{i+1}) must be 0 beyond truncation level {q}")
             allowed.add(m[i][i])
 
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.matrix[i][i] for i in range(self.d))
-
     def to_json(self) -> dict:
         return {"d": self.d, "trunc": self.trunc,
                 "matrix": [list(row) for row in self.matrix]}
@@ -419,42 +418,27 @@ class StructureMatrix:
         return cls(d=d, trunc=trunc, matrix=matrix)
 
 
-def validate_vine(trees: Sequence[Iterable], d: int | None = None) -> VineSequence:
-    """Validate raw nested-pair trees and build a VineSequence."""
-    return VineSequence(trees, d=d)
-
-
 def from_structure_matrix(sm: StructureMatrix) -> VineSequence:
-    """Decode a structure matrix back into a vine sequence."""
+    """Decode a structure matrix back into a vine sequence, one tree at a time.
+
+    Row k of column i joins the column's own tree-(k-1) edge, on its diagonal
+    node and the entries above row k, with the tree-(k-1) edge on those
+    entries and the one at row k.
+    """
     d, q, m = sm.d, sm.trunc, sm.matrix
-    raw_trees: list[dict] = [dict() for _ in range(q)]   # canonical -> None (ordered set)
-    by_union: dict[tuple[int, frozenset], frozenset] = {}
-    for i in range(2, d + 1):
-        diag = m[i - 1][i - 1]
-        prev_raw = None
-        prev_union = frozenset((diag,))
-        for k in range(1, min(i - 1, q) + 1):
-            partner = m[k - 1][i - 1]
-            cond = frozenset(m[t - 1][i - 1] for t in range(1, k))
-            union = prev_union | {partner}
-            if k == 1:
-                if partner == diag:
-                    raise MalformedMatrix(f"column {i} couples node {diag} to itself")
-                raw = frozenset((diag, partner))
-            else:
-                other = by_union.get((k - 1, cond | {partner}))
-                if other is None:
-                    raise MalformedMatrix(
-                        f"column {i} row {k}: no tree-{k - 1} edge on variables "
-                        f"{sorted(cond | {partner})} to couple with")
-                raw = frozenset((prev_raw, other))
-            by_union[(k, union)] = raw
-            raw_trees[k - 1][raw] = None
-            prev_raw, prev_union = raw, union
     try:
-        return VineSequence([list(t) for t in raw_trees], d=d)
+        vine = VineSequence([[(m[i][i], m[0][i]) for i in range(1, d)]], d=d)
+        for k in range(2, q + 1):
+            by_union = {e.union: e for e in vine.trees[-1]}
+            pairs = []
+            for i in range(k, d):
+                above = frozenset(m[t][i] for t in range(k - 1))
+                # a missing partner edge reaches the join as None, which rejects it
+                pairs.append((by_union[above | {m[i][i]}], by_union.get(above | {m[k - 1][i]})))
+            vine = vine.extend(pairs)
     except XVineError as exc:
         raise MalformedMatrix(f"decoded edges do not form a regular vine: {exc}") from exc
+    return vine
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,11 @@ def test_simulate_bad_inputs(bench_spec_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["simulate", "--spec", str(bad), "--n", "5", "--out", out]) == 2
-    capsys.readouterr()
+    blob = json.loads(open(bench_spec_file).read())
+    blob["edges"][0]["theta"] = None
+    bad.write_text(json.dumps(blob))
+    assert main(["simulate", "--spec", str(bad), "--n", "5", "--out", out]) == 2
+    assert "theta must be a number" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_requests(bench_spec_file, tmp_path, capsys):

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -298,25 +297,21 @@ def test_select_pair_family_forced_independence():
 # spanning trees
 # ---------------------------------------------------------------------------
 
-def edge_payload(a, b):
-    return SimpleNamespace(link=(a, b), name=(a, b))
-
-
 def test_kruskal_breaks_ties_lexicographically():
-    p12, p13, p23 = edge_payload(1, 2), edge_payload(1, 3), edge_payload(2, 3)
+    p12, p13, p23 = (1, 2), (1, 3), (2, 3)
     chosen = _kruskal([1, 2, 3], [(1.0, (2, 3), p23), (1.0, (1, 2), p12), (1.0, (1, 3), p13)])
-    assert [p.name for p in chosen] == [(1, 2), (1, 3)]
+    assert chosen == [(1, 2), (1, 3)]
 
 
 def test_kruskal_prefers_heavy_edges():
-    p12, p13, p23 = edge_payload(1, 2), edge_payload(1, 3), edge_payload(2, 3)
+    p12, p13, p23 = (1, 2), (1, 3), (2, 3)
     chosen = _kruskal([1, 2, 3], [(0.1, (1, 2), p12), (0.9, (1, 3), p13), (0.8, (2, 3), p23)])
-    assert [p.name for p in chosen] == [(1, 3), (2, 3)]
+    assert chosen == [(1, 3), (2, 3)]
 
 
 def test_kruskal_disconnected():
     with pytest.raises(NotATree):
-        _kruskal([1, 2, 3], [(1.0, (1, 2), edge_payload(1, 2))])
+        _kruskal([1, 2, 3], [(1.0, (1, 2), (1, 2))])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -150,6 +151,22 @@ def test_infinite_coordinates(bench):
             row[j] = -np.inf
             assert log_density(bench, row) == -np.inf
             assert density(bench, row) == 0.0
+        # the conditionals reject +inf in x_i and in every conditioning value
+        given = (2, 3, 4, 5)
+        for j in range(bench.d):
+            vals = [np.ones(3) for _ in range(bench.d)]
+            vals[j][1] = np.inf
+            with pytest.raises(DomainError, match="finite"):
+                conditional_cdf(bench, 1, given, vals[0], vals[1:])
+            with pytest.raises(DomainError, match="finite"):
+                conditional_cdf(bench, 1, given, float(vals[0][1]),
+                                [float(v[1]) for v in vals[1:]])
+            if j > 0:
+                with pytest.raises(DomainError, match="finite"):
+                    conditional_quantile(bench, 1, given, np.full(3, 0.5), vals[1:])
+                with pytest.raises(DomainError, match="finite"):
+                    conditional_quantile(bench, 1, given, 0.5,
+                                         {g: v for g, v in zip(given, vals[1:])})
 
 
 def test_density_input_validation(bench):
@@ -322,7 +339,25 @@ def test_model_json_rejects_malformed(bench):
         model_from_json([])
     with pytest.raises(DomainError):
         model_from_json({"structure": {"d": 2, "trunc": 1, "matrix": [[1, 1], [0, 2]]}})
+    for edges in (5, None, {"a": 1}):
+        with pytest.raises(DomainError):
+            model_from_json({"structure": model_to_json(bench)["structure"], "edges": edges})
     blob = model_to_json(bench)
     blob["edges"][0]["family"] = "gaussian"  # pair family on a tree-1 edge
     with pytest.raises(DomainError):
         model_from_json(blob)
+    # a theta that is not a number fails as a DomainError naming its edge:
+    # missing, null, text or a list on a tail edge, text or a list on a pair edge
+    tail_at = 0
+    pair_at = len(blob["edges"]) - 1
+    for at, theta in [(tail_at, "missing"), (tail_at, None), (tail_at, "abc"),
+                      (tail_at, [1.5]), (pair_at, "abc"), (pair_at, [0.3])]:
+        blob = model_to_json(bench)
+        rec = blob["edges"][at]
+        if theta == "missing":
+            del rec["theta"]
+        else:
+            rec["theta"] = theta
+        label = bench.vine.find_edge((rec["a"], rec["b"], rec["cond"])).label
+        with pytest.raises(DomainError, match=re.escape(label)):
+            model_from_json(blob)

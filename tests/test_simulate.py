@@ -1,6 +1,7 @@
 """Samplers: determinism, conditional law, rejection bookkeeping, traces."""
 from __future__ import annotations
 
+import json
 import math
 import time
 
@@ -10,9 +11,11 @@ from scipy.stats import kstest
 
 import oracles as oc
 from xvine import simulate
+from xvine.cli import main
 from xvine.errors import DomainError
+from xvine.estimate import FitOptions, fit_pipeline
 from xvine.families import PairFamily, TailFamily, tail_chi
-from xvine.model import XVineSpec, conditional_cdf
+from xvine.model import XVineSpec, conditional_cdf, model_to_json
 from xvine.numerics import rng_stream
 from xvine.reference import chain_vine, five_variable_spec, truncated_cvine_study_spec
 from xvine.simulate import (
@@ -179,6 +182,32 @@ def test_threads_env_fallback(monkeypatch):
     assert resolve_threads(2) == 2
     monkeypatch.delenv("XVINE_THREADS")
     assert resolve_threads(None) == 1
+
+
+def test_threads_reject_bad_counts(monkeypatch, bench, tmp_path, capsys):
+    for bad in ("abc", "1.5", "0", "-3"):
+        monkeypatch.setenv("XVINE_THREADS", bad)
+        with pytest.raises(DomainError, match="XVINE_THREADS|thread count"):
+            resolve_threads(None)
+        with pytest.raises(DomainError):
+            sample_conditional(bench, 1, 10, seed=0)
+        assert resolve_threads(2) == 2  # an explicit count does not read the variable
+    monkeypatch.delenv("XVINE_THREADS")
+    for bad in (0, -3):
+        with pytest.raises(DomainError, match="thread count"):
+            resolve_threads(bad)
+        with pytest.raises(DomainError):
+            sample_inverted_pareto(bench, 10, seed=0, threads=bad)
+        with pytest.raises(DomainError):
+            fit_pipeline(sample_inverted_pareto(bench, 300, seed=1)[0],
+                         options=FitOptions(input_kind="inverted-pareto", threads=bad))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(model_to_json(bench)))
+    for bad in ("0", "-3"):
+        code = main(["simulate", "--spec", str(spec), "--n", "5", "--threads", bad,
+                     "--out", str(tmp_path / "z.csv")])
+        assert code == 2
+        assert "thread count" in capsys.readouterr().err
 
 
 def test_empty_and_invalid_requests(bench):

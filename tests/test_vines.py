@@ -31,7 +31,6 @@ from xvine.vines import (
     from_structure_matrix,
     random_vine,
     sampling_order,
-    validate_vine,
 )
 
 
@@ -50,13 +49,6 @@ def test_benchmark_vine_shape(bench):
     assert labels == ["(1,2)", "(2,3)", "(2,4)", "(4,5)"]
     top = bench.trees[3][0]
     assert (top.a, top.b, sorted(top.cond)) == (1, 5, [2, 3, 4])
-
-
-def test_edge_metadata(bench):
-    a, b, cond, union = bench.edge_metadata((3, 4, (2,)))
-    assert (a, b) == (3, 4)
-    assert cond == frozenset({2})
-    assert union == frozenset({2, 3, 4})
 
 
 def test_find_edge_forms(bench):
@@ -97,9 +89,115 @@ def test_self_loop_rejected():
         VineSequence([[(1, 1), (2, 3)]], d=3)
 
 
-def test_validate_vine_is_constructor_alias():
-    v = validate_vine([[(1, 2), (2, 3)]], d=3)
-    assert v.q == 1 and v.is_truncated
+# ---------------------------------------------------------------------------
+# one tree at a time
+# ---------------------------------------------------------------------------
+
+def raw_trees(v):
+    """The nested-pair form the constructor takes, rebuilt from a vine's edges."""
+    def raw(e):
+        return e.union if e.level == 1 else frozenset((raw(e.child_a), raw(e.child_b)))
+    return [[raw(e) for e in t] for t in v.trees]
+
+
+def grown(v):
+    """v rebuilt from its first tree by one extension per deeper tree."""
+    out = VineSequence([[(e.a, e.b) for e in v.trees[0]]], nodes=v.nodes)
+    for t in v.trees[1:]:
+        out = out.extend((e.child_a, e.child_b) for e in t)
+    return out
+
+
+VINE_CASES = [(seed, d, q) for seed in range(3) for d in range(3, 9)
+              for q in (None, max(1, d // 2))]
+
+
+@pytest.mark.parametrize("seed,d,q", VINE_CASES)
+def test_extend_matches_raw_construction(seed, d, q):
+    v = make_random_vine(seed, d, q)
+    built = VineSequence(raw_trees(v), d=d)
+    ext = grown(v)
+    assert ext == built == v
+    assert ext.q == v.q and ext.is_truncated == v.is_truncated
+    assert ext.to_structure_matrix() == built.to_structure_matrix()
+    for lead in v.nodes:
+        assert ext.to_structure_matrix(first_diag=lead) == \
+            built.to_structure_matrix(first_diag=lead)
+    for e in built.trees[-1] + built.trees[0]:
+        got = ext.find_edge(e.key)
+        assert got.key == e.key and got.level == e.level and got.union == e.union
+        if e.level > 1:
+            assert (got.child_a.key, got.child_b.key) == (e.child_a.key, e.child_b.key)
+            assert got.a in got.child_a.union and got.b in got.child_b.union
+    for e in (x for t in v.trees for x in t):
+        assert ext.conditional_edge(e.a, e.cond | {e.b}) == (ext.find_edge(e.key), "a")
+        assert ext.conditional_edge(e.b, e.cond | {e.a}) == (ext.find_edge(e.key), "b")
+
+
+@pytest.mark.parametrize("seed,d", [(s, d) for s in range(3) for d in range(3, 9)])
+def test_truncate_slice_equals_rebuilt(seed, d):
+    v = make_random_vine(seed, d)
+    for q in range(1, v.q + 1):
+        cut = v.truncate(q)
+        rebuilt = VineSequence(raw_trees(v)[:q], d=d)
+        assert cut == rebuilt and cut.q == q
+        assert cut.to_structure_matrix() == rebuilt.to_structure_matrix()
+        assert [e.key for e in cut.trees[-1]] == [e.key for e in v.trees[q - 1]]
+
+
+def test_extend_rejects_bad_joins():
+    v = make_random_vine(4, 6)
+    first = VineSequence([[(e.a, e.b) for e in v.trees[0]]], d=6)
+    two = first.extend((e.child_a, e.child_b) for e in v.trees[1])
+    t1, t2 = list(first.trees[0]), list(two.trees[1])
+    good = [(e.child_a, e.child_b) for e in v.trees[1]]
+    # not adjacent: two first-tree edges without a common node
+    apart = next((x, y) for i, x in enumerate(t1) for y in t1[i + 1:]
+                 if not x.union & y.union)
+    with pytest.raises(ProximityViolation):
+        first.extend([apart] + good[1:])
+    # not in the last tree: a tree-2 edge offered to tree 3, or tree-1 edges to tree 3
+    with pytest.raises(NotATree):
+        first.extend([(t2[0], t1[0])] + good[1:])
+    with pytest.raises(NotATree):
+        two.extend([(t1[0], t1[1])] + [(t2[0], t2[1])] * (len(t2) - 2))
+    # a cycle among adjacent joins, with the right number of edges
+    adjacent = [(x, y) for i, x in enumerate(t1) for y in t1[i + 1:]
+                if len(x.union & y.union) == 1]
+    cyc = next(c for c in (adjacent[i:i + len(good)] for i in range(len(adjacent)))
+               if len(c) == len(good) and _has_cycle(c))
+    with pytest.raises(NotATree):
+        first.extend(cyc)
+    # wrong count, and no tree after a single edge
+    with pytest.raises(WrongCardinality):
+        first.extend(good[1:])
+    top = grown(make_random_vine(4, 3))
+    with pytest.raises(WrongCardinality):
+        top.extend([])
+
+
+def _has_cycle(pairs):
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return True
+        parent[rx] = ry
+    return False
+
+
+def test_extend_checks_only_the_new_tree():
+    v = make_random_vine(7, 5)
+    one = VineSequence([[(e.a, e.b) for e in v.trees[0]]], d=5)
+    ext = one.extend((e.child_a, e.child_b) for e in v.trees[1])
+    assert all(a is b for a, b in zip(ext.trees[0], one.trees[0]))
+    assert ext == v.truncate(2)
 
 
 # ---------------------------------------------------------------------------
