@@ -30,6 +30,16 @@ from .numerics import (
 #: Pair-copula arguments are clamped to this closed sub-interval of (0, 1).
 EPS_UNIT = 1e-12
 
+#: The same clamp on the normal-score scale: ndtri of the two ends. ndtri is
+#: monotone, so clamping z = ndtri(u) here is clipping u to the unit interval.
+Z_LO = float(std_normal_quantile(EPS_UNIT))
+Z_HI = float(std_normal_quantile(1.0 - EPS_UNIT))
+
+#: Kinds whose h-functions are affine maps of normal scores (the
+#: Huesler-Reiss / Gaussian correspondence, Engelke & Hitz 2020): the vine
+#: recursion carries their conditional values as scores z, with u = Phi(z).
+SCORE_KINDS = frozenset({"hr", "gaussian"})
+
 TAIL_KINDS = ("hr", "logistic", "neglogistic", "dirichlet")
 PAIR_KINDS = ("indep", "gaussian", "clayton", "gumbel", "frank", "joe",
               "survclayton", "survgumbel", "survjoe")
@@ -55,6 +65,16 @@ PAIR_BOXES["survjoe"] = PAIR_BOXES["joe"]
 
 def _clip_unit(x):
     return np.clip(np.asarray(x, dtype=float), EPS_UNIT, 1.0 - EPS_UNIT)
+
+
+def clamp_score(z):
+    """Clamp normal scores to [Z_LO, Z_HI], the score form of clipping u."""
+    return np.minimum(np.maximum(z, Z_LO), Z_HI)
+
+
+def _need_kind(fam, kind: str) -> None:
+    if fam.kind != kind:
+        raise DomainError(f"normal-score kernel needs a {kind} family, got {fam.kind}")
 
 
 def _ret(x):
@@ -168,20 +188,36 @@ def tail_density(fam: TailFamily, x, y):
     return _ret(np.exp(tail_log_density(fam, x, y)))
 
 
+def _hr_h_score(x, y, th):
+    return (np.log(x) - np.log(y) - th / 2.0) / math.sqrt(th)
+
+
+def _hr_h_inv_score(z, y, th):
+    return y * np.exp(th / 2.0 + math.sqrt(th) * z)
+
+
 def tail_h(fam: TailFamily, x, y):
     """Conditional CDF of the first coordinate at x, given the second equals y."""
     x, y = _pos("tail h", x, y)
     th = fam.theta
-    t = np.log(x) - np.log(y)
     if fam.kind == "hr":
-        out = std_normal_cdf((t - th / 2.0) / math.sqrt(th))
+        out = std_normal_cdf(_hr_h_score(x, y, th))
     elif fam.kind == "logistic":
+        t = np.log(x) - np.log(y)
         out = -np.expm1((1.0 - th) / th * np.logaddexp(0.0, th * t))
     elif fam.kind == "neglogistic":
+        t = np.log(x) - np.log(y)
         out = np.exp(-(1.0 + th) / th * np.logaddexp(0.0, -th * t))
     else:  # dirichlet
         out = reg_beta_cdf(x / (x + y), th + 1.0, th)
     return _ret(out)
+
+
+def tail_h_score(fam: TailFamily, x, y):
+    """tail_h as a normal score, Phi^-1(tail_h(x, y)); hr only."""
+    _need_kind(fam, "hr")
+    x, y = _pos("tail h", x, y)
+    return _ret(_hr_h_score(x, y, fam.theta))
 
 
 def tail_h_inv(fam: TailFamily, u, y):
@@ -190,7 +226,7 @@ def tail_h_inv(fam: TailFamily, u, y):
     u = _clip_unit(u)
     th = fam.theta
     if fam.kind == "hr":
-        out = y * np.exp(th / 2.0 + math.sqrt(th) * std_normal_quantile(u))
+        out = _hr_h_inv_score(std_normal_quantile(u), y, th)
     elif fam.kind == "logistic":
         out = y * np.expm1(th / (1.0 - th) * np.log1p(-u)) ** (1.0 / th)
     elif fam.kind == "neglogistic":
@@ -199,6 +235,13 @@ def tail_h_inv(fam: TailFamily, u, y):
         p = np.clip(reg_beta_quantile(u, th + 1.0, th), 1e-15, 1.0 - 1e-15)
         out = y * p / (1.0 - p)
     return _ret(out)
+
+
+def tail_h_inv_score(fam: TailFamily, z, y):
+    """Inverse of tail_h_score in x at fixed y, with z clamped; hr only."""
+    _need_kind(fam, "hr")
+    (y,) = _pos("tail h_inv", y)
+    return _ret(_hr_h_inv_score(clamp_score(z), y, fam.theta))
 
 
 def tail_chi(fam: TailFamily) -> float:
@@ -273,9 +316,12 @@ def _indep_evaluate(shape, th):
     return np.zeros(shape)
 
 
-def _gaussian_prepare(u, v):
-    x, y = std_normal_quantile(u), std_normal_quantile(v)
+def _gaussian_scores(x, y):
     return x, y, x * x + y * y
+
+
+def _gaussian_prepare(u, v):
+    return _gaussian_scores(std_normal_quantile(u), std_normal_quantile(v))
 
 
 def _gaussian_evaluate(p, th):
@@ -344,13 +390,21 @@ _PAIR_LOG_DENSITY = {
 }
 
 
+def _gaussian_h_score(x, y, th):
+    return (x - th * y) / math.sqrt(1.0 - th * th)
+
+
+def _gaussian_h_inv_score(z, y, th):
+    return z * math.sqrt(1.0 - th * th) + th * y
+
+
 def _h_base(kind: str, u, v, th) -> np.ndarray:
     """Conditional CDF of the first argument given the second."""
     if kind == "indep":
         return np.broadcast_to(np.asarray(u, dtype=float), np.broadcast(u, v).shape)
     if kind == "gaussian":
-        x, y = std_normal_quantile(u), std_normal_quantile(v)
-        return std_normal_cdf((x - th * y) / math.sqrt(1.0 - th * th))
+        return std_normal_cdf(_gaussian_h_score(std_normal_quantile(u),
+                                                std_normal_quantile(v), th))
     if kind == "clayton":
         lv = np.log(v)
         ls = _clayton_log_s(np.log(u), lv, th)
@@ -374,8 +428,8 @@ def _h_inv_base(kind: str, w, v, th) -> np.ndarray:
     if kind == "indep":
         return np.broadcast_to(np.asarray(w, dtype=float), np.broadcast(w, v).shape)
     if kind == "gaussian":
-        x = std_normal_quantile(w) * math.sqrt(1.0 - th * th) + th * std_normal_quantile(v)
-        return std_normal_cdf(x)
+        return std_normal_cdf(_gaussian_h_inv_score(std_normal_quantile(w),
+                                                    std_normal_quantile(v), th))
     if kind == "clayton":
         t = -th * np.log(v) + np.log(np.expm1(-th / (th + 1.0) * np.log(w)))
         return np.exp(-np.logaddexp(0.0, t) / th)
@@ -446,6 +500,27 @@ def pair_h_inv(fam: PairFamily, w, v):
     else:
         out = _h_inv_base(fam.kind, w, v, fam.theta)
     return _ret(_clip_unit(out))
+
+
+def pair_log_density_score(fam: PairFamily, zu, zv):
+    """pair_log_density at normal scores, clamped as pair_log_density clips u;
+    gaussian only."""
+    _need_kind(fam, "gaussian")
+    return _ret(_gaussian_evaluate(_gaussian_scores(clamp_score(zu), clamp_score(zv)),
+                                   fam.theta))
+
+
+def pair_h_score(fam: PairFamily, zu, zv):
+    """pair_h on normal scores, clamped where pair_h clips; gaussian only."""
+    _need_kind(fam, "gaussian")
+    return _ret(clamp_score(_gaussian_h_score(clamp_score(zu), clamp_score(zv), fam.theta)))
+
+
+def pair_h_inv_score(fam: PairFamily, zw, zv):
+    """pair_h_inv on normal scores, clamped where pair_h_inv clips; gaussian only."""
+    _need_kind(fam, "gaussian")
+    return _ret(clamp_score(_gaussian_h_inv_score(clamp_score(zw), clamp_score(zv),
+                                                  fam.theta)))
 
 
 def pair_tau(fam: PairFamily) -> float:

@@ -22,17 +22,23 @@ from .errors import (
 )
 from .families import (
     PAIR_KINDS,
+    SCORE_KINDS,
     TAIL_KINDS,
     PairFamily,
     TailFamily,
     pair_h,
     pair_h_inv,
+    pair_h_inv_score,
+    pair_h_score,
     pair_log_density,
+    pair_log_density_score,
     tail_h,
     tail_h_inv,
+    tail_h_inv_score,
+    tail_h_score,
     tail_log_density,
 )
-from .numerics import invert_monotone
+from .numerics import invert_monotone, std_normal_cdf, std_normal_quantile
 from .vines import Edge, StructureMatrix, VineSequence, from_structure_matrix
 
 
@@ -126,8 +132,10 @@ def log_density(spec: XVineSpec, x):
         ev = _Evaluator(spec.tail, spec.pairs, col)
         for t in spec.vine.trees[1:]:
             for e in t:
-                total += pair_log_density(spec.pairs[e], ev.r(e.child_a, e.a),
-                                          ev.r(e.child_b, e.b))
+                fam = spec.pairs[e]
+                score = fam.kind in SCORE_KINDS
+                total += (pair_log_density_score if score else pair_log_density)(
+                    fam, ev.value(e.child_a, e.a, score), ev.value(e.child_b, e.b, score))
         out[ok] = total
     return float(out[0]) if squeeze else out
 
@@ -158,12 +166,17 @@ def exponent_measure_density(spec: XVineSpec, y):
 class _Evaluator:
     """The h-function recursion, memoised per call.
 
-    r(e, node) is the conditional value R_{node | A_e minus node}: tail_h on
-    tree 1, and deeper the pair h-function of e applied to the values of its
-    two children. quantile inverts it down the same children. Density,
-    conditional CDFs and quantiles, the sampler and the fitter all go
-    through it. It reads only the families of the edges it visits, so the
-    fitter can hand it family maps that grow one tree at a time.
+    value(e, node, score) is the conditional value R_{node | A_e minus node}:
+    tail_h on tree 1, and deeper the pair h-function of e applied to the values
+    of its two children. An edge whose family kind is in SCORE_KINDS computes
+    it as a normal score z = Phi^-1(R) from scores of its children, any other
+    edge as R itself. A reader asks for the form it needs (`score`), and the
+    other form is converted once and memoised under (e, node, score). So a run
+    of hr / gaussian edges stays in scores, with no ndtr / ndtri in between.
+    quantile inverts down the same children. Density, conditional CDFs and
+    quantiles, the sampler and the fitter all go through it. It reads only
+    the families of the edges it visits, so the fitter can hand it family
+    maps that grow one tree at a time.
     """
 
     __slots__ = ("tail", "pairs", "col", "memo", "trace")
@@ -173,42 +186,67 @@ class _Evaluator:
         self.tail = tail
         self.pairs = pairs
         self.col = col
-        self.memo: dict[tuple[Edge, int], np.ndarray] = {}
+        self.memo: dict[tuple[Edge, int, bool], np.ndarray] = {}
         self.trace = trace
 
     def r(self, e: Edge, node: int):
-        key = (e, node)
+        """The conditional value as a probability."""
+        return self.value(e, node, False)
+
+    def value(self, e: Edge, node: int, score: bool):
+        key = (e, node, score)
         got = self.memo.get(key)
         if got is not None:
             return got
+        fam = self.tail[e] if e.level == 1 else self.pairs[e]
+        native = fam.kind in SCORE_KINDS
         other = e.b if node == e.a else e.a
-        if e.level == 1:
-            val = tail_h(self.tail[e], self.col[node], self.col[other])
-            if self.trace is not None:
-                self.trace.append(("tail_h", e.key, node))
+        if native != score:
+            val = self.convert(self.value(e, node, native), score)
+        elif e.level == 1:
+            val = self.apply(tail_h_score if native else tail_h,
+                             fam, self.col[node], self.col[other])
+            self.event("tail_h", e, node)
         else:
             child_t = e.child_a if node == e.a else e.child_b
             child_o = e.child_b if child_t is e.child_a else e.child_a
-            zt = self.r(child_t, node)
-            zo = self.r(child_o, other)
-            val = pair_h(self.pairs[e], zt, zo)
-            if self.trace is not None:
-                self.trace.append(("pair_h", e.key, node))
+            zt = self.value(child_t, node, native)
+            zo = self.value(child_o, other, native)
+            val = self.apply(pair_h_score if native else pair_h, fam, zt, zo)
+            self.event("pair_h", e, node)
         self.memo[key] = val
         return val
 
-    def quantile(self, e: Edge, node: int, u):
+    def quantile(self, e: Edge, node: int, w, score: bool = False):
+        """The x of `node` whose value on e is w (a normal score if `score`)."""
+        fam = self.tail[e] if e.level == 1 else self.pairs[e]
+        native = fam.kind in SCORE_KINDS
+        if native != score:
+            w = self.convert(w, native)
         other = e.b if node == e.a else e.a
         if e.level == 1:
-            if self.trace is not None:
-                self.trace.append(("tail_h_inv", e.key, node))
-            return tail_h_inv(self.tail[e], u, self.col[other])
+            self.event("tail_h_inv", e, node)
+            return self.apply(tail_h_inv_score if native else tail_h_inv,
+                              fam, w, self.col[other])
         child_t = e.child_a if node == e.a else e.child_b
         child_o = e.child_b if child_t is e.child_a else e.child_a
-        zo = self.r(child_o, other)
+        zo = self.value(child_o, other, native)
+        self.event("pair_h_inv", e, node)
+        w = self.apply(pair_h_inv_score if native else pair_h_inv, fam, w, zo)
+        return self.quantile(child_t, node, w, native)
+
+    # Kernel calls, conversions and trace events go through these three, so
+    # simulate._MemoWalk can walk the recursion with nothing evaluated.
+
+    def apply(self, kernel, fam, a, b):
+        return kernel(fam, a, b)
+
+    def convert(self, val, score: bool):
+        return std_normal_quantile(val) if score else std_normal_cdf(val)
+
+    def event(self, kind: str, e: Edge, node: int) -> None:
         if self.trace is not None:
-            self.trace.append(("pair_h_inv", e.key, node))
-        return self.quantile(child_t, node, pair_h_inv(self.pairs[e], u, zo))
+            self.trace.append((kind, e.key, node))
 
 
 def resolve_conditional(spec: XVineSpec, i: int, given: Iterable[int]) -> Edge:

@@ -3,7 +3,8 @@ quadrature, and reproducible random streams.
 
 Everything here is a thin, contract-checked layer over numpy/scipy. The rest of
 the package never imports scipy directly, so tolerances and truncation
-conventions live in one place.
+conventions live in one place. scipy.optimize and scipy.integrate are imported
+on first use, so `import xvine` loads only scipy.special.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 
 from .errors import BracketFailure, DomainError, NoConvergence
 
@@ -100,6 +101,8 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-6) -> tuple[float, f
 
     The argmin is located to within `tol` on the transformed scale.
     """
+    from scipy import optimize
+
     fwd, inv = _TRANSFORMS[problem.transform]
     t_lo, t_hi = fwd(problem.bracket[0]), fwd(problem.bracket[1])
 
@@ -187,6 +190,8 @@ def invert_monotone(f, target, bracket, tol: float = 1e-10,
 
 def quad_1d(f, lo: float, hi: float, tol: float = 1e-8) -> float:
     """Adaptive quadrature of f over (lo, hi); infinite hi truncated at IMPROPER_LIMIT."""
+    from scipy import integrate
+
     if np.isinf(hi):
         hi = IMPROPER_LIMIT
     val, err = integrate.quad(f, lo, hi, epsabs=tol, epsrel=tol, limit=300)

@@ -57,10 +57,29 @@ def resolve_threads(threads: int | None = None) -> int:
     return int(threads)
 
 
+class _MemoWalk(_Evaluator):
+    """The recursion with no kernel evaluated: records the memo entries each
+    step reads, which depend only on the plan and the families' kinds."""
+
+    __slots__ = ("hits",)
+
+    def value(self, e, node, score):
+        if (e, node, score) in self.memo:
+            self.hits.add((e, node, score))
+        return super().value(e, node, score)
+
+    def apply(self, kernel, fam, a, b):
+        return ()
+
+    def convert(self, val, score):
+        return ()
+
+
 def _conditional_plan(spec: XVineSpec, j: int):
     """Sampling order from a structure matrix: the first column's node, then
     each later column's node with the deepest edge that conditions it on the
-    nodes above it in that column."""
+    nodes above it in that column. Last, for each column, the memo entries
+    that it and the columns after it read."""
     vine = spec.vine
     if not vine.is_truncated:
         sm = vine.to_structure_matrix(diagonal=sampling_order(vine, j).sigma)
@@ -76,7 +95,14 @@ def _conditional_plan(spec: XVineSpec, j: int):
             raise InvalidIndex(
                 f"structure matrix column {i} does not resolve {target} | {sorted(giv)}")
         cols.append((target, hit[0]))
-    return m[0][0], cols
+    walk = _MemoWalk(spec.tail, spec.pairs, {m[0][0]: ()})
+    reads = []
+    for target, top in cols:
+        walk.hits = set()
+        walk.col[target] = walk.quantile(top, target, ())
+        reads.append(walk.hits)
+    later = [frozenset().union(*reads[k:]) for k in range(len(reads))]
+    return m[0][0], cols, later
 
 
 def _conditional_block(spec: XVineSpec, plan, rng, n: int, accept_u=None,
@@ -87,10 +113,11 @@ def _conditional_block(spec: XVineSpec, plan, rng, n: int, accept_u=None,
     rejection sampler's uniforms for these rows, a row is dropped before the
     next column once accept_u * (its coordinates below 1 so far) >= 1: that
     count only grows, so the row would fail the final acceptance test anyway.
-    The values drawn so far and the evaluator's memo are compacted to the rows
-    still live, and the returned indices say which of the n rows those are.
+    The values drawn so far are compacted to the rows still live, and so are
+    the memo entries a later column reads; the rest of the memo is dropped.
+    The returned indices say which of the n rows are live.
     """
-    first, cols = plan
+    first, cols, later = plan
     w = rng.random((n, spec.d))
     values: dict[int, np.ndarray] = {first: w[:, 0]}
     ev = _Evaluator(spec.tail, spec.pairs, values, trace=trace)
@@ -101,9 +128,10 @@ def _conditional_block(spec: XVineSpec, plan, rng, n: int, accept_u=None,
             keep = np.flatnonzero(accept_u * below < 1.0)
             if keep.size < live.size:
                 live, accept_u, below = live[keep], accept_u[keep], below[keep]
-                for arrays in (values, ev.memo):
-                    for key, arr in arrays.items():
-                        arrays[key] = arr.take(keep)
+                for node, arr in values.items():
+                    values[node] = arr.take(keep)
+                ev.memo = {key: arr.take(keep) for key, arr in ev.memo.items()
+                           if key in later[k]}
         if live.size == 0:
             break
         values[target] = ev.quantile(top, target, w[live, k + 1])

@@ -183,13 +183,20 @@ class VineSequence:
     def _set(self, nodes: Iterable[int], trees: Iterable[Iterable[Edge]]) -> None:
         self.nodes = tuple(sorted(nodes))
         self.d = len(self.nodes)
-        self.trees = tuple(tuple(sorted(t, key=lambda e: e.key)) for t in trees)
-        self._by_key = {e.key: e for t in self.trees for e in t}
+        self.trees = ()
+        self._by_key = {}
         self._cond = {}
-        for t in self.trees:
-            for e in t:
-                self._cond[(e.a, e.cond | {e.b})] = (e, "a")
-                self._cond[(e.b, e.cond | {e.a})] = (e, "b")
+        for t in trees:
+            self._add(t)
+
+    def _add(self, tree: Iterable[Edge]) -> None:
+        """Append a tree, sorted by edge key, and index its edges."""
+        tree = tuple(sorted(tree, key=lambda e: e.key))
+        self.trees = (*self.trees, tree)
+        for e in tree:
+            self._by_key[e.key] = e
+            self._cond[(e.a, e.cond | {e.b})] = (e, "a")
+            self._cond[(e.b, e.cond | {e.a})] = (e, "b")
 
     @classmethod
     def _of(cls, nodes: Iterable[int], trees) -> VineSequence:
@@ -200,8 +207,13 @@ class VineSequence:
 
     def extend(self, pairs: Iterable[tuple[Edge, Edge]]) -> VineSequence:
         """This vine with one more tree, whose edges join the given pairs of
-        edges of the last tree. Only the new tree is validated."""
-        return VineSequence._of(self.nodes, (*self.trees, _join(self.trees[-1], pairs)))
+        edges of the last tree. Only the new tree is validated and indexed."""
+        new = _join(self.trees[-1], pairs)
+        out = VineSequence.__new__(VineSequence)
+        out.nodes, out.d, out.trees = self.nodes, self.d, self.trees
+        out._by_key, out._cond = dict(self._by_key), dict(self._cond)
+        out._add(new)
+        return out
 
     # --- basic views ---------------------------------------------------------
 

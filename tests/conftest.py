@@ -1,10 +1,22 @@
-"""Shared builders for randomized specs, vines and subset functionals."""
+"""Shared builders for randomized specs, vines and subset functionals, and a
+u-space reference recursion."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from xvine.families import PAIR_KINDS, TAIL_KINDS, PairFamily, TailFamily
+from xvine.families import (
+    PAIR_KINDS,
+    TAIL_KINDS,
+    PairFamily,
+    TailFamily,
+    pair_h,
+    pair_h_inv,
+    pair_log_density,
+    tail_h,
+    tail_h_inv,
+    tail_log_density,
+)
 from xvine.model import XVineSpec
 from xvine.vines import VineSequence, random_vine
 
@@ -80,3 +92,47 @@ def rng() -> np.random.Generator:
 
 def make_random_vine(seed: int, d: int, q: int | None = None) -> VineSequence:
     return random_vine(d, np.random.default_rng(seed), q=q)
+
+
+# ---------------------------------------------------------------------------
+# u-space reference recursion
+# ---------------------------------------------------------------------------
+# The vine recursion written straight from the u-space kernels, with no memo
+# and no normal scores: every conditional value goes back to (0, 1) at every
+# edge. The package's recursion keeps hr / gaussian chains in scores, so on
+# points where no value nears 0 or 1 the two agree to rounding.
+
+def _sides(e, node):
+    other = e.b if node == e.a else e.a
+    child_t = e.child_a if node == e.a else e.child_b
+    child_o = e.child_b if child_t is e.child_a else e.child_a
+    return other, child_t, child_o
+
+
+def u_value(spec: XVineSpec, col: dict, e, node: int):
+    """R_{node | A_e minus node} at the columns `col`."""
+    other, child_t, child_o = _sides(e, node)
+    if e.level == 1:
+        return tail_h(spec.tail[e], col[node], col[other])
+    return pair_h(spec.pairs[e], u_value(spec, col, child_t, node),
+                  u_value(spec, col, child_o, other))
+
+
+def u_quantile(spec: XVineSpec, col: dict, e, node: int, w):
+    """The x of `node` whose value on e is w."""
+    other, child_t, child_o = _sides(e, node)
+    if e.level == 1:
+        return tail_h_inv(spec.tail[e], w, col[other])
+    w = pair_h_inv(spec.pairs[e], w, u_value(spec, col, child_o, other))
+    return u_quantile(spec, col, child_t, node, w)
+
+
+def u_log_density(spec: XVineSpec, x: np.ndarray) -> np.ndarray:
+    col = {n: x[:, i] for i, n in enumerate(spec.vine.nodes)}
+    total = sum(tail_log_density(spec.tail[e], col[e.a], col[e.b])
+                for e in spec.vine.trees[0])
+    for t in spec.vine.trees[1:]:
+        for e in t:
+            total = total + pair_log_density(spec.pairs[e], u_value(spec, col, e.child_a, e.a),
+                                             u_value(spec, col, e.child_b, e.b))
+    return total

@@ -75,6 +75,22 @@ def tri_hr(x, gamma: np.ndarray) -> float:
     return float(lam * np.prod(x ** -2.0))
 
 
+def hr_log_density(x, gamma: np.ndarray) -> np.ndarray:
+    """log of the d-variate Huesler-Reiss tail copula density, row by row.
+
+    lambda(y) = phi_{d-1}(t; S) / (y_1^2 prod_{j>1} y_j) with t_j = log(y_j / y_1)
+    + Gamma_1j / 2 and S_ij = (Gamma_1i + Gamma_1j - Gamma_ij) / 2, taken at
+    y = 1/x and multiplied by prod x_j^-2.
+    """
+    x = np.atleast_2d(np.asarray(x, float))
+    g = np.asarray(gamma, float)
+    ly = -np.log(x)
+    cov = (g[1:, [0]] + g[[0], 1:] - g[1:, 1:]) / 2.0
+    t = ly[:, 1:] - ly[:, [0]] + g[0, 1:] / 2.0
+    log_lam = multivariate_normal(cov=cov).logpdf(t) - 2.0 * ly[:, 0] - ly[:, 1:].sum(axis=1)
+    return log_lam + 2.0 * ly.sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # direct bivariate copula densities (u, v on the unit square)
 # ---------------------------------------------------------------------------

@@ -118,6 +118,14 @@ def test_import_leaves_scipy_stats_out():
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
+def test_import_leaves_scipy_optimize_and_integrate_out():
+    # both load on the first fit or quadrature, not on import
+    code = ("import sys, xvine; "
+            "assert not {'scipy.optimize', 'scipy.integrate'} & set(sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(xvine.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
 def test_from_inverted_pareto_bookkeeping():
     Z = np.array([[0.5, 2.0], [1.5, 0.25], [3.0, 0.75], [0.2, 4.0]])
     ps = from_inverted_pareto(Z)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtr, ndtri
 
 import oracles as oc
 from conftest import PAIR_RANGES, TAIL_RANGES
@@ -20,10 +21,16 @@ from xvine.families import (
     TAIL_KINDS,
     PairFamily,
     TailFamily,
+    Z_HI,
+    Z_LO,
+    clamp_score,
     pair_density,
     pair_h,
     pair_h_inv,
+    pair_h_inv_score,
+    pair_h_score,
     pair_log_density,
+    pair_log_density_score,
     pair_tau,
     prepare_pair_log_density,
     prepare_tail_log_density,
@@ -31,6 +38,8 @@ from xvine.families import (
     tail_density,
     tail_h,
     tail_h_inv,
+    tail_h_inv_score,
+    tail_h_score,
     tail_log_density,
     tau_inverse,
 )
@@ -341,3 +350,83 @@ def test_tau_inverse_domain():
         tau_inverse("indep", 0.3)
     with pytest.raises(DomainError):
         tau_inverse("gaussian", 1.0)
+
+
+# ---------------------------------------------------------------------------
+# normal-score kernels (hr tails, gaussian pairs)
+# ---------------------------------------------------------------------------
+
+#: theta over the whole estimation box, both ends included
+HR_THETAS = np.geomspace(TAIL_BOXES["hr"][0], TAIL_BOXES["hr"][1], 12)
+GAUSS_THETAS = np.linspace(PAIR_BOXES["gaussian"][0], PAIR_BOXES["gaussian"][1], 13)
+#: probabilities out to the clip and beyond it, 0 and 1 included
+EDGE_U = np.array([0.0, 1e-300, 1e-13, EPS_UNIT, np.nextafter(EPS_UNIT, 1.0), 1e-9,
+                   0.3, 0.5, 0.97, 1.0 - 1e-9, np.nextafter(1.0 - EPS_UNIT, 0.0),
+                   1.0 - EPS_UNIT, 1.0 - 1e-13, 1.0])
+
+
+def test_clamping_a_score_is_clipping_u():
+    rng = np.random.default_rng(41)
+    u = np.r_[EDGE_U, rng.uniform(size=200)]
+    clipped = np.clip(u, EPS_UNIT, 1.0 - EPS_UNIT)
+    np.testing.assert_array_equal(clamp_score(ndtri(u)), ndtri(clipped))
+    z = np.r_[-np.inf, -40.0, Z_LO - 1e-9, Z_LO, Z_HI, Z_HI + 1e-9, 40.0, np.inf,
+              rng.normal(scale=3.0, size=200)]
+    np.testing.assert_allclose(ndtr(clamp_score(z)),
+                               np.clip(ndtr(z), EPS_UNIT, 1.0 - EPS_UNIT), rtol=1e-14)
+    assert Z_LO < -7.0 < 7.0 < Z_HI
+
+
+def test_score_kernels_under_ndtr_match_u_kernels():
+    # same formulas: bit-identical, except that Phi(Z_LO) is 1e-12 only to
+    # 7e-15 relative, so u-space output clipped at the low end moves by that
+    rng = np.random.default_rng(42)
+    grid = np.r_[EDGE_U, rng.uniform(size=150)]
+    u, v = (a.ravel() for a in np.meshgrid(grid, grid))
+    x = np.exp(rng.normal(scale=4.0, size=u.size))
+    y = np.exp(rng.normal(scale=4.0, size=u.size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for th in HR_THETAS:
+            fam = TailFamily("hr", float(th))
+            np.testing.assert_array_equal(ndtr(tail_h_score(fam, x, y)), tail_h(fam, x, y))
+            with np.errstate(divide="ignore"):
+                z = ndtri(u)
+            np.testing.assert_array_equal(tail_h_inv_score(fam, z, y), tail_h_inv(fam, u, y))
+        for th in GAUSS_THETAS:
+            fam = PairFamily("gaussian", float(th))
+            with np.errstate(divide="ignore"):
+                zu, zv = ndtri(u), ndtri(v)
+            np.testing.assert_array_equal(pair_log_density_score(fam, zu, zv),
+                                          pair_log_density(fam, u, v))
+            np.testing.assert_allclose(ndtr(pair_h_score(fam, zu, zv)), pair_h(fam, u, v),
+                                       rtol=1e-14)
+            np.testing.assert_allclose(ndtr(pair_h_inv_score(fam, zu, zv)),
+                                       pair_h_inv(fam, u, v), rtol=1e-14)
+
+
+def test_score_round_trip_full_box():
+    z = np.linspace(ndtri(1e-3), ndtri(1.0 - 1e-3), 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zz, yy = (a.ravel() for a in np.meshgrid(np.linspace(Z_LO, Z_HI, 201),
+                                                 [1e-3, 0.5, 1.0, 30.0]))
+        for th in HR_THETAS:
+            fam = TailFamily("hr", float(th))
+            back = tail_h_score(fam, tail_h_inv_score(fam, zz, yy), yy)
+            assert np.abs(back - zz).max() <= 1e-12, th
+        w, zv = (a.ravel() for a in np.meshgrid(z, z))
+        for th in GAUSS_THETAS:
+            fam = PairFamily("gaussian", float(th))
+            back = pair_h_score(fam, pair_h_inv_score(fam, w, zv), zv)
+            assert np.abs(back - w).max() <= 1e-12, th
+
+
+def test_score_kernels_reject_other_kinds():
+    with pytest.raises(DomainError):
+        tail_h_score(TailFamily("logistic", 2.0), 1.0, 1.0)
+    with pytest.raises(DomainError):
+        tail_h_inv_score(TailFamily("dirichlet", 2.0), 0.0, 1.0)
+    for kernel in (pair_h_score, pair_h_inv_score, pair_log_density_score):
+        with pytest.raises(DomainError):
+            kernel(PairFamily("clayton", 2.0), 0.0, 0.0)

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as oc
-from conftest import make_random_vine, random_spec, spec_grid_points
+from conftest import (
+    make_random_vine,
+    random_spec,
+    spec_grid_points,
+    u_log_density,
+    u_quantile,
+    u_value,
+)
 from xvine.errors import (
     DimensionTooLarge,
     DomainError,
@@ -40,6 +47,7 @@ from xvine.reference import (
     hr_partial_rho,
     logistic_vine_spec,
     neglogistic_vine_spec,
+    truncated_cvine_study_spec,
 )
 
 GAMMA3 = np.array([[0.0, 1.4, 1.6], [1.4, 0.0, 1.2], [1.6, 1.2, 0.0]])
@@ -128,6 +136,64 @@ def test_density_homogeneity_random_specs(seed, d):
     for t in (0.2, 5.0):
         shifted = log_density(spec, t * x)
         np.testing.assert_allclose(shifted, base + (1 - d) * np.log(t), atol=5e-5)
+
+
+def _random_variogram(d: int, seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).normal(size=(d, d))
+    cov = a @ a.T / d + 0.2 * np.eye(d)
+    dg = np.diag(cov)
+    return dg[:, None] + dg[None, :] - 2.0 * cov
+
+
+GAMMA5 = _random_variogram(5, 17)
+
+
+def hr5_spec() -> XVineSpec:
+    """Huesler-Reiss model on a random 5-d vine."""
+    return hr_vine_spec(make_random_vine(3, 5), GAMMA5)
+
+
+@pytest.mark.parametrize("spec", [hr5_spec(), truncated_cvine_study_spec()],
+                         ids=["hr5", "cvine10"])
+def test_score_recursion_matches_u_space_reference(spec):
+    # hr / gaussian chains run in normal scores, the reference in u. Where a
+    # conditional value nears 1 the reference keeps only the digits of its
+    # complement (the loss the scores remove), so the comparison takes the
+    # rows whose conditional values all stay below 1 - 1e-5. There the two
+    # agree to rounding: log-densities to 1e-10, i.e. densities to 1e-10
+    # relative.
+    rng = np.random.default_rng(91)
+    x = np.exp(rng.normal(scale=0.5, size=(2000, spec.d)))
+    u = rng.uniform(0.001, 0.999, size=2000)
+    col = {n: x[:, i] for i, n in enumerate(spec.vine.nodes)}
+    top = np.zeros(x.shape[0])
+    for e in (e for t in spec.vine.trees for e in t):
+        for node in (e.a, e.b):
+            top = np.maximum(top, u_value(spec, col, e, node))
+    ok = top < 1.0 - 1e-5
+    assert ok.sum() >= 500
+    np.testing.assert_allclose(log_density(spec, x)[ok], u_log_density(spec, x)[ok],
+                               rtol=0.0, atol=1e-10)
+    for e in spec.vine.trees[1] + spec.vine.trees[-1]:
+        for node, other in ((e.a, e.b), (e.b, e.a)):
+            given = sorted(e.cond | {other})
+            x_given = [col[g] for g in given]
+            np.testing.assert_allclose(
+                conditional_cdf(spec, node, given, col[node], x_given)[ok],
+                u_value(spec, col, e, node)[ok], rtol=1e-10)
+            np.testing.assert_allclose(
+                conditional_quantile(spec, node, given, u, x_given)[ok],
+                u_quantile(spec, col, e, node, u)[ok], rtol=1e-10)
+
+
+def test_hr_vine_density_matches_closed_form():
+    # in scores an hr / gaussian chain loses no digits near u = 1, so the vine
+    # density is the d-variate Huesler-Reiss density to rounding on every row
+    # (the u-space recursion misses by up to 2e-9 here); at wider spreads
+    # rows appear on which the clamp binds
+    x = np.exp(1.15 * np.random.default_rng(93).normal(size=(20000, 5)))
+    np.testing.assert_allclose(log_density(hr5_spec(), x), oc.hr_log_density(x, GAMMA5),
+                               rtol=1e-11)
 
 
 def test_density_zero_on_nonpositive_rows(bench):

@@ -10,14 +10,20 @@ import pytest
 from scipy.stats import kstest
 
 import oracles as oc
+from conftest import make_random_vine, u_quantile
 from xvine import simulate
 from xvine.cli import main
 from xvine.errors import DomainError
 from xvine.estimate import FitOptions, fit_pipeline
 from xvine.families import PairFamily, TailFamily, tail_chi
-from xvine.model import XVineSpec, conditional_cdf, model_to_json
+from xvine.model import XVineSpec, _Evaluator, conditional_cdf, model_to_json
 from xvine.numerics import rng_stream
-from xvine.reference import chain_vine, five_variable_spec, truncated_cvine_study_spec
+from xvine.reference import (
+    chain_vine,
+    five_variable_spec,
+    hr_vine_spec,
+    truncated_cvine_study_spec,
+)
 from xvine.simulate import (
     BLOCK,
     RejectionStats,
@@ -50,12 +56,30 @@ def joe4_spec() -> XVineSpec:
                      {vine.find_edge(k): f for k, f in pairs.items()})
 
 
-def late_rejection(spec: XVineSpec, n: int, seed: int):
+def full_block(spec: XVineSpec, plan, rng, m: int) -> np.ndarray:
+    """_conditional_block with nothing dropped."""
+    z, live = simulate._conditional_block(spec, plan, rng, m)
+    assert live.size == m
+    return z
+
+
+def u_space_block(spec: XVineSpec, plan, rng, m: int) -> np.ndarray:
+    """The same draws inverted by the u-space reference recursion."""
+    first, cols, _ = plan
+    w = rng.random((m, spec.d))
+    col = {first: w[:, 0]}
+    for k, (target, top) in enumerate(cols):
+        col[target] = u_quantile(spec, col, top, target, w[:, k + 1])
+    return np.column_stack([col[node] for node in spec.vine.nodes])
+
+
+def late_rejection(spec: XVineSpec, n: int, seed: int, draw=full_block):
     """sample_inverted_pareto with every column of every proposal drawn.
 
     The same blocks, rounds and random streams as the sampler, but each
-    conditioning group runs _conditional_block in full, with nothing dropped,
-    and the test accept_u * N < 1 comes only once all d columns are drawn.
+    conditioning group draws all its columns with `draw`, with nothing
+    dropped, and the test accept_u * N < 1 comes only once all d columns are
+    drawn.
     """
     d = spec.d
     plans = [simulate._conditional_plan(spec, j) for j in spec.vine.nodes]
@@ -72,9 +96,7 @@ def late_rejection(spec: XVineSpec, n: int, seed: int):
             for jdx in np.unique(which):
                 sel = which == jdx
                 sub = rng_stream(seed, block, rnd, int(jdx) + 1)
-                z[sel], live = simulate._conditional_block(spec, plans[jdx], sub,
-                                                           int(sel.sum()))
-                assert live.size == sel.sum()
+                z[sel] = draw(spec, plans[jdx], sub, int(sel.sum()))
             keep = accept_u * (z < 1.0).sum(axis=1) < 1.0
             kept.append(z[keep])
             got += int(keep.sum())
@@ -147,6 +169,65 @@ def test_early_rejection_is_exact(spec):
         z, stats = sample_inverted_pareto(spec, n, seed=81, threads=threads)
         np.testing.assert_array_equal(z, want)
         assert stats == want_stats
+
+
+def hr4_spec() -> XVineSpec:
+    g = np.array([[0.0, 1.0, 1.8, 2.4], [1.0, 0.0, 1.1, 1.9],
+                  [1.8, 1.1, 0.0, 0.9], [2.4, 1.9, 0.9, 0.0]])
+    return hr_vine_spec(make_random_vine(5, 4), g)
+
+
+@pytest.mark.parametrize("spec", [hr4_spec(), truncated_cvine_study_spec()],
+                         ids=["hr4", "cvine10"])
+def test_sampler_matches_u_space_reference(spec):
+    # hr / gaussian chains invert in normal scores; the u-space reference
+    # inverts the same uniforms, so the counts are equal and rows agree to
+    # rounding
+    n = BLOCK + 700
+    want, want_stats = late_rejection(spec, n, seed=83, draw=u_space_block)
+    z, stats = sample_inverted_pareto(spec, n, seed=83)
+    assert stats == want_stats
+    np.testing.assert_allclose(z, want, rtol=1e-10)
+
+
+class ReadLog(dict):
+    """A memo that records the keys read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = set()
+
+    def get(self, key, default=None):
+        if key in self:
+            self.reads.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("spec", [five_variable_spec(), truncated_cvine_study_spec(),
+                                  joe4_spec()], ids=["bench5", "cvine10", "joe4"])
+def test_plan_lists_the_memo_entries_later_columns_read(spec):
+    # the plan's per-column key sets are exactly the entries that column and
+    # later ones read back from the memo, so pruning to them drops no value
+    # a later column needs
+    for j in spec.vine.nodes:
+        first, cols, later = simulate._conditional_plan(spec, j)
+        w = rng_stream(9).random((50, spec.d))
+        ev = _Evaluator(spec.tail, spec.pairs, {first: w[:, 0]})
+        ev.memo = ReadLog()
+        reads = []
+        for k, (target, top) in enumerate(cols):
+            ev.memo.reads = set()
+            ev.col[target] = ev.quantile(top, target, w[:, k + 1])
+            reads.append(ev.memo.reads)
+        for k in range(len(cols)):
+            assert later[k] == frozenset().union(*reads[k:])
+        # a block that drops rows, and with them memo entries, still computes
+        # each conditional value once
+        trace: list = []
+        simulate._conditional_block(spec, (first, cols, later), rng_stream(9), 600,
+                                    rng_stream(10).random(600), trace=trace)
+        forward = [t for t in trace if t[0] in ("tail_h", "pair_h")]
+        assert len(forward) == len(set(forward))
 
 
 def test_conditional_block_drops_only_sure_rejections():

@@ -200,6 +200,23 @@ def test_extend_checks_only_the_new_tree():
     assert ext == v.truncate(2)
 
 
+@pytest.mark.parametrize("seed,d", [(2, 5), (8, 7)])
+def test_extend_indexes_the_new_tree_and_leaves_the_old_vine(seed, d):
+    v = make_random_vine(seed, d)
+    grow = VineSequence([[(e.a, e.b) for e in v.trees[0]]], d=d)
+    for t in v.trees[1:]:
+        before = grow
+        grow = before.extend((e.child_a, e.child_b) for e in t)
+        # the extended index is the one a fresh build makes
+        fresh = VineSequence._of(grow.nodes, grow.trees)
+        assert grow._by_key == fresh._by_key and grow._cond == fresh._cond
+        # and the vine it grew from still knows only its own trees
+        for e in t:
+            with pytest.raises(UnknownEdge):
+                before.find_edge(e.key)
+            assert before.conditional_edge(e.a, e.cond | {e.b}) is None
+
+
 # ---------------------------------------------------------------------------
 # structure matrices
 # ---------------------------------------------------------------------------
