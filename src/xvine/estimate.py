@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
@@ -31,7 +31,7 @@ from .families import (
 from .model import XVineSpec, _Evaluator
 from .numerics import _TRANSFORMS, ScalarProblem, minimize_scalar
 from .simulate import parallel_map, resolve_threads
-from .vines import Edge, VineSequence, _components
+from .vines import Edge, VineSequence, _components, _kruskal_forest
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +296,12 @@ def fit_pair_edge(u: np.ndarray, v: np.ndarray, kind: str, *, n_min: int = 10) -
     )
 
 
+def _lowest_aic(catalogue: Sequence[str], fits: Sequence[EdgeFit]) -> EdgeFit:
+    """The first fit of lowest AIC, with every kind's AIC as `selected_over`."""
+    best = min(fits, key=lambda f: f.aic)
+    return replace(best, selected_over=tuple(zip(catalogue, (f.aic for f in fits))))
+
+
 def select_tail_family(
     ps: PseudoSample,
     a: int,
@@ -308,21 +314,10 @@ def select_tail_family(
     """Fit every tail family in the catalogue and keep the lowest AIC."""
     if not catalogue:
         raise DomainError("empty tail catalogue")
-    fits = [
+    return _lowest_aic(catalogue, [
         fit_tail_edge(ps, a, b, kind, n_min=n_min, aic_convention=aic_convention)
         for kind in catalogue
-    ]
-    best = min(range(len(fits)), key=lambda i: fits[i].aic)
-    table = tuple((catalogue[i], fits[i].aic) for i in range(len(fits)))
-    f = fits[best]
-    return EdgeFit(
-        family=f.family,
-        loglik=f.loglik,
-        aic=f.aic,
-        n_eff=f.n_eff,
-        at_boundary=f.at_boundary,
-        selected_over=table,
-    )
+    ])
 
 
 def select_pair_family(
@@ -348,18 +343,7 @@ def select_pair_family(
         return EdgeFit(
             family=PairFamily("indep"), loglik=0.0, aic=0.0, n_eff=n, forced_indep=True
         )
-    fits = [fit_pair_edge(u, v, kind, n_min=n_min) for kind in catalogue]
-    best = min(range(len(fits)), key=lambda i: fits[i].aic)
-    table = tuple((catalogue[i], fits[i].aic) for i in range(len(fits)))
-    f = fits[best]
-    return EdgeFit(
-        family=f.family,
-        loglik=f.loglik,
-        aic=f.aic,
-        n_eff=f.n_eff,
-        at_boundary=f.at_boundary,
-        selected_over=table,
-    )
+    return _lowest_aic(catalogue, [fit_pair_edge(u, v, kind, n_min=n_min) for kind in catalogue])
 
 
 # ---------------------------------------------------------------------------
@@ -372,23 +356,8 @@ def _kruskal(nodes: Sequence, weighted: Sequence[tuple[float, tuple, tuple]]) ->
     weights, and (x, y) is the pair of nodes it joins. Returns the chosen
     pairs in the order Kruskal takes them.
     """
-    parent = {node: node for node in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    chosen = []
-    for _w, _key, (x, y) in sorted(weighted, key=lambda t: (-t[0], t[1])):
-        ra, rb = find(x), find(y)
-        if ra == rb:
-            continue
-        parent[ra] = rb
-        chosen.append((x, y))
-        if len(chosen) == len(nodes) - 1:
-            break
+    ranked = sorted(weighted, key=lambda t: (-t[0], t[1]))
+    chosen = _kruskal_forest(nodes, [pair for _w, _key, pair in ranked])
     if len(chosen) != len(nodes) - 1:
         raise NotATree("candidate graph is not connected")
     return chosen

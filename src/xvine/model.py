@@ -202,17 +202,16 @@ class _Evaluator:
         native = fam.kind in SCORE_KINDS
         other = e.b if node == e.a else e.a
         if native != score:
-            val = self.convert(self.value(e, node, native), score)
+            val = (std_normal_quantile if score else std_normal_cdf)(self.value(e, node, native))
         elif e.level == 1:
-            val = self.apply(tail_h_score if native else tail_h,
-                             fam, self.col[node], self.col[other])
+            val = (tail_h_score if native else tail_h)(fam, self.col[node], self.col[other])
             self.event("tail_h", e, node)
         else:
             child_t = e.child_a if node == e.a else e.child_b
             child_o = e.child_b if child_t is e.child_a else e.child_a
             zt = self.value(child_t, node, native)
             zo = self.value(child_o, other, native)
-            val = self.apply(pair_h_score if native else pair_h, fam, zt, zo)
+            val = (pair_h_score if native else pair_h)(fam, zt, zo)
             self.event("pair_h", e, node)
         self.memo[key] = val
         return val
@@ -222,27 +221,17 @@ class _Evaluator:
         fam = self.tail[e] if e.level == 1 else self.pairs[e]
         native = fam.kind in SCORE_KINDS
         if native != score:
-            w = self.convert(w, native)
+            w = (std_normal_quantile if native else std_normal_cdf)(w)
         other = e.b if node == e.a else e.a
         if e.level == 1:
             self.event("tail_h_inv", e, node)
-            return self.apply(tail_h_inv_score if native else tail_h_inv,
-                              fam, w, self.col[other])
+            return (tail_h_inv_score if native else tail_h_inv)(fam, w, self.col[other])
         child_t = e.child_a if node == e.a else e.child_b
         child_o = e.child_b if child_t is e.child_a else e.child_a
         zo = self.value(child_o, other, native)
         self.event("pair_h_inv", e, node)
-        w = self.apply(pair_h_inv_score if native else pair_h_inv, fam, w, zo)
+        w = (pair_h_inv_score if native else pair_h_inv)(fam, w, zo)
         return self.quantile(child_t, node, w, native)
-
-    # Kernel calls, conversions and trace events go through these three, so
-    # simulate._MemoWalk can walk the recursion with nothing evaluated.
-
-    def apply(self, kernel, fam, a, b):
-        return kernel(fam, a, b)
-
-    def convert(self, val, score: bool):
-        return std_normal_quantile(val) if score else std_normal_cdf(val)
 
     def event(self, kind: str, e: Edge, node: int) -> None:
         if self.trace is not None:

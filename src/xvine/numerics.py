@@ -40,7 +40,7 @@ def std_normal_cdf(x):
 def std_normal_quantile(u):
     """Standard normal quantile; DomainError outside [0, 1]."""
     u = np.asarray(u, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0) | np.isnan(u)):
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):  # NaN fails it too
         raise DomainError("normal quantile needs u in [0, 1]")
     return special.ndtri(u)
 
@@ -57,7 +57,7 @@ def reg_beta_quantile(u, a: float, b: float):
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta shapes must be positive, got a={a}, b={b}")
     u = np.asarray(u, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0) | np.isnan(u)):
+    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):  # NaN fails it too
         raise DomainError("beta quantile needs u in [0, 1]")
     return special.betaincinv(a, b, u)
 

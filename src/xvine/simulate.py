@@ -57,29 +57,37 @@ def resolve_threads(threads: int | None = None) -> int:
     return int(threads)
 
 
-class _MemoWalk(_Evaluator):
-    """The recursion with no kernel evaluated: records the memo entries each
-    step reads, which depend only on the plan and the families' kinds."""
+class _LiveRows(dict):
+    """Arrays over the rows of a block that drops rows as it goes.
 
-    __slots__ = ("hits",)
+    A drop only appends the kept row indices to the shared `drops` list. An
+    array is taken down to the rows still live when it is next read, so one
+    that nothing reads again is never copied.
+    """
 
-    def value(self, e, node, score):
-        if (e, node, score) in self.memo:
-            self.hits.add((e, node, score))
-        return super().value(e, node, score)
+    def __init__(self, drops: list):
+        super().__init__()
+        self.drops = drops
 
-    def apply(self, kernel, fam, a, b):
-        return ()
+    def __setitem__(self, key, arr):
+        super().__setitem__(key, (arr, len(self.drops)))
 
-    def convert(self, val, score):
-        return ()
+    def __getitem__(self, key):
+        arr, seen = super().__getitem__(key)
+        if seen < len(self.drops):
+            for keep in self.drops[seen:]:
+                arr = arr.take(keep)
+            self[key] = arr
+        return arr
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
 
 
 def _conditional_plan(spec: XVineSpec, j: int):
-    """Sampling order from a structure matrix: the first column's node, then
-    each later column's node with the deepest edge that conditions it on the
-    nodes above it in that column. Last, for each column, the memo entries
-    that it and the columns after it read."""
+    """The sampling order of a structure matrix, as (first, cols): the first
+    column's node, and for each later column its node and the deepest edge
+    that conditions it on the nodes above it in that column."""
     vine = spec.vine
     if not vine.is_truncated:
         sm = vine.to_structure_matrix(diagonal=sampling_order(vine, j).sigma)
@@ -95,14 +103,7 @@ def _conditional_plan(spec: XVineSpec, j: int):
             raise InvalidIndex(
                 f"structure matrix column {i} does not resolve {target} | {sorted(giv)}")
         cols.append((target, hit[0]))
-    walk = _MemoWalk(spec.tail, spec.pairs, {m[0][0]: ()})
-    reads = []
-    for target, top in cols:
-        walk.hits = set()
-        walk.col[target] = walk.quantile(top, target, ())
-        reads.append(walk.hits)
-    later = [frozenset().union(*reads[k:]) for k in range(len(reads))]
-    return m[0][0], cols, later
+    return m[0][0], cols
 
 
 def _conditional_block(spec: XVineSpec, plan, rng, n: int, accept_u=None,
@@ -113,14 +114,17 @@ def _conditional_block(spec: XVineSpec, plan, rng, n: int, accept_u=None,
     rejection sampler's uniforms for these rows, a row is dropped before the
     next column once accept_u * (its coordinates below 1 so far) >= 1: that
     count only grows, so the row would fail the final acceptance test anyway.
-    The values drawn so far are compacted to the rows still live, and so are
-    the memo entries a later column reads; the rest of the memo is dropped.
-    The returned indices say which of the n rows are live.
+    The sampled columns and the recursion's memo are `_LiveRows`, so a drop
+    copies nothing and each array is compacted when it is read. The returned
+    indices say which of the n rows are live.
     """
-    first, cols, later = plan
+    first, cols = plan
     w = rng.random((n, spec.d))
-    values: dict[int, np.ndarray] = {first: w[:, 0]}
+    drops: list[np.ndarray] = []
+    values = _LiveRows(drops)
+    values[first] = w[:, 0]
     ev = _Evaluator(spec.tail, spec.pairs, values, trace=trace)
+    ev.memo = _LiveRows(drops)
     live = np.arange(n)
     below = np.ones(n, dtype=np.int64)  # the conditioned coordinate is below 1
     for k, (target, top) in enumerate(cols):
@@ -128,18 +132,15 @@ def _conditional_block(spec: XVineSpec, plan, rng, n: int, accept_u=None,
             keep = np.flatnonzero(accept_u * below < 1.0)
             if keep.size < live.size:
                 live, accept_u, below = live[keep], accept_u[keep], below[keep]
-                for node, arr in values.items():
-                    values[node] = arr.take(keep)
-                ev.memo = {key: arr.take(keep) for key, arr in ev.memo.items()
-                           if key in later[k]}
+                drops.append(keep)
         if live.size == 0:
             break
         values[target] = ev.quantile(top, target, w[live, k + 1])
         below += values[target] < 1.0
     order = {node: idx for idx, node in enumerate(spec.vine.nodes)}
     out = np.empty((live.size, spec.d))
-    for node, arr in values.items():
-        out[:, order[node]] = arr
+    for node in values:
+        out[:, order[node]] = values[node]
     return out, live
 
 
@@ -174,10 +175,9 @@ def sample_conditional(spec: XVineSpec, j: int, n: int, seed: int,
     plan = _conditional_plan(spec, j)
     if n == 0:
         return np.empty((0, spec.d))
-    if _trace is not None:
-        return _conditional_block(spec, plan, rng_stream(seed, 0), n, trace=_trace)[0]
-    parts = _blocked(n, threads,
-                     lambda b, m: _conditional_block(spec, plan, rng_stream(seed, b), m)[0])
+    # a trace records the blocks in order, so they run on one thread
+    parts = _blocked(n, threads if _trace is None else 1, lambda b, m: _conditional_block(
+        spec, plan, rng_stream(seed, b), m, trace=_trace)[0])
     return np.vstack(parts)
 
 

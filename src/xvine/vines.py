@@ -73,9 +73,10 @@ def _canon(item, level: int):
     return out
 
 
-def _check_tree(node_set: set, pairs: list[tuple], level: int) -> None:
-    """Union-find check that `pairs` is a spanning tree on `node_set`."""
-    parent = {x: x for x in node_set}
+def _kruskal_forest(nodes: Iterable, pairs: Iterable[tuple]) -> list[tuple]:
+    """Kruskal's forest: the pairs, in the order given, that join two
+    components of the pairs taken before them (union-find on `nodes`)."""
+    parent = {x: x for x in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -83,12 +84,21 @@ def _check_tree(node_set: set, pairs: list[tuple], level: int) -> None:
             x = parent[x]
         return x
 
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise NotATree(f"tree {level} contains a cycle")
-        parent[ru] = rv
-    if len({find(x) for x in node_set}) > 1:
+    taken = []
+    for x, y in pairs:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+            taken.append((x, y))
+    return taken
+
+
+def _check_tree(node_set: set, pairs: list[tuple], level: int) -> None:
+    """Check that `pairs` is a spanning tree on `node_set`."""
+    taken = len(_kruskal_forest(node_set, pairs))
+    if taken < len(pairs):
+        raise NotATree(f"tree {level} contains a cycle")
+    if taken < len(node_set) - 1:
         raise NotATree(f"tree {level} is disconnected")
 
 
@@ -528,26 +538,14 @@ def random_vine(d: int, rng, q: int | None = None) -> VineSequence:
     if d == 2:
         return VineSequence([[(1, 2)]], d=2)
     seq = [int(x) for x in rng.integers(1, d + 1, size=d - 2)]
-    level = [frozenset(e) for e in _prufer_tree(seq, d)]
-    raw_trees = [list(level)]
+    first = _prufer_tree(seq, d)
+    vine = VineSequence([first], d=d)
+    level = [vine.find_edge(p) for p in first]
     for _ in range(2, q + 1):
-        cand = [(x, y) for x, y in itertools.combinations(level, 2) if len(x & y) == 1]
-        order = rng.permutation(len(cand))
-        parent = {x: x for x in level}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        nxt = []
-        for idx in order:
-            x, y = cand[idx]
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-                nxt.append(frozenset((x, y)))
-        level = nxt
-        raw_trees.append(list(level))
-    return VineSequence(raw_trees, d=d)
+        cand = [(x, y) for x, y in itertools.combinations(level, 2)
+                if len(_components(x) & _components(y)) == 1]
+        chosen = _kruskal_forest(level, [cand[i] for i in rng.permutation(len(cand))])
+        vine = vine.extend(chosen)
+        joined = {_components(e): e for e in vine.trees[-1]}
+        level = [joined[frozenset(p)] for p in chosen]
+    return vine

@@ -26,17 +26,32 @@ def test_normal_round_trip():
     np.testing.assert_allclose(std_normal_cdf(std_normal_quantile(u)), u, atol=1e-12)
 
 
+#: Inputs outside [0, 1] or NaN: the quantiles must reject each of them.
+OFF_UNIT = [1.5, [0.2, np.nan], [np.nan, np.nan, np.nan], np.nan,
+            [0.5, np.nextafter(0.0, -1.0)], [np.nextafter(1.0, 2.0), 0.5]]
+
+
+def check_unit_domain(quantile):
+    assert quantile(np.empty(0)).shape == (0,)
+    assert np.all(np.isfinite(quantile([0.25, 0.75])))
+    assert quantile([0.0, 1.0]).shape == (2,)
+    for bad in OFF_UNIT:
+        with pytest.raises(DomainError):
+            quantile(bad)
+
+
 def test_normal_quantile_domain():
-    with pytest.raises(DomainError):
-        std_normal_quantile(1.5)
-    with pytest.raises(DomainError):
-        std_normal_quantile([0.2, np.nan])
+    check_unit_domain(std_normal_quantile)
 
 
 def test_beta_round_trip():
     u = np.linspace(0.01, 0.99, 23)
     x = reg_beta_quantile(u, 2.5, 0.7)
     np.testing.assert_allclose(reg_beta_cdf(x, 2.5, 0.7), u, atol=1e-10)
+
+
+def test_beta_quantile_domain():
+    check_unit_domain(lambda u: reg_beta_quantile(u, 2.5, 0.7))
 
 
 def test_beta_rejects_bad_shapes():

@@ -16,7 +16,7 @@ from xvine.cli import main
 from xvine.errors import DomainError
 from xvine.estimate import FitOptions, fit_pipeline
 from xvine.families import PairFamily, TailFamily, tail_chi
-from xvine.model import XVineSpec, _Evaluator, conditional_cdf, model_to_json
+from xvine.model import XVineSpec, conditional_cdf, model_to_json
 from xvine.numerics import rng_stream
 from xvine.reference import (
     chain_vine,
@@ -65,7 +65,7 @@ def full_block(spec: XVineSpec, plan, rng, m: int) -> np.ndarray:
 
 def u_space_block(spec: XVineSpec, plan, rng, m: int) -> np.ndarray:
     """The same draws inverted by the u-space reference recursion."""
-    first, cols, _ = plan
+    first, cols = plan
     w = rng.random((m, spec.d))
     col = {first: w[:, 0]}
     for k, (target, top) in enumerate(cols):
@@ -190,42 +190,17 @@ def test_sampler_matches_u_space_reference(spec):
     np.testing.assert_allclose(z, want, rtol=1e-10)
 
 
-class ReadLog(dict):
-    """A memo that records the keys read from it."""
-
-    def __init__(self):
-        super().__init__()
-        self.reads = set()
-
-    def get(self, key, default=None):
-        if key in self:
-            self.reads.add(key)
-        return super().get(key, default)
-
-
 @pytest.mark.parametrize("spec", [five_variable_spec(), truncated_cvine_study_spec(),
                                   joe4_spec()], ids=["bench5", "cvine10", "joe4"])
-def test_plan_lists_the_memo_entries_later_columns_read(spec):
-    # the plan's per-column key sets are exactly the entries that column and
-    # later ones read back from the memo, so pruning to them drops no value
-    # a later column needs
+def test_dropping_block_computes_each_value_once(spec):
+    # rows are dropped between columns, yet every conditional value a later
+    # column needs is still read back from the memo, not computed again
     for j in spec.vine.nodes:
-        first, cols, later = simulate._conditional_plan(spec, j)
-        w = rng_stream(9).random((50, spec.d))
-        ev = _Evaluator(spec.tail, spec.pairs, {first: w[:, 0]})
-        ev.memo = ReadLog()
-        reads = []
-        for k, (target, top) in enumerate(cols):
-            ev.memo.reads = set()
-            ev.col[target] = ev.quantile(top, target, w[:, k + 1])
-            reads.append(ev.memo.reads)
-        for k in range(len(cols)):
-            assert later[k] == frozenset().union(*reads[k:])
-        # a block that drops rows, and with them memo entries, still computes
-        # each conditional value once
         trace: list = []
-        simulate._conditional_block(spec, (first, cols, later), rng_stream(9), 600,
-                                    rng_stream(10).random(600), trace=trace)
+        _, live = simulate._conditional_block(spec, simulate._conditional_plan(spec, j),
+                                             rng_stream(9), 600,
+                                             rng_stream(10).random(600), trace=trace)
+        assert 0 < live.size < 600
         forward = [t for t in trace if t[0] in ("tail_h", "pair_h")]
         assert len(forward) == len(set(forward))
 
@@ -374,6 +349,15 @@ def test_conditional_cdf_trace_is_single_pass(bench):
     ]
     # the shared R_{3|2} argument is memoized: (2,3) enters exactly once
     assert sum(1 for op, key, _ in trace if key == (2, 3, ())) == 1
+
+
+def test_traced_sampler_draws_the_untraced_rows(bench):
+    # a trace runs the same blocks, one after another
+    n = BLOCK + 904
+    trace: list = []
+    traced = sample_conditional(bench, 3, n, seed=3, _trace=trace)
+    np.testing.assert_array_equal(traced, sample_conditional(bench, 3, n, seed=3, threads=2))
+    assert trace
 
 
 def test_sampler_trace_quantile_chain(bench):

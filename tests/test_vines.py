@@ -359,6 +359,20 @@ def test_random_vine_valid(d, q):
     assert len(v.trees[0]) == d - 1
 
 
+def test_random_vine_is_fixed_by_its_rng():
+    # a change to how the trees are grown must not change which vine, nor
+    # how much of the rng it uses
+    rng = np.random.default_rng(11)
+    v = random_vine(5, rng)
+    assert [[e.key for e in t] for t in v.trees] == [
+        [(1, 2, ()), (1, 3, ()), (1, 4, ()), (4, 5, ())],
+        [(1, 5, (4,)), (2, 3, (1,)), (2, 4, (1,))],
+        [(2, 5, (1, 4)), (3, 4, (1, 2))],
+        [(3, 5, (1, 2, 4))],
+    ]
+    assert rng.integers(0, 1000) == 28
+
+
 def test_named_vines():
     path = chain_vine(4)
     assert [e.label for e in path.trees[0]] == ["(1,2)", "(2,3)", "(3,4)"]
