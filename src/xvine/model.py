@@ -43,9 +43,13 @@ from .vines import Edge, StructureMatrix, VineSequence, from_structure_matrix
 
 
 class XVineSpec:
-    """A vine plus one family per edge (tail on tree 1, pair copulas deeper)."""
+    """A vine plus one family per edge (tail on tree 1, pair copulas deeper).
 
-    __slots__ = ("vine", "tail", "pairs")
+    `_plans` holds the samplers' plan per conditioning variable, built from
+    the vine on first use (`simulate._conditional_plan`).
+    """
+
+    __slots__ = ("vine", "tail", "pairs", "_plans")
 
     def __init__(self, vine: VineSequence, tail: Mapping, pairs: Mapping | None = None):
         pairs = pairs or {}
@@ -79,6 +83,7 @@ class XVineSpec:
         self.vine = vine
         self.tail = tail_map
         self.pairs = pair_map
+        self._plans: dict = {}
 
     @property
     def d(self) -> int:
@@ -323,13 +328,18 @@ def conditional_quantile(spec: XVineSpec, i: int, given: Iterable[int], u, x_giv
 
 def model_chi(spec: XVineSpec, idx: Sequence[int], n_mc: int = 100_000,
               seed: int = 0, threads: int = 1) -> float:
-    """Monte Carlo tail-dependence coefficient for a pair or triple of variables."""
+    """Monte Carlo tail-dependence coefficient for a pair or triple of variables.
+
+    n_mc must be an integer of at least 1; anything else raises DomainError.
+    """
+    from .simulate import _count, sample_conditional
+
     nodes = tuple(int(v) for v in idx)
     if len(nodes) not in (2, 3) or len(set(nodes)) != len(nodes):
         raise DomainError(f"chi needs 2 or 3 distinct variables, got {idx}")
     if not set(nodes) <= set(spec.vine.nodes):
         raise DomainError(f"unknown variables in {idx}")
-    from .simulate import sample_conditional
+    n_mc = _count(n_mc, "n_mc", least=1)
     z = sample_conditional(spec, nodes[0], n_mc, seed, threads=threads)
     pos = {n: i for i, n in enumerate(spec.vine.nodes)}
     hit = np.ones(n_mc, dtype=bool)

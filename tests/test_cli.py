@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,17 @@ def test_chi_requires_exactly_one_source(hr2_spec_file, tmp_path, capsys):
     assert main(["chi", "--spec", hr2_spec_file, "--data", "x.csv",
                  "--out", out]) == 2
     capsys.readouterr()
+
+
+def test_chi_rejects_empty_monte_carlo(hr2_spec_file, tmp_path, capsys):
+    # no draws gives no estimate: exit 2 with no rows written, not a nan row
+    out = tmp_path / "chi.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ("0", "-3"):
+            assert main(["chi", "--spec", hr2_spec_file, "--mc", bad, "--out", str(out)]) == 2
+            assert "n_mc must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

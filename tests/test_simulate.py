@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from xvine.cli import main
 from xvine.errors import DomainError
 from xvine.estimate import FitOptions, fit_pipeline
 from xvine.families import PairFamily, TailFamily, tail_chi
-from xvine.model import XVineSpec, conditional_cdf, model_to_json
+from xvine.model import XVineSpec, conditional_cdf, model_chi, model_to_json
 from xvine.numerics import rng_stream
 from xvine.reference import (
     chain_vine,
@@ -56,17 +57,16 @@ def joe4_spec() -> XVineSpec:
                      {vine.find_edge(k): f for k, f in pairs.items()})
 
 
-def full_block(spec: XVineSpec, plan, rng, m: int) -> np.ndarray:
+def full_block(spec: XVineSpec, plan, w: np.ndarray) -> np.ndarray:
     """_conditional_block with nothing dropped."""
-    z, live = simulate._conditional_block(spec, plan, rng, m)
-    assert live.size == m
+    z, live = simulate._conditional_block(spec, plan, w)
+    assert live.size == len(w)
     return z
 
 
-def u_space_block(spec: XVineSpec, plan, rng, m: int) -> np.ndarray:
+def u_space_block(spec: XVineSpec, plan, w: np.ndarray) -> np.ndarray:
     """The same draws inverted by the u-space reference recursion."""
     first, cols = plan
-    w = rng.random((m, spec.d))
     col = {first: w[:, 0]}
     for k, (target, top) in enumerate(cols):
         col[target] = u_quantile(spec, col, top, target, w[:, k + 1])
@@ -95,8 +95,8 @@ def late_rejection(spec: XVineSpec, n: int, seed: int, draw=full_block):
             z = np.empty((m, d))
             for jdx in np.unique(which):
                 sel = which == jdx
-                sub = rng_stream(seed, block, rnd, int(jdx) + 1)
-                z[sel] = draw(spec, plans[jdx], sub, int(sel.sum()))
+                w = rng_stream(seed, block, rnd, int(jdx) + 1).random((int(sel.sum()), d))
+                z[sel] = draw(spec, plans[jdx], w)
             keep = accept_u * (z < 1.0).sum(axis=1) < 1.0
             kept.append(z[keep])
             got += int(keep.sum())
@@ -171,6 +171,93 @@ def test_early_rejection_is_exact(spec):
         assert stats == want_stats
 
 
+@pytest.fixture()
+def block_calls(monkeypatch) -> list[int]:
+    """The row count of every _conditional_block call from here on."""
+    calls: list[int] = []
+    real_block = simulate._conditional_block
+
+    def counting_block(spec, plan, w, *args, **kwargs):
+        calls.append(len(w))
+        return real_block(spec, plan, w, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_conditional_block", counting_block)
+    return calls
+
+
+def test_merged_steps_mix_blocks_and_rounds(monkeypatch, block_calls):
+    # a small merge cap splits the call into several steps, and a step takes
+    # blocks in different rounds; each block still gets the rows and counts of
+    # drawing it on its own
+    spec = hr2_spec(0.01)
+    n = 2 * BLOCK + 808
+    want, want_stats = late_rejection(spec, n, seed=85)
+    steps: list[list[tuple[int, int]]] = []
+    real_round = simulate._rejection_round
+
+    def recording_round(spec, plans, seed, chunk, threads):
+        steps.append([(blk.index, blk.rnd) for blk in chunk])
+        return real_round(spec, plans, seed, chunk, threads)
+
+    monkeypatch.setattr(simulate, "_MERGE_CAP", 8000)
+    monkeypatch.setattr(simulate, "_rejection_round", recording_round)
+    for threads in (1, 2):
+        steps.clear()
+        block_calls.clear()
+        z, stats = sample_inverted_pareto(spec, n, seed=85, threads=threads)
+        np.testing.assert_array_equal(z, want)
+        assert stats == want_stats
+        assert len(steps) >= 3
+        assert any(len({rnd for _, rnd in step}) > 1 for step in steps)
+        assert len(block_calls) <= spec.d * len(steps)  # one call per variable and step
+
+
+def test_merged_conditional_matches_per_block_draws(bench, monkeypatch, block_calls):
+    n = 5 * BLOCK + 100
+    plan = simulate._conditional_plan(bench, 3)
+    want = np.vstack([full_block(bench, plan, rng_stream(17, b).random((m, 5)))
+                      for b, m in enumerate([BLOCK] * 5 + [100])])
+    monkeypatch.setattr(simulate, "_MERGE_CAP", 2 * 5 * BLOCK)  # two blocks a call at d = 5
+    for threads in (1, 2):
+        block_calls.clear()
+        np.testing.assert_array_equal(sample_conditional(bench, 3, n, seed=17, threads=threads),
+                                      want)
+        assert sorted(block_calls) == [BLOCK + 100, 2 * BLOCK, 2 * BLOCK]
+
+
+def test_one_merged_call_per_conditioning_variable(block_calls):
+    # 20 000 rows are 5 blocks, each done in one round: one call per variable
+    spec = truncated_cvine_study_spec()
+    _, stats = sample_inverted_pareto(spec, 20_000, seed=1)
+    assert len(block_calls) == spec.d
+    assert sum(block_calls) == stats.proposals
+
+
+def test_plans_are_built_once_per_spec(monkeypatch, tmp_path):
+    spec = five_variable_spec()
+    built: list[int] = []
+    real = VineSequence.to_structure_matrix
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(VineSequence, "to_structure_matrix", counting)
+    sample_inverted_pareto(spec, 100, seed=1)
+    assert built
+    built.clear()
+    sample_inverted_pareto(spec, 100, seed=2)
+    sample_conditional(spec, 3, 100, seed=1)
+    model_chi(spec, (1, 2), n_mc=100)
+    assert built == []
+    # the CLI's chi loop shares one spec: a plan per first variable of the 10
+    # pairs, not one per pair
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(model_to_json(spec)))
+    assert main(["chi", "--spec", str(path), "--mc", "100", "--out", str(tmp_path / "c.csv")]) == 0
+    assert 0 < len(built) < 10
+
+
 def hr4_spec() -> XVineSpec:
     g = np.array([[0.0, 1.0, 1.8, 2.4], [1.0, 0.0, 1.1, 1.9],
                   [1.8, 1.1, 0.0, 0.9], [2.4, 1.9, 0.9, 0.0]])
@@ -198,7 +285,7 @@ def test_dropping_block_computes_each_value_once(spec):
     for j in spec.vine.nodes:
         trace: list = []
         _, live = simulate._conditional_block(spec, simulate._conditional_plan(spec, j),
-                                             rng_stream(9), 600,
+                                             rng_stream(9).random((600, spec.d)),
                                              rng_stream(10).random(600), trace=trace)
         assert 0 < live.size < 600
         forward = [t for t in trace if t[0] in ("tail_h", "pair_h")]
@@ -208,17 +295,17 @@ def test_dropping_block_computes_each_value_once(spec):
 def test_conditional_block_drops_only_sure_rejections():
     spec = joe4_spec()
     plan = simulate._conditional_plan(spec, 2)
-    full, _ = simulate._conditional_block(spec, plan, rng_stream(5), 600)
+    w = rng_stream(5).random((600, spec.d))
+    full, _ = simulate._conditional_block(spec, plan, w)
     accept_u = rng_stream(6).random(600)
-    z, live = simulate._conditional_block(spec, plan, rng_stream(5), 600, accept_u)
+    z, live = simulate._conditional_block(spec, plan, w, accept_u)
     np.testing.assert_array_equal(z, full[live])
     assert 0 < live.size < 600
     dropped = np.setdiff1d(np.arange(600), live)
     assert np.all(accept_u[dropped] * (full[dropped] < 1.0).sum(axis=1) >= 1.0)
     # with accept_u = 1 every row fails before its first drawn column: no kernel runs
     trace: list = []
-    z, live = simulate._conditional_block(spec, plan, rng_stream(5), 600,
-                                          np.ones(600), trace=trace)
+    z, live = simulate._conditional_block(spec, plan, w, np.ones(600), trace=trace)
     assert z.shape == (0, 4) and live.size == 0 and trace == []
 
 
@@ -267,13 +354,28 @@ def test_threads_reject_bad_counts(monkeypatch, bench, tmp_path, capsys):
 
 
 def test_empty_and_invalid_requests(bench):
-    assert sample_conditional(bench, 1, 0, seed=0).shape == (0, 5)
-    z, stats = sample_inverted_pareto(bench, 0, seed=0)
-    assert z.shape == (0, 5) and np.isnan(stats.acceptance_rate)
-    with pytest.raises(DomainError):
-        sample_conditional(bench, 9, 10, seed=0)
-    with pytest.raises(DomainError):
-        sample_conditional(bench, 1, -1, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sample_conditional(bench, 1, 0, seed=0).shape == (0, 5)
+        z, stats = sample_inverted_pareto(bench, 0, seed=0)
+        assert z.shape == (0, 5) and np.isnan(stats.acceptance_rate)
+        with pytest.raises(DomainError):
+            sample_conditional(bench, 9, 10, seed=0)
+        with pytest.raises(DomainError):
+            sample_conditional(bench, 1, -1, seed=0)
+        # a size that is not an integer fails where it enters, not inside numpy
+        for bad in (2.5, 100.0, "10", None):
+            with pytest.raises(DomainError, match="must be an integer"):
+                sample_conditional(bench, 1, bad, seed=0)
+            with pytest.raises(DomainError, match="must be an integer"):
+                sample_inverted_pareto(bench, bad, seed=0)
+        for bad in (0, -5, 2.5):
+            with pytest.raises(DomainError, match="n_mc"):
+                model_chi(bench, (1, 2), n_mc=bad)
+        # numpy integers are integers
+        assert sample_conditional(bench, 1, np.int64(3), seed=0).shape == (3, 5)
+        assert sample_inverted_pareto(bench, np.int32(3), seed=0)[0].shape == (3, 5)
+        assert 0.0 <= model_chi(bench, (1, 2), n_mc=np.int64(10)) <= 1.0
 
 
 # ---------------------------------------------------------------------------
