@@ -18,10 +18,13 @@ import numpy as np
 from .errors import DomainError
 from .numerics import (
     invert_monotone,
+    log1mexp,
     log_gamma,
     quad_1d,
     reg_beta_cdf,
+    reg_beta_log_cdf_sf,
     reg_beta_quantile,
+    softplus,
     std_normal_cdf,
     std_normal_quantile,
     wright_omega,
@@ -338,7 +341,10 @@ def _clayton_evaluate(p, th):
 
 
 def _gumbel_prepare(u, v):
-    lu, lv = np.log(u), np.log(v)
+    return _gumbel_prepare_logs(np.log(u), np.log(v))
+
+
+def _gumbel_prepare_logs(lu, lv):
     lxt, lyt = np.log(-lu), np.log(-lv)
     return lu, lv, lxt, lyt, lxt + lyt
 
@@ -367,13 +373,17 @@ def _joe_prepare(u, v):
     return lxb, lyb, lxb + lyb
 
 
-def _joe_evaluate(p, th):
+def _log1m_exp_direct(x):
+    return np.log1p(-np.exp(x))
+
+
+def _joe_evaluate(p, th, log1m=_log1m_exp_direct):
     lxb, lyb, s = p
     la, lb = th * lxb, th * lyb             # log of (1-u)**th, (1-v)**th
-    l1a = np.log1p(-np.exp(la))
+    l1a = log1m(la)
     lt = np.logaddexp(la, lb + l1a)
     bracket = np.logaddexp(
-        math.log(th - 1.0) + l1a + np.log1p(-np.exp(lb)) if th > 1.0 else -np.inf,
+        math.log(th - 1.0) + l1a + log1m(lb) if th > 1.0 else -np.inf,
         math.log(th) + lt)
     return (th - 1.0) * s + (1.0 / th - 2.0) * lt + bracket
 
@@ -521,6 +531,157 @@ def pair_h_inv_score(fam: PairFamily, zw, zv):
     _need_kind(fam, "gaussian")
     return _ret(clamp_score(_gaussian_h_inv_score(clamp_score(zw), clamp_score(zv),
                                                   fam.theta)))
+
+
+# ---------------------------------------------------------------------------
+# log pairs: (log u, log(1 - u)) for the density recursion
+# ---------------------------------------------------------------------------
+#
+# A u within 1e-10 of 1 keeps only a few digits of 1 - u in double precision,
+# and the next pair density reads 1 - u through log(1 - u) or log(-log u). So
+# the density recursion carries each u-space conditional as the log pair
+# (log u, log(1 - u)), each end exact, and these kernels take and return log
+# pairs. Survival kinds reflect by swapping the two logs. Normal-score kinds
+# (SCORE_KINDS) keep their score kernels; score_to_log_pair and
+# log_pair_to_score convert between the two forms without losing either tail.
+# Every log pair made here is clamped to the pair-copula range once, where it
+# is made, so the kernels take their arguments as they come.
+
+#: The pair-copula clamp [EPS_UNIT, 1 - EPS_UNIT] on both logs of a log pair.
+LOG_LO = math.log(EPS_UNIT)
+LOG_HI = math.log1p(-EPS_UNIT)
+
+
+def _clamp_log_pair(p):
+    lu, lub = p
+    return (np.minimum(np.maximum(lu, LOG_LO), LOG_HI),
+            np.minimum(np.maximum(lub, LOG_LO), LOG_HI))
+
+
+def _need_u_kind(fam) -> None:
+    if fam.kind in SCORE_KINDS:
+        raise DomainError(f"log-pair kernel needs a u-space family, got {fam.kind}")
+
+
+def score_to_log_pair(z):
+    """(log Phi(z), log Phi(-z)): the log pair of u = Phi(z)."""
+    z = np.asarray(z, dtype=float)
+    tail = std_normal_cdf(-np.abs(z))   # the smaller of u and 1 - u
+    with np.errstate(divide="ignore"):
+        lt, lrest = np.log(tail), np.log1p(-tail)
+    neg = z < 0.0
+    return _clamp_log_pair((np.where(neg, lt, lrest), np.where(neg, lrest, lt)))
+
+
+def log_pair_to_score(p):
+    """Phi^-1(u) of a log pair, taken from whichever of u, 1 - u is smaller."""
+    lu, lub = p
+    z = std_normal_quantile(np.exp(np.minimum(lu, lub)))   # <= 0
+    return np.copysign(z, lu - lub)
+
+
+def _with_complement(lh):
+    return lh, log1mexp(lh)
+
+
+def _settle(lh, lhb):
+    """A log pair from two logs each exact only in absolute terms.
+
+    Near 0 such a log has lost its relative precision, so each end comes from
+    the other wherever that one is the more negative.
+    """
+    with np.errstate(invalid="ignore"):  # a rounded-up log above 0 is never taken
+        return (np.where(lhb < lh, log1mexp(lhb), lh),
+                np.where(lh < lhb, log1mexp(lh), lhb))
+
+
+def tail_h_log_pair(fam: TailFamily, x, y):
+    """tail_h as a log pair, clamped as pair_h clips; every tail kind but hr."""
+    _need_u_kind(fam)
+    x, y = _pos("tail h", x, y)
+    th = fam.theta
+    if fam.kind == "logistic":
+        lhb = (1.0 - th) / th * softplus(th * (np.log(x) - np.log(y)))
+        out = log1mexp(lhb), lhb
+    elif fam.kind == "neglogistic":
+        out = _with_complement(-(1.0 + th) / th * softplus(-th * (np.log(x) - np.log(y))))
+    else:  # dirichlet
+        out = reg_beta_log_cdf_sf(x, y, th + 1.0, th)
+    return _clamp_log_pair(out)
+
+
+def _clayton_h_log_pair(lu, lub, lv, lvb, th):
+    # h = (1 + (u**-th - 1) v**th) ** -(1 + 1/th); past a = 700,
+    # log(expm1(a)) = a in double precision.
+    a = -th * lu
+    lg = np.log(np.expm1(np.minimum(a, 700.0))) + np.maximum(a - 700.0, 0.0)
+    return _with_complement(-(1.0 + 1.0 / th) * softplus(lg + th * lv))
+
+
+def _gumbel_h_log_pair(lu, lub, lv, lvb, th):
+    # With x = -log u, y = -log v and s = log(1 + (x/y)**th):
+    # log h = y - (x**th + y**th)**(1/th) - (th-1)/th s, free of cancellation.
+    y = -lv
+    s = softplus(th * (np.log(-lu) - np.log(y)))
+    return _with_complement(-y * np.expm1(s / th) - (th - 1.0) / th * s)
+
+
+def _frank_h_log_pair(lu, lub, lv, lvb, th):
+    # h = e**(-th v) gu / den and 1 - h = e**(-th u) expm1(-th (1-u)) / den
+    u, ub, v = np.exp(lu), np.exp(lub), np.exp(lv)
+    gu, gv = np.expm1(-th * u), np.expm1(-th * v)
+    lden = np.log(np.abs(math.expm1(-th) + gu * gv))
+    return _settle(-th * v + np.log(np.abs(gu)) - lden,
+                   -th * u + np.log(np.abs(np.expm1(-th * ub))) - lden)
+
+
+def _joe_h_log_pair(lu, lub, lv, lvb, th):
+    # With a = (1-u)**th, b = (1-v)**th: h = (1 + a (1-b)/b)**(1/th - 1) (1 - a)
+    la, lb = th * lub, th * lvb
+    l1a = log1mexp(la)
+    return _with_complement((1.0 / th - 1.0) * softplus(la + log1mexp(lb) - lb) + l1a)
+
+
+#: Base pair kind -> h-function on log pairs, (lu, lub, lv, lvb, th) -> (lh, lhb).
+_H_LOG_PAIR = {
+    "indep": lambda lu, lub, lv, lvb, th: np.broadcast_arrays(lu, lub, lv)[:2],
+    "clayton": _clayton_h_log_pair,
+    "gumbel": _gumbel_h_log_pair,
+    "frank": _frank_h_log_pair,
+    "joe": _joe_h_log_pair,
+}
+
+#: Base pair kind -> (prepare from log pairs, evaluate) for the log copula density.
+_PAIR_LOG_DENSITY_LOG_PAIR = {
+    "indep": (lambda lu, lub, lv, lvb: np.broadcast(lu, lv).shape, _indep_evaluate),
+    "clayton": (lambda lu, lub, lv, lvb: (lu, lv, lu + lv), _clayton_evaluate),
+    "gumbel": (lambda lu, lub, lv, lvb: _gumbel_prepare_logs(lu, lv), _gumbel_evaluate),
+    "frank": (lambda lu, lub, lv, lvb: (np.exp(lu), np.exp(lv)), _frank_evaluate),
+    "joe": (lambda lu, lub, lv, lvb: (lub, lvb, lub + lvb),
+            lambda p, th: _joe_evaluate(p, th, log1mexp)),
+}
+
+
+def _log_pair_args(kind: str, p, q):
+    (lu, lub), (lv, lvb) = p, q
+    if _reflected(kind):
+        return lub, lu, lvb, lv
+    return lu, lub, lv, lvb
+
+
+def pair_h_log_pair(fam: PairFamily, p, q):
+    """pair_h on log pairs, clamped as pair_h clips; u-space kinds only."""
+    _need_u_kind(fam)
+    lh, lhb = _clamp_log_pair(_H_LOG_PAIR[_base_kind(fam.kind)](
+        *_log_pair_args(fam.kind, p, q), fam.theta))
+    return (lhb, lh) if _reflected(fam.kind) else (lh, lhb)
+
+
+def pair_log_density_log_pair(fam: PairFamily, p, q):
+    """pair_log_density on log pairs; u-space kinds only."""
+    _need_u_kind(fam)
+    prepare, evaluate = _PAIR_LOG_DENSITY_LOG_PAIR[_base_kind(fam.kind)]
+    return _ret(evaluate(prepare(*_log_pair_args(fam.kind, p, q)), fam.theta))
 
 
 def pair_tau(fam: PairFamily) -> float:

@@ -26,15 +26,19 @@ from .families import (
     TAIL_KINDS,
     PairFamily,
     TailFamily,
+    log_pair_to_score,
     pair_h,
     pair_h_inv,
     pair_h_inv_score,
+    pair_h_log_pair,
     pair_h_score,
-    pair_log_density,
+    pair_log_density_log_pair,
     pair_log_density_score,
+    score_to_log_pair,
     tail_h,
     tail_h_inv,
     tail_h_inv_score,
+    tail_h_log_pair,
     tail_h_score,
     tail_log_density,
 )
@@ -134,12 +138,12 @@ def log_density(spec: XVineSpec, x):
         total = np.zeros(xa.shape[0])
         for e in spec.vine.trees[0]:
             total += tail_log_density(spec.tail[e], col[e.a], col[e.b])
-        ev = _Evaluator(spec.tail, spec.pairs, col)
+        ev = _Evaluator(spec.tail, spec.pairs, col, logs=True)
         for t in spec.vine.trees[1:]:
             for e in t:
                 fam = spec.pairs[e]
                 score = fam.kind in SCORE_KINDS
-                total += (pair_log_density_score if score else pair_log_density)(
+                total += (pair_log_density_score if score else pair_log_density_log_pair)(
                     fam, ev.value(e.child_a, e.a, score), ev.value(e.child_b, e.b, score))
         out[ok] = total
     return float(out[0]) if squeeze else out
@@ -182,17 +186,23 @@ class _Evaluator:
     quantiles, the sampler and the fitter all go through it. It reads only
     the families of the edges it visits, so the fitter can hand it family
     maps that grow one tree at a time.
+
+    With `logs`, the form that is not a score is the log pair
+    (log R, log(1 - R)) rather than R, through the families' log-pair
+    kernels, so a value near 1 keeps its complement exact. log_density runs
+    this way; r and quantile need plain R.
     """
 
-    __slots__ = ("tail", "pairs", "col", "memo", "trace")
+    __slots__ = ("tail", "pairs", "col", "memo", "trace", "logs")
 
     def __init__(self, tail: Mapping[Edge, TailFamily], pairs: Mapping[Edge, PairFamily],
-                 col: dict[int, np.ndarray], trace=None):
+                 col: dict[int, np.ndarray], trace=None, logs: bool = False):
         self.tail = tail
         self.pairs = pairs
         self.col = col
         self.memo: dict[tuple[Edge, int, bool], np.ndarray] = {}
         self.trace = trace
+        self.logs = logs
 
     def r(self, e: Edge, node: int):
         """The conditional value as a probability."""
@@ -207,16 +217,22 @@ class _Evaluator:
         native = fam.kind in SCORE_KINDS
         other = e.b if node == e.a else e.a
         if native != score:
-            val = (std_normal_quantile if score else std_normal_cdf)(self.value(e, node, native))
+            if self.logs:
+                to = log_pair_to_score if score else score_to_log_pair
+            else:
+                to = std_normal_quantile if score else std_normal_cdf
+            val = to(self.value(e, node, native))
         elif e.level == 1:
-            val = (tail_h_score if native else tail_h)(fam, self.col[node], self.col[other])
+            h = tail_h_score if native else tail_h_log_pair if self.logs else tail_h
+            val = h(fam, self.col[node], self.col[other])
             self.event("tail_h", e, node)
         else:
             child_t = e.child_a if node == e.a else e.child_b
             child_o = e.child_b if child_t is e.child_a else e.child_a
             zt = self.value(child_t, node, native)
             zo = self.value(child_o, other, native)
-            val = (pair_h_score if native else pair_h)(fam, zt, zo)
+            h = pair_h_score if native else pair_h_log_pair if self.logs else pair_h
+            val = h(fam, zt, zo)
             self.event("pair_h", e, node)
         self.memo[key] = val
         return val

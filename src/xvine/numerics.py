@@ -22,6 +22,8 @@ from .errors import BracketFailure, DomainError, NoConvergence
 #: 1/IMPROPER_LIMIT and well under the tolerances in use.
 IMPROPER_LIMIT = 1.0e6
 
+_LN2 = math.log(2.0)
+
 #: Parameter transforms available to ScalarProblem: optimization runs on the
 #: transformed (unconstrained or better-scaled) axis.
 _TRANSFORMS: dict[str, tuple[Callable, Callable]] = {
@@ -45,11 +47,45 @@ def std_normal_quantile(u):
     return special.ndtri(u)
 
 
+def log1mexp(x):
+    """log(1 - exp(x)) for x <= 0, accurate at both ends (Maechler 2012)."""
+    x = np.asarray(x, dtype=float)
+    near, far = np.empty_like(x), np.empty_like(x)
+    with np.errstate(divide="ignore"):
+        np.log(np.negative(np.expm1(x, out=near), out=near), out=near)
+        np.log1p(np.negative(np.exp(x, out=far), out=far), out=far)
+    return np.where(x > -_LN2, near, far)
+
+
+def softplus(x):
+    """log(1 + exp(x)) without overflow: np.logaddexp(0, x) at about half the cost."""
+    x = np.asarray(x, dtype=float)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def reg_beta_cdf(x, a: float, b: float):
     """Regularized incomplete beta I_x(a, b), vectorized in x."""
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta shapes must be positive, got a={a}, b={b}")
     return special.betainc(a, b, np.asarray(x, dtype=float))
+
+
+def reg_beta_log_cdf_sf(x, y, a: float, b: float):
+    """log I_w(a, b) and log(1 - I_w(a, b)) at w = x / (x + y), for positive x, y.
+
+    Each row calls betainc once, at the smaller of w and 1 - w, through
+    1 - I_w(a, b) = I_{1-w}(b, a). With a >= b, I_w(a, b) <= 1/2 wherever
+    w <= 1/2, so betainc returns I_w itself there and its complement wherever
+    I_w is near 1: small values come straight from betainc on both sides.
+    """
+    if a <= 0.0 or b <= 0.0:
+        raise DomainError(f"beta shapes must be positive, got a={a}, b={b}")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    low = x <= y
+    c = special.betainc(np.where(low, a, b), np.where(low, b, a), np.where(low, x, y) / (x + y))
+    with np.errstate(divide="ignore"):
+        lc, lrest = np.log(c), np.log1p(-c)
+    return np.where(low, lc, lrest), np.where(low, lrest, lc)
 
 
 def reg_beta_quantile(u, a: float, b: float):

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 import oracles as oc
 from conftest import PAIR_RANGES, TAIL_RANGES
 from xvine.errors import DomainError
 from xvine.families import (
     EPS_UNIT,
+    LOG_HI,
+    LOG_LO,
     PAIR_BOXES,
     PAIR_KINDS,
     TAIL_BOXES,
@@ -24,21 +26,26 @@ from xvine.families import (
     Z_HI,
     Z_LO,
     clamp_score,
+    log_pair_to_score,
     pair_density,
     pair_h,
     pair_h_inv,
     pair_h_inv_score,
+    pair_h_log_pair,
     pair_h_score,
     pair_log_density,
+    pair_log_density_log_pair,
     pair_log_density_score,
     pair_tau,
     prepare_pair_log_density,
     prepare_tail_log_density,
+    score_to_log_pair,
     tail_chi,
     tail_density,
     tail_h,
     tail_h_inv,
     tail_h_inv_score,
+    tail_h_log_pair,
     tail_h_score,
     tail_log_density,
     tau_inverse,
@@ -430,3 +437,136 @@ def test_score_kernels_reject_other_kinds():
     for kernel in (pair_h_score, pair_h_inv_score, pair_log_density_score):
         with pytest.raises(DomainError):
             kernel(PairFamily("clayton", 2.0), 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# log pairs (log u, log(1 - u))
+# ---------------------------------------------------------------------------
+
+LOG_PAIR_CASES = [("indep", None), ("clayton", 2.0), ("clayton", 0.3), ("gumbel", 2.5),
+                  ("gumbel", 1.1), ("frank", 5.0), ("frank", -5.0), ("joe", 2.0),
+                  ("joe", 6.0), ("survclayton", 2.0), ("survgumbel", 2.5), ("survjoe", 3.0)]
+
+
+def _log_pair(u):
+    u = np.asarray(u, dtype=float)
+    return np.log(u), np.log1p(-u)
+
+
+def _clamped(lp):
+    return np.clip(lp, LOG_LO, LOG_HI)
+
+
+def test_log_pair_kernels_match_u_kernels():
+    # away from the ends of (0, 1) the two forms agree to rounding; pair_h
+    # reflects survival kinds through 1 - h, which rounds a small h absolutely
+    rng = np.random.default_rng(43)
+    u, v = rng.uniform(0.01, 0.99, size=(2, 400))
+    x, y = np.exp(rng.normal(scale=1.5, size=(2, 400)))
+    for kind, th in LOG_PAIR_CASES:
+        fam = PairFamily(kind, th)
+        lh, lhb = pair_h_log_pair(fam, _log_pair(u), _log_pair(v))
+        np.testing.assert_allclose(np.exp(lh), pair_h(fam, u, v), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(np.exp(lh) + np.exp(lhb), 1.0, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(
+            pair_log_density_log_pair(fam, _log_pair(u), _log_pair(v)),
+            pair_log_density(fam, u, v), rtol=0.0, atol=1e-12)
+    for kind, th in tail_cases():
+        if kind == "hr":
+            continue
+        fam = TailFamily(kind, th)
+        lh, lhb = tail_h_log_pair(fam, x, y)
+        np.testing.assert_allclose(np.exp(lh), np.clip(tail_h(fam, x, y), EPS_UNIT,
+                                                       1.0 - EPS_UNIT), rtol=1e-12)
+        np.testing.assert_allclose(np.exp(lh) + np.exp(lhb), 1.0, rtol=0.0, atol=1e-14)
+
+
+def test_log_pair_reflection_swaps_the_logs():
+    rng = np.random.default_rng(44)
+    p, q = _log_pair(rng.uniform(size=50)), _log_pair(rng.uniform(size=50))
+    for base in ("clayton", "gumbel", "joe"):
+        surv, plain = PairFamily("surv" + base, 2.5), PairFamily(base, 2.5)
+        lh, lhb = pair_h_log_pair(surv, p, q)
+        mh, mhb = pair_h_log_pair(plain, p[::-1], q[::-1])
+        np.testing.assert_array_equal(lh, mhb)
+        np.testing.assert_array_equal(lhb, mh)
+        np.testing.assert_array_equal(pair_log_density_log_pair(surv, p, q),
+                                      pair_log_density_log_pair(plain, p[::-1], q[::-1]))
+
+
+def _mp_pair_h(mp, kind, th, u, v):
+    """h(u | v) of a base pair kind from its textbook formula, in mpmath."""
+    if kind == "clayton":
+        return v ** (-th - 1) * (u ** -th + v ** -th - 1) ** (-1 - 1 / th)
+    if kind == "gumbel":
+        x, y = -mp.log(u), -mp.log(v)
+        a = x ** th + y ** th
+        return mp.exp(-a ** (1 / th)) * a ** (1 / th - 1) * y ** (th - 1) / v
+    if kind == "joe":
+        a, b = (1 - u) ** th, (1 - v) ** th
+        return (1 - v) ** (th - 1) * (a + b - a * b) ** (1 / th - 1) * (1 - a)
+    g1, gu, gv = mp.expm1(-th), mp.expm1(-th * u), mp.expm1(-th * v)
+    return mp.exp(-th * v) * gu / (g1 + gu * gv)
+
+
+def _mp_tail_h(mp, kind, th, x, y):
+    if kind == "logistic":
+        return 1 - (1 + (x / y) ** th) ** ((1 - th) / th)
+    if kind == "neglogistic":
+        return (1 + (x / y) ** -th) ** (-(1 + th) / th)
+    return mp.betainc(th + 1, th, 0, x / (x + y), regularized=True)
+
+
+def _assert_log_pair_near(got, h, mp, where):
+    # each end to a relative 1e-12 of itself, after the clamp
+    want = _clamped([float(mp.log(h)), float(mp.log(1 - h))])
+    for g, w in zip(got, want):
+        assert abs(float(g) - w) <= 1e-12 * abs(w), (where, float(g), w)
+
+
+@pytest.mark.parametrize("kind,th", [("clayton", 4.2), ("clayton", 0.5), ("gumbel", 2.8),
+                                     ("gumbel", 1.2), ("joe", 4.9), ("joe", 1.5),
+                                     ("frank", 8.0), ("frank", -8.0)])
+def test_log_pair_h_keeps_both_ends(kind, th):
+    # u = 1 - 1e-10 keeps only 6 digits of 1 - u as a double, so 1 - h comes
+    # out of pair_h no better; from log pairs it keeps them all
+    mp = pytest.importorskip("mpmath")
+    fam = PairFamily(kind, th)
+    with mp.workdps(60):
+        for eps in (1e-3, 1e-7, 1e-10, 3e-12):
+            for u in (eps, 1.0 - eps):
+                for v in (0.02, 0.5, 1.0 - 1e-9):
+                    h = _mp_pair_h(mp, kind, mp.mpf(th), mp.mpf(u), mp.mpf(v))
+                    got = pair_h_log_pair(fam, _log_pair(u), _log_pair(v))
+                    _assert_log_pair_near(got, h, mp, (u, v))
+
+
+@pytest.mark.parametrize("kind,th", [(k, t) for k, t in tail_cases() if k != "hr"])
+def test_tail_h_log_pair_keeps_both_ends(kind, th):
+    mp = pytest.importorskip("mpmath")
+    fam = TailFamily(kind, th)
+    with mp.workdps(60):
+        for ratio in (1e-6, 1e-3, 0.2, 1.0, 5.0, 1e3, 1e6):
+            x, y = 1.7 * ratio, 1.7
+            h = _mp_tail_h(mp, kind, mp.mpf(th), mp.mpf(x), mp.mpf(y))
+            _assert_log_pair_near(tail_h_log_pair(fam, x, y), h, mp, ratio)
+
+
+def test_score_log_pair_conversions_keep_both_ends():
+    z = np.array([-7.0, -5.0, -1.0, -1e-3, 0.0, 0.5, 2.0, 5.0, 7.0])
+    lu, lub = score_to_log_pair(z)
+    np.testing.assert_allclose(lu, log_ndtr(z), rtol=1e-14)
+    np.testing.assert_allclose(lub, log_ndtr(-z), rtol=1e-14)
+    np.testing.assert_allclose(log_pair_to_score((lu, lub)), z, rtol=1e-12, atol=1e-15)
+    # beyond the clamp, as clamp_score
+    lu, lub = score_to_log_pair([-40.0, 40.0])
+    np.testing.assert_allclose(log_pair_to_score((lu, lub)), [Z_LO, -Z_LO], rtol=1e-14)
+
+
+def test_log_pair_kernels_reject_score_kinds():
+    with pytest.raises(DomainError):
+        tail_h_log_pair(TailFamily("hr", 1.0), 1.0, 1.0)
+    p = _log_pair(0.3)
+    for kernel in (pair_h_log_pair, pair_log_density_log_pair):
+        with pytest.raises(DomainError):
+            kernel(PairFamily("gaussian", 0.5), p, p)

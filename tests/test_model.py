@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles as oc
@@ -125,6 +125,13 @@ def test_hr_partial_rho_frozen():
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 10_000), st.integers(3, 6))
+# inputs off by 3e-4 to 0.11 when conditional values near 1 were plain floats
+@example(seed=74, d=6)
+@example(seed=571, d=5)
+@example(seed=300, d=5)
+@example(seed=944, d=5)
+@example(seed=197, d=6)
+@example(seed=825, d=6)
 def test_density_homogeneity_random_specs(seed, d):
     # h-values are scale-invariant only up to float rounding (~1e-15), and the
     # pair-copula log density has unbounded corner derivatives in its uniform

@@ -10,10 +10,12 @@ from xvine.errors import BracketFailure, DomainError
 from xvine.numerics import (
     ScalarProblem,
     invert_monotone,
+    log1mexp,
     log_gamma,
     minimize_scalar,
     quad_1d,
     reg_beta_cdf,
+    reg_beta_log_cdf_sf,
     reg_beta_quantile,
     rng_stream,
     std_normal_cdf,
@@ -52,6 +54,28 @@ def test_beta_round_trip():
 
 def test_beta_quantile_domain():
     check_unit_domain(lambda u: reg_beta_quantile(u, 2.5, 0.7))
+
+
+def test_log1mexp_is_exact_at_both_ends():
+    mp = pytest.importorskip("mpmath")
+    x = [-1e-300, -1e-20, -1e-10, -0.1, -np.log(2.0), -0.8, -5.0, -40.0, -700.0]
+    with mp.workdps(400):  # enough digits to hold 1 - exp(-700)
+        want = [float(mp.log(-mp.expm1(mp.mpf(t)))) for t in x]
+    np.testing.assert_allclose(log1mexp(x), want, rtol=1e-14)
+    assert log1mexp(0.0) == -np.inf
+
+
+def test_beta_log_cdf_sf_is_exact_at_both_ends():
+    mp = pytest.importorskip("mpmath")
+    a, b = 3.0, 2.0
+    x = np.array([1e-9, 1e-4, 0.3, 1.0, 3.0, 1e4, 1e9])
+    lc, ls = reg_beta_log_cdf_sf(x, 1.0, a, b)
+    with mp.workdps(50):
+        cdf = [mp.betainc(a, b, 0, mp.mpf(t) / (mp.mpf(t) + 1), regularized=True) for t in x]
+        want_c = [float(mp.log(c)) for c in cdf]
+        want_s = [float(mp.log(1 - c)) for c in cdf]
+    np.testing.assert_allclose(lc, want_c, rtol=1e-12)
+    np.testing.assert_allclose(ls, want_s, rtol=1e-12)
 
 
 def test_beta_rejects_bad_shapes():
