@@ -202,18 +202,9 @@ def _hr_h_inv_score(z, y, th):
 def tail_h(fam: TailFamily, x, y):
     """Conditional CDF of the first coordinate at x, given the second equals y."""
     x, y = _pos("tail h", x, y)
-    th = fam.theta
     if fam.kind == "hr":
-        out = std_normal_cdf(_hr_h_score(x, y, th))
-    elif fam.kind == "logistic":
-        t = np.log(x) - np.log(y)
-        out = -np.expm1((1.0 - th) / th * np.logaddexp(0.0, th * t))
-    elif fam.kind == "neglogistic":
-        t = np.log(x) - np.log(y)
-        out = np.exp(-(1.0 + th) / th * np.logaddexp(0.0, -th * t))
-    else:  # dirichlet
-        out = reg_beta_cdf(x / (x + y), th + 1.0, th)
-    return _ret(out)
+        return _ret(std_normal_cdf(_hr_h_score(x, y, fam.theta)))
+    return _ret(np.exp(_tail_h_logs(fam, x, y)[0]))
 
 
 def tail_h_score(fam: TailFamily, x, y):
@@ -408,32 +399,6 @@ def _gaussian_h_inv_score(z, y, th):
     return z * math.sqrt(1.0 - th * th) + th * y
 
 
-def _h_base(kind: str, u, v, th) -> np.ndarray:
-    """Conditional CDF of the first argument given the second."""
-    if kind == "indep":
-        return np.broadcast_to(np.asarray(u, dtype=float), np.broadcast(u, v).shape)
-    if kind == "gaussian":
-        return std_normal_cdf(_gaussian_h_score(std_normal_quantile(u),
-                                                std_normal_quantile(v), th))
-    if kind == "clayton":
-        lv = np.log(v)
-        ls = _clayton_log_s(np.log(u), lv, th)
-        return np.exp(-(th + 1.0) * lv - (1.0 + 1.0 / th) * ls)
-    if kind == "gumbel":
-        lxt, lyt = np.log(-np.log(u)), np.log(-np.log(v))
-        la = np.logaddexp(th * lxt, th * lyt)
-        return np.exp(-np.exp(la / th) + (th - 1.0) * lyt
-                      + (1.0 / th - 1.0) * la - np.log(v))
-    if kind == "frank":
-        gu, gv, g1 = np.expm1(-th * u), np.expm1(-th * v), math.expm1(-th)
-        return (1.0 + gv) * gu / (g1 + gu * gv)
-    # joe
-    lxb, lyb = np.log1p(-u), np.log1p(-v)
-    la, lb = th * lxb, th * lyb
-    lt = np.logaddexp(la, lb + np.log1p(-np.exp(la)))
-    return np.exp((1.0 / th - 1.0) * lt + (th - 1.0) * lyb + np.log1p(-np.exp(la)))
-
-
 def _h_inv_base(kind: str, w, v, th) -> np.ndarray:
     if kind == "indep":
         return np.broadcast_to(np.asarray(w, dtype=float), np.broadcast(w, v).shape)
@@ -444,9 +409,15 @@ def _h_inv_base(kind: str, w, v, th) -> np.ndarray:
         t = -th * np.log(v) + np.log(np.expm1(-th / (th + 1.0) * np.log(w)))
         return np.exp(-np.logaddexp(0.0, t) / th)
     if kind == "frank":
-        gv, g1 = np.expm1(-th * v), math.expm1(-th)
-        gu = w * g1 / (1.0 + (1.0 - w) * gv)
-        return -np.log1p(gu) / th
+        # h = w solves to e**(-th u) = 1 + gu = num / den, where
+        # num = (1-w) e**(-th v) + w e**(-th) and den = (1-w) e**(-th v) + w:
+        # sums free of cancellation. Where 1 + gu is small, log(num / den) keeps
+        # the digits that forming 1 + gu would round away.
+        ev = np.exp(-th * v)
+        den = w + (1.0 - w) * ev
+        gu = w * math.expm1(-th) / den
+        return np.where(gu < -0.5, np.log(den / ((1.0 - w) * ev + w * math.exp(-th))),
+                        -np.log1p(gu)) / th
     if kind == "gumbel":
         # With x = -log u, y = -log v, z = (x**th + y**th)**(1/th), h = w reads
         # z + (th-1) log z = c, solved by the Wright omega function
@@ -463,9 +434,10 @@ def _h_inv_base(kind: str, w, v, th) -> np.ndarray:
     # the bracket ends are clipped to them, so those rows get the bracket end.
     w_arr, v_arr = np.broadcast_arrays(np.asarray(w, dtype=float),
                                        np.asarray(v, dtype=float))
+    lvb = np.log1p(-v_arr)
 
     def h(uu):
-        return _h_base(kind, uu, v_arr, th)
+        return np.exp(_joe_log_h(np.log1p(-uu), lvb, th))
 
     w_arr = np.clip(w_arr, h(EPS_UNIT), h(1.0 - EPS_UNIT))
     return invert_monotone(h, w_arr, (EPS_UNIT, 1.0 - EPS_UNIT), tol=1e-11)
@@ -495,10 +467,14 @@ def pair_density(fam: PairFamily, u, v):
 def pair_h(fam: PairFamily, u, v):
     """Conditional CDF of the first argument given the second, clamped to (0, 1)."""
     u, v = _clip_unit(u), _clip_unit(v)
-    if _reflected(fam.kind):
-        out = 1.0 - _h_base(_base_kind(fam.kind), 1.0 - u, 1.0 - v, fam.theta)
+    if fam.kind == "indep":
+        out = np.broadcast_to(u, np.broadcast(u, v).shape)
+    elif fam.kind == "gaussian":
+        out = std_normal_cdf(_gaussian_h_score(std_normal_quantile(u),
+                                               std_normal_quantile(v), fam.theta))
     else:
-        out = _h_base(fam.kind, u, v, fam.theta)
+        lh, _ = pair_h_log_pair(fam, (np.log(u), np.log1p(-u)), (np.log(v), np.log1p(-v)))
+        out = np.exp(lh)
     return _ret(_clip_unit(out))
 
 
@@ -534,18 +510,20 @@ def pair_h_inv_score(fam: PairFamily, zw, zv):
 
 
 # ---------------------------------------------------------------------------
-# log pairs: (log u, log(1 - u)) for the density recursion
+# log pairs: (log u, log(1 - u)), the one form of every u-space h-function
 # ---------------------------------------------------------------------------
 #
 # A u within 1e-10 of 1 keeps only a few digits of 1 - u in double precision,
-# and the next pair density reads 1 - u through log(1 - u) or log(-log u). So
-# the density recursion carries each u-space conditional as the log pair
-# (log u, log(1 - u)), each end exact, and these kernels take and return log
-# pairs. Survival kinds reflect by swapping the two logs. Normal-score kinds
-# (SCORE_KINDS) keep their score kernels; score_to_log_pair and
-# log_pair_to_score convert between the two forms without losing either tail.
-# Every log pair made here is clamped to the pair-copula range once, where it
-# is made, so the kernels take their arguments as they come.
+# and the next pair density or h-function reads 1 - u through log(1 - u) or
+# log(-log u). So each h-function of a u-space kind is written once, on log
+# pairs (log u, log(1 - u)), with each end computed without cancellation; the
+# vine recursion carries every u-space conditional in this form, and the
+# public tail_h and pair_h are exp of its first end. Survival kinds reflect by
+# swapping the two logs. Normal-score kinds (SCORE_KINDS) keep their score
+# kernels; score_to_log_pair and log_pair_to_score convert between the two
+# forms without losing either tail. Every log pair the recursion carries is
+# clamped to the pair-copula range once, where it is made, so the kernels
+# take their arguments as they come. The inverses still work on u.
 
 #: The pair-copula clamp [EPS_UNIT, 1 - EPS_UNIT] on both logs of a log pair.
 LOG_LO = math.log(EPS_UNIT)
@@ -595,19 +573,22 @@ def _settle(lh, lhb):
                 np.where(lh < lhb, log1mexp(lh), lhb))
 
 
+def _tail_h_logs(fam: TailFamily, x, y):
+    """(log h, log(1 - h)) of tail_h for every tail kind but hr, unclamped."""
+    th = fam.theta
+    if fam.kind == "logistic":
+        lhb = (1.0 - th) / th * softplus(th * (np.log(x) - np.log(y)))
+        return log1mexp(lhb), lhb
+    if fam.kind == "neglogistic":
+        return _with_complement(-(1.0 + th) / th * softplus(-th * (np.log(x) - np.log(y))))
+    return reg_beta_log_cdf_sf(x, y, th + 1.0, th)   # dirichlet
+
+
 def tail_h_log_pair(fam: TailFamily, x, y):
     """tail_h as a log pair, clamped as pair_h clips; every tail kind but hr."""
     _need_u_kind(fam)
     x, y = _pos("tail h", x, y)
-    th = fam.theta
-    if fam.kind == "logistic":
-        lhb = (1.0 - th) / th * softplus(th * (np.log(x) - np.log(y)))
-        out = log1mexp(lhb), lhb
-    elif fam.kind == "neglogistic":
-        out = _with_complement(-(1.0 + th) / th * softplus(-th * (np.log(x) - np.log(y))))
-    else:  # dirichlet
-        out = reg_beta_log_cdf_sf(x, y, th + 1.0, th)
-    return _clamp_log_pair(out)
+    return _clamp_log_pair(_tail_h_logs(fam, x, y))
 
 
 def _clayton_h_log_pair(lu, lub, lv, lvb, th):
@@ -635,11 +616,14 @@ def _frank_h_log_pair(lu, lub, lv, lvb, th):
                    -th * u + np.log(np.abs(np.expm1(-th * ub))) - lden)
 
 
-def _joe_h_log_pair(lu, lub, lv, lvb, th):
+def _joe_log_h(lub, lvb, th):
     # With a = (1-u)**th, b = (1-v)**th: h = (1 + a (1-b)/b)**(1/th - 1) (1 - a)
     la, lb = th * lub, th * lvb
-    l1a = log1mexp(la)
-    return _with_complement((1.0 / th - 1.0) * softplus(la + log1mexp(lb) - lb) + l1a)
+    return (1.0 / th - 1.0) * softplus(la + log1mexp(lb) - lb) + log1mexp(la)
+
+
+def _joe_h_log_pair(lu, lub, lv, lvb, th):
+    return _with_complement(_joe_log_h(lub, lvb, th))
 
 
 #: Base pair kind -> h-function on log pairs, (lu, lub, lv, lvb, th) -> (lh, lhb).

@@ -27,7 +27,6 @@ from .families import (
     PairFamily,
     TailFamily,
     log_pair_to_score,
-    pair_h,
     pair_h_inv,
     pair_h_inv_score,
     pair_h_log_pair,
@@ -35,7 +34,6 @@ from .families import (
     pair_log_density_log_pair,
     pair_log_density_score,
     score_to_log_pair,
-    tail_h,
     tail_h_inv,
     tail_h_inv_score,
     tail_h_log_pair,
@@ -138,7 +136,7 @@ def log_density(spec: XVineSpec, x):
         total = np.zeros(xa.shape[0])
         for e in spec.vine.trees[0]:
             total += tail_log_density(spec.tail[e], col[e.a], col[e.b])
-        ev = _Evaluator(spec.tail, spec.pairs, col, logs=True)
+        ev = _Evaluator(spec.tail, spec.pairs, col)
         for t in spec.vine.trees[1:]:
             for e in t:
                 fam = spec.pairs[e]
@@ -178,52 +176,56 @@ class _Evaluator:
     value(e, node, score) is the conditional value R_{node | A_e minus node}:
     tail_h on tree 1, and deeper the pair h-function of e applied to the values
     of its two children. An edge whose family kind is in SCORE_KINDS computes
-    it as a normal score z = Phi^-1(R) from scores of its children, any other
-    edge as R itself. A reader asks for the form it needs (`score`), and the
-    other form is converted once and memoised under (e, node, score). So a run
-    of hr / gaussian edges stays in scores, with no ndtr / ndtri in between.
-    quantile inverts down the same children. Density, conditional CDFs and
-    quantiles, the sampler and the fitter all go through it. It reads only
-    the families of the edges it visits, so the fitter can hand it family
-    maps that grow one tree at a time.
-
-    With `logs`, the form that is not a score is the log pair
-    (log R, log(1 - R)) rather than R, through the families' log-pair
-    kernels, so a value near 1 keeps its complement exact. log_density runs
-    this way; r and quantile need plain R.
+    it as a normal score z = Phi^-1(R) from scores of its children. Any other
+    edge computes the log pair (log R, log(1 - R)) from log pairs of its
+    children, through the families' log-pair kernels, so a value near 1 keeps
+    its complement exact. A reader asks for the form it needs (`score`), and
+    the other form is converted once and memoised under (e, node, score). So
+    a run of hr / gaussian edges stays in scores, with no conversion in
+    between. r(e, node) is R itself, exp(log R) or Phi(z), memoised as well.
+    quantile inverts down the same children with the u-space inverses, handed
+    R of each conditioning value. Density, conditional CDFs and quantiles, the
+    sampler and the fitter all go through it. It reads only the families of
+    the edges it visits, so the fitter can hand it family maps that grow one
+    tree at a time.
     """
 
-    __slots__ = ("tail", "pairs", "col", "memo", "trace", "logs")
+    __slots__ = ("tail", "pairs", "col", "memo", "trace")
 
     def __init__(self, tail: Mapping[Edge, TailFamily], pairs: Mapping[Edge, PairFamily],
-                 col: dict[int, np.ndarray], trace=None, logs: bool = False):
+                 col: dict[int, np.ndarray], trace=None):
         self.tail = tail
         self.pairs = pairs
         self.col = col
-        self.memo: dict[tuple[Edge, int, bool], np.ndarray] = {}
+        self.memo: dict[tuple[Edge, int, bool | None], np.ndarray | tuple] = {}
         self.trace = trace
-        self.logs = logs
+
+    def family(self, e: Edge):
+        return self.tail[e] if e.level == 1 else self.pairs[e]
 
     def r(self, e: Edge, node: int):
         """The conditional value as a probability."""
-        return self.value(e, node, False)
+        key = (e, node, None)
+        if key not in self.memo:
+            self.memo[key] = (std_normal_cdf(self.value(e, node, True))
+                              if self.family(e).kind in SCORE_KINDS
+                              else np.exp(self.value(e, node, False)[0]))
+        return self.memo[key]
 
     def value(self, e: Edge, node: int, score: bool):
+        """The conditional value as a normal score if `score`, else as a log pair."""
         key = (e, node, score)
         got = self.memo.get(key)
         if got is not None:
             return got
-        fam = self.tail[e] if e.level == 1 else self.pairs[e]
+        fam = self.family(e)
         native = fam.kind in SCORE_KINDS
         other = e.b if node == e.a else e.a
         if native != score:
-            if self.logs:
-                to = log_pair_to_score if score else score_to_log_pair
-            else:
-                to = std_normal_quantile if score else std_normal_cdf
+            to = log_pair_to_score if score else score_to_log_pair
             val = to(self.value(e, node, native))
         elif e.level == 1:
-            h = tail_h_score if native else tail_h_log_pair if self.logs else tail_h
+            h = tail_h_score if native else tail_h_log_pair
             val = h(fam, self.col[node], self.col[other])
             self.event("tail_h", e, node)
         else:
@@ -231,7 +233,7 @@ class _Evaluator:
             child_o = e.child_b if child_t is e.child_a else e.child_a
             zt = self.value(child_t, node, native)
             zo = self.value(child_o, other, native)
-            h = pair_h_score if native else pair_h_log_pair if self.logs else pair_h
+            h = pair_h_score if native else pair_h_log_pair
             val = h(fam, zt, zo)
             self.event("pair_h", e, node)
         self.memo[key] = val
@@ -239,7 +241,7 @@ class _Evaluator:
 
     def quantile(self, e: Edge, node: int, w, score: bool = False):
         """The x of `node` whose value on e is w (a normal score if `score`)."""
-        fam = self.tail[e] if e.level == 1 else self.pairs[e]
+        fam = self.family(e)
         native = fam.kind in SCORE_KINDS
         if native != score:
             w = (std_normal_quantile if native else std_normal_cdf)(w)
@@ -249,7 +251,7 @@ class _Evaluator:
             return (tail_h_inv_score if native else tail_h_inv)(fam, w, self.col[other])
         child_t = e.child_a if node == e.a else e.child_b
         child_o = e.child_b if child_t is e.child_a else e.child_a
-        zo = self.value(child_o, other, native)
+        zo = self.value(child_o, other, True) if native else self.r(child_o, other)
         self.event("pair_h_inv", e, node)
         w = (pair_h_inv_score if native else pair_h_inv)(fam, w, zo)
         return self.quantile(child_t, node, w, native)
@@ -343,10 +345,11 @@ def conditional_quantile(spec: XVineSpec, i: int, given: Iterable[int], u, x_giv
 
 
 def model_chi(spec: XVineSpec, idx: Sequence[int], n_mc: int = 100_000,
-              seed: int = 0, threads: int = 1) -> float:
+              seed: int = 0, threads: int | None = None) -> float:
     """Monte Carlo tail-dependence coefficient for a pair or triple of variables.
 
     n_mc must be an integer of at least 1; anything else raises DomainError.
+    threads=None reads XVINE_THREADS, as the samplers do.
     """
     from .simulate import _count, sample_conditional
 

@@ -67,10 +67,11 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 class _LiveRows(dict):
-    """Arrays over the rows of a block that drops rows as it goes.
+    """Arrays, or log pairs of arrays, over the rows of a block that drops
+    rows as it goes.
 
     A drop only appends the kept row indices to the shared `drops` list. An
-    array is taken down to the rows still live when it is next read, so one
+    entry is taken down to the rows still live when it is next read, so one
     that nothing reads again is never copied.
     """
 
@@ -85,7 +86,8 @@ class _LiveRows(dict):
         arr, seen = super().__getitem__(key)
         if seen < len(self.drops):
             for keep in self.drops[seen:]:
-                arr = arr.take(keep)
+                arr = (tuple(a.take(keep) for a in arr) if isinstance(arr, tuple)
+                       else arr.take(keep))
             self[key] = arr
         return arr
 

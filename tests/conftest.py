@@ -97,10 +97,11 @@ def make_random_vine(seed: int, d: int, q: int | None = None) -> VineSequence:
 # ---------------------------------------------------------------------------
 # u-space reference recursion
 # ---------------------------------------------------------------------------
-# The vine recursion written straight from the u-space kernels, with no memo
-# and no normal scores: every conditional value goes back to (0, 1) at every
-# edge. The package's recursion keeps hr / gaussian chains in scores, so on
-# points where no value nears 0 or 1 the two agree to rounding.
+# The vine recursion written straight from the public u-space kernels, with
+# no memo, no normal scores and no log pairs: every conditional value goes
+# back to (0, 1) at every edge. The package's recursion keeps hr / gaussian
+# chains in scores and every other chain in log pairs, so on points where no
+# value nears 0 or 1 the two agree to rounding.
 
 def _sides(e, node):
     other = e.b if node == e.a else e.a

@@ -457,30 +457,6 @@ def _clamped(lp):
     return np.clip(lp, LOG_LO, LOG_HI)
 
 
-def test_log_pair_kernels_match_u_kernels():
-    # away from the ends of (0, 1) the two forms agree to rounding; pair_h
-    # reflects survival kinds through 1 - h, which rounds a small h absolutely
-    rng = np.random.default_rng(43)
-    u, v = rng.uniform(0.01, 0.99, size=(2, 400))
-    x, y = np.exp(rng.normal(scale=1.5, size=(2, 400)))
-    for kind, th in LOG_PAIR_CASES:
-        fam = PairFamily(kind, th)
-        lh, lhb = pair_h_log_pair(fam, _log_pair(u), _log_pair(v))
-        np.testing.assert_allclose(np.exp(lh), pair_h(fam, u, v), rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(np.exp(lh) + np.exp(lhb), 1.0, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(
-            pair_log_density_log_pair(fam, _log_pair(u), _log_pair(v)),
-            pair_log_density(fam, u, v), rtol=0.0, atol=1e-12)
-    for kind, th in tail_cases():
-        if kind == "hr":
-            continue
-        fam = TailFamily(kind, th)
-        lh, lhb = tail_h_log_pair(fam, x, y)
-        np.testing.assert_allclose(np.exp(lh), np.clip(tail_h(fam, x, y), EPS_UNIT,
-                                                       1.0 - EPS_UNIT), rtol=1e-12)
-        np.testing.assert_allclose(np.exp(lh) + np.exp(lhb), 1.0, rtol=0.0, atol=1e-14)
-
-
 def test_log_pair_reflection_swaps_the_logs():
     rng = np.random.default_rng(44)
     p, q = _log_pair(rng.uniform(size=50)), _log_pair(rng.uniform(size=50))
@@ -522,6 +498,74 @@ def _assert_log_pair_near(got, h, mp, where):
     want = _clamped([float(mp.log(h)), float(mp.log(1 - h))])
     for g, w in zip(got, want):
         assert abs(float(g) - w) <= 1e-12 * abs(w), (where, float(g), w)
+
+
+def _mp_h(mp, fam, u, v):
+    """pair_h of a u-space pair family in mpmath; survival kinds by reflection."""
+    u, v = mp.mpf(u), mp.mpf(v)
+    if fam.kind == "indep":
+        return u
+    if fam.kind.startswith("surv"):
+        return 1 - _mp_pair_h(mp, fam.kind[4:], mp.mpf(fam.theta), 1 - u, 1 - v)
+    return _mp_pair_h(mp, fam.kind, mp.mpf(fam.theta), u, v)
+
+
+def test_h_kernels_match_mpmath():
+    # pair_h and tail_h against the closed forms; the log-pair density against
+    # the u-space one, and each log pair h sums to 1
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(43)
+    u, v = rng.uniform(0.01, 0.99, size=(2, 400))
+    x, y = np.exp(rng.normal(scale=1.5, size=(2, 400)))
+    with mp.workdps(30):
+        for kind, th in LOG_PAIR_CASES:
+            fam = PairFamily(kind, th)
+            want = [float(_mp_h(mp, fam, a, b)) for a, b in zip(u, v)]
+            np.testing.assert_allclose(pair_h(fam, u, v), want, rtol=1e-12, atol=1e-15)
+            lh, lhb = pair_h_log_pair(fam, _log_pair(u), _log_pair(v))
+            np.testing.assert_allclose(np.exp(lh) + np.exp(lhb), 1.0, rtol=0.0, atol=1e-14)
+            np.testing.assert_allclose(
+                pair_log_density_log_pair(fam, _log_pair(u), _log_pair(v)),
+                pair_log_density(fam, u, v), rtol=0.0, atol=1e-12)
+        for kind, th in tail_cases():
+            if kind == "hr":
+                continue
+            fam = TailFamily(kind, th)
+            want = [float(_mp_tail_h(mp, kind, mp.mpf(th), mp.mpf(a), mp.mpf(b)))
+                    for a, b in zip(x, y)]
+            np.testing.assert_allclose(tail_h(fam, x, y), want, rtol=1e-12)
+            lh, lhb = tail_h_log_pair(fam, x, y)
+            np.testing.assert_allclose(np.exp(lh) + np.exp(lhb), 1.0, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind,th", [("survclayton", 2.0), ("survgumbel", 2.5),
+                                     ("survjoe", 3.0)])
+def test_survival_pair_h_keeps_a_small_h(kind, th):
+    # a small survival h is 1 - h of its base kind near 1: reflecting through
+    # 1 - h keeps only its absolute digits, swapping the logs keeps them all
+    mp = pytest.importorskip("mpmath")
+    fam = PairFamily(kind, th)
+    u, v = (a.ravel() for a in np.meshgrid([0.003, 0.01732, 0.0621], [0.9453, 0.9836, 0.999]))
+    with mp.workdps(60):
+        want = [float(_mp_h(mp, fam, a, b)) for a, b in zip(u, v)]
+    np.testing.assert_allclose(pair_h(fam, u, v), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("th", [35.0, -35.0])
+def test_frank_h_inv_keeps_both_ends(th):
+    # near either end 1 + gu keeps few digits, and at u near 1 a double keeps
+    # 1 - u to about 4e-5 at 2.9e-12, so 1 - h to about 1e-5 of itself
+    mp = pytest.importorskip("mpmath")
+    fam = PairFamily("frank", th)
+    with mp.workdps(60):
+        t = mp.mpf(th)
+        for w, v in [(1e-10, 1e-9), (1.0 - 1e-10, 1.0 - 1e-9), (1e-10, 1.0 - 1e-9),
+                     (1.0 - 1e-10, 1e-9), (0.3, 0.7), (0.7, 0.2)]:
+            u = float(pair_h_inv(fam, w, v))
+            root = -mp.log1p(w * mp.expm1(-t) / (1 + (1 - mp.mpf(w)) * mp.expm1(-t * v))) / t
+            assert abs(u - root) <= 1e-15 * root, (w, v, u)
+            h = _mp_pair_h(mp, "frank", t, mp.mpf(u), mp.mpf(v))
+            assert abs(h - w) <= 1e-5 * min(w, 1.0 - w), (w, v, float(h))
 
 
 @pytest.mark.parametrize("kind,th", [("clayton", 4.2), ("clayton", 0.5), ("gumbel", 2.8),
