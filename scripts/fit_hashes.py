@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Fingerprints of fitted reports, for comparing the fitter between commits.
+
+For each `fit_pipeline` report prints two lines: the selected family and
+theta (rounded to 1e-6) of every edge with the report's `q_star`, then the
+sha256 of `json.dumps(report.to_json())`. The first line shows whether a
+change moved a selection or a fitted parameter; the second whether it moved
+anything at all, the mBIC curve and every log-likelihood included. The fits
+cover:
+
+- Student-t data built as the benchmark's fit-10d inputs (AR(1) correlation
+  0.8, 4 degrees of freedom, 20 000 rows of 10 variables, k = 200; seeds
+  1-10, four data sets each), with learned structure and mBIC truncation;
+- samples of `five_variable_spec` refitted on its own structure, families
+  chosen over the full catalogues (seeds 1-10, 4 000 rows, k = 200).
+
+Run it on two checkouts and compare with one `diff`:
+
+    PYTHONPATH=src python3 scripts/fit_hashes.py > after.txt
+    (cd ../parent && PYTHONPATH=src python3 scripts/fit_hashes.py) > before.txt
+    diff before.txt after.txt
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+
+from xvine.estimate import FitOptions, FitReport, fit_pipeline
+from xvine.reference import five_variable_spec
+from xvine.simulate import sample_inverted_pareto
+
+T_D, T_N, T_K, T_RHO, T_NU, T_SETS = 10, 20_000, 200, 0.8, 4.0, 4
+FIVE_N, FIVE_K = 4000, 200
+SEEDS = range(1, 11)
+
+
+def student_t_sets(seed: int) -> list[np.ndarray]:
+    """The fit-10d inputs of one benchmark seed."""
+    rng = np.random.default_rng([seed, 1])
+    idx = np.arange(T_D)
+    chol = np.linalg.cholesky(T_RHO ** np.abs(idx[:, None] - idx[None, :]))
+    out = []
+    for _ in range(T_SETS):
+        g = rng.standard_normal((T_N, T_D)) @ chol.T
+        w = rng.chisquare(T_NU, size=T_N) / T_NU
+        out.append(g / np.sqrt(w)[:, None])
+    return out
+
+
+def fingerprint(label: str, report: FitReport) -> str:
+    edges = " ".join(
+        f"{r['family']}" + ("" if r["theta"] is None else f"={r['theta']:.6f}")
+        for r in report.edges)
+    digest = hashlib.sha256(json.dumps(report.to_json()).encode()).hexdigest()
+    return f"{label} q_star={report.q_star} {edges}\n{label} sha256={digest}"
+
+
+def main() -> int:
+    opts = FitOptions(truncation="mbic", threads=1)
+    for seed in SEEDS:
+        for i, data in enumerate(student_t_sets(seed)):
+            print(fingerprint(f"student_t seed={seed} set={i}",
+                              fit_pipeline(data, T_K, opts)))
+    bench = five_variable_spec()
+    opts = FitOptions(structure=bench.vine, truncation="mbic", threads=1)
+    for seed in SEEDS:
+        z, _ = sample_inverted_pareto(bench, FIVE_N, seed=seed)
+        print(fingerprint(f"five_variable seed={seed}",
+                          fit_pipeline(1.0 / z, FIVE_K, opts)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

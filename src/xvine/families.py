@@ -70,6 +70,11 @@ def _clip_unit(x):
     return np.clip(np.asarray(x, dtype=float), EPS_UNIT, 1.0 - EPS_UNIT)
 
 
+def _log_pair(u):
+    """(log u, log(1 - u)) of a clipped u."""
+    return np.log(u), np.log1p(-u)
+
+
 def clamp_score(z):
     """Clamp normal scores to [Z_LO, Z_HI], the score form of clipping u."""
     return np.minimum(np.maximum(z, Z_LO), Z_HI)
@@ -121,7 +126,7 @@ class TailFamily:
 
 
 # Log-densities are split into a theta-free prepare step on the points
-# (clipping, reflection, logs, normal scores) and a per-theta evaluate step,
+# (logs, log pairs, normal scores) and a per-theta evaluate step,
 # so a likelihood search over theta prepares its data once.
 
 def _hr_prepare(x, y):
@@ -302,20 +307,12 @@ def _clayton_log_s(lu, lv, th):
     return m + np.log(np.exp(la - m) + np.exp(lb - m) - np.exp(-m))
 
 
-def _indep_prepare(u, v):
-    return np.broadcast(u, v).shape
-
-
 def _indep_evaluate(shape, th):
     return np.zeros(shape)
 
 
 def _gaussian_scores(x, y):
     return x, y, x * x + y * y
-
-
-def _gaussian_prepare(u, v):
-    return _gaussian_scores(std_normal_quantile(u), std_normal_quantile(v))
 
 
 def _gaussian_evaluate(p, th):
@@ -331,11 +328,7 @@ def _clayton_evaluate(p, th):
     return math.log1p(th) - (th + 1.0) * s - (2.0 + 1.0 / th) * ls
 
 
-def _gumbel_prepare(u, v):
-    return _gumbel_prepare_logs(np.log(u), np.log(v))
-
-
-def _gumbel_prepare_logs(lu, lv):
+def _gumbel_prepare(lu, lub, lv, lvb):
     lxt, lyt = np.log(-lu), np.log(-lv)
     return lu, lv, lxt, lyt, lxt + lyt
 
@@ -348,46 +341,42 @@ def _gumbel_evaluate(p, th):
             - lu - lv + np.log(a_pow + th - 1.0))
 
 
-def _frank_prepare(u, v):
-    return u, v
+def _frank_log_terms(u, ub, v, th):
+    """The logs of the two terms of expm1(-th) + gu gv, gu = expm1(-th u).
+
+    That sum equals e**(-th v) gu - e**(-th) expm1(th (1-u)): two terms of the
+    sign of -th, so nothing cancels, and 1 - u comes from the log pair. They
+    are the numerators of h and 1 - h over the sum.
+    """
+    return (-th * v + np.log(np.abs(np.expm1(-th * u))),
+            -th + np.log(np.abs(np.expm1(th * ub))))
 
 
 def _frank_evaluate(p, th):
-    u, v = p
-    gu, gv, g1 = np.expm1(-th * u), np.expm1(-th * v), math.expm1(-th)
-    return (math.log(-th * g1) + np.log1p(gu) + np.log1p(gv)
-            - 2.0 * np.log(np.abs(g1 + gu * gv)))
+    u, ub, v = p
+    return (math.log(-th * math.expm1(-th)) - th * (u + v)
+            - 2.0 * np.logaddexp(*_frank_log_terms(u, ub, v, th)))
 
 
-def _joe_prepare(u, v):
-    lxb, lyb = np.log1p(-u), np.log1p(-v)   # log of 1-u, 1-v
-    return lxb, lyb, lxb + lyb
-
-
-def _log1m_exp_direct(x):
-    return np.log1p(-np.exp(x))
-
-
-def _joe_evaluate(p, th, log1m=_log1m_exp_direct):
+def _joe_evaluate(p, th):
+    # With a = (1-u)**th, b = (1-v)**th and t = a + b - a b:
+    # c = ((1-u)(1-v))**(th-1) t**(1/th - 2) (th - 1 + t)
     lxb, lyb, s = p
     la, lb = th * lxb, th * lyb             # log of (1-u)**th, (1-v)**th
-    l1a = log1m(la)
-    lt = np.logaddexp(la, lb + l1a)
-    bracket = np.logaddexp(
-        math.log(th - 1.0) + l1a + log1m(lb) if th > 1.0 else -np.inf,
-        math.log(th) + lt)
-    return (th - 1.0) * s + (1.0 / th - 2.0) * lt + bracket
+    lt = np.logaddexp(la, lb + log1mexp(la))
+    last = np.logaddexp(math.log(th - 1.0), lt) if th > 1.0 else lt
+    return (th - 1.0) * s + (1.0 / th - 2.0) * lt + last
 
 
-#: Base pair kind -> (prepare(u, v), evaluate(prepared, theta)) for the log
-#: copula density; survival kinds reflect their points before prepare.
+#: Base pair kind -> (prepare(lu, lub, lv, lvb), evaluate(prepared, theta)) for
+#: the log copula density on log pairs; survival kinds swap the logs first.
 _PAIR_LOG_DENSITY = {
-    "indep": (_indep_prepare, _indep_evaluate),
-    "gaussian": (_gaussian_prepare, _gaussian_evaluate),
-    "clayton": (_log_pair_prepare, _clayton_evaluate),
+    "indep": (lambda lu, lub, lv, lvb: np.broadcast(lu, lv).shape, _indep_evaluate),
+    "clayton": (lambda lu, lub, lv, lvb: (lu, lv, lu + lv), _clayton_evaluate),
     "gumbel": (_gumbel_prepare, _gumbel_evaluate),
-    "frank": (_frank_prepare, _frank_evaluate),
-    "joe": (_joe_prepare, _joe_evaluate),
+    "frank": (lambda lu, lub, lv, lvb: (np.exp(lu), np.exp(lub), np.exp(lv)),
+              _frank_evaluate),
+    "joe": (lambda lu, lub, lv, lvb: (lub, lvb, lub + lvb), _joe_evaluate),
 }
 
 
@@ -440,7 +429,8 @@ def _h_inv_base(kind: str, w, v, th) -> np.ndarray:
         return np.exp(_joe_log_h(np.log1p(-uu), lvb, th))
 
     w_arr = np.clip(w_arr, h(EPS_UNIT), h(1.0 - EPS_UNIT))
-    return invert_monotone(h, w_arr, (EPS_UNIT, 1.0 - EPS_UNIT), tol=1e-11)
+    return invert_monotone(h, w_arr, (EPS_UNIT, 1.0 - EPS_UNIT),
+                           tol=1e-11 * np.minimum(w_arr, 1.0 - w_arr))
 
 
 def prepare_pair_log_density(kind: str, u, v) -> Callable[[float], np.ndarray]:
@@ -449,10 +439,12 @@ def prepare_pair_log_density(kind: str, u, v) -> Callable[[float], np.ndarray]:
     theta is not checked: callers keep it inside the family's domain.
     """
     u, v = _clip_unit(u), _clip_unit(v)
-    if _reflected(kind):
-        u, v = 1.0 - u, 1.0 - v
-    prepare, evaluate = _PAIR_LOG_DENSITY[_base_kind(kind)]
-    p = prepare(u, v)
+    if kind == "gaussian":
+        evaluate = _gaussian_evaluate
+        p = _gaussian_scores(std_normal_quantile(u), std_normal_quantile(v))
+    else:
+        prepare, evaluate = _PAIR_LOG_DENSITY[_base_kind(kind)]
+        p = prepare(*_log_pair_args(kind, _log_pair(u), _log_pair(v)))
     return lambda th: evaluate(p, th)
 
 
@@ -473,7 +465,7 @@ def pair_h(fam: PairFamily, u, v):
         out = std_normal_cdf(_gaussian_h_score(std_normal_quantile(u),
                                                std_normal_quantile(v), fam.theta))
     else:
-        lh, _ = pair_h_log_pair(fam, (np.log(u), np.log1p(-u)), (np.log(v), np.log1p(-v)))
+        lh, _ = pair_h_log_pair(fam, _log_pair(u), _log_pair(v))
         out = np.exp(lh)
     return _ret(_clip_unit(out))
 
@@ -511,17 +503,21 @@ def pair_h_inv_score(fam: PairFamily, zw, zv):
 
 # ---------------------------------------------------------------------------
 # log pairs: (log u, log(1 - u)), the one form of every u-space h-function
+# and pair density
 # ---------------------------------------------------------------------------
 #
 # A u within 1e-10 of 1 keeps only a few digits of 1 - u in double precision,
 # and the next pair density or h-function reads 1 - u through log(1 - u) or
-# log(-log u). So each h-function of a u-space kind is written once, on log
-# pairs (log u, log(1 - u)), with each end computed without cancellation; the
-# vine recursion carries every u-space conditional in this form, and the
-# public tail_h and pair_h are exp of its first end. Survival kinds reflect by
-# swapping the two logs. Normal-score kinds (SCORE_KINDS) keep their score
-# kernels; score_to_log_pair and log_pair_to_score convert between the two
-# forms without losing either tail. Every log pair the recursion carries is
+# log(-log u). So each h-function and each pair log-density of a u-space kind
+# is written once, on log pairs (log u, log(1 - u)), with each end computed
+# without cancellation (the densities are the _PAIR_LOG_DENSITY table above);
+# the vine recursion carries every u-space conditional in this form, and the
+# public tail_h and pair_h are exp of its first end. pair_log_density and the
+# fitter's prepare_pair_log_density take u and make its log pair once, so
+# recursion, public kernels and fitter share each formula. Survival kinds
+# reflect by swapping the two logs. Normal-score kinds (SCORE_KINDS) keep
+# their score kernels; score_to_log_pair and log_pair_to_score convert between
+# the two forms without losing either tail. Every log pair the recursion carries is
 # clamped to the pair-copula range once, where it is made, so the kernels
 # take their arguments as they come. The inverses still work on u.
 
@@ -562,17 +558,6 @@ def _with_complement(lh):
     return lh, log1mexp(lh)
 
 
-def _settle(lh, lhb):
-    """A log pair from two logs each exact only in absolute terms.
-
-    Near 0 such a log has lost its relative precision, so each end comes from
-    the other wherever that one is the more negative.
-    """
-    with np.errstate(invalid="ignore"):  # a rounded-up log above 0 is never taken
-        return (np.where(lhb < lh, log1mexp(lhb), lh),
-                np.where(lh < lhb, log1mexp(lh), lhb))
-
-
 def _tail_h_logs(fam: TailFamily, x, y):
     """(log h, log(1 - h)) of tail_h for every tail kind but hr, unclamped."""
     th = fam.theta
@@ -608,12 +593,8 @@ def _gumbel_h_log_pair(lu, lub, lv, lvb, th):
 
 
 def _frank_h_log_pair(lu, lub, lv, lvb, th):
-    # h = e**(-th v) gu / den and 1 - h = e**(-th u) expm1(-th (1-u)) / den
-    u, ub, v = np.exp(lu), np.exp(lub), np.exp(lv)
-    gu, gv = np.expm1(-th * u), np.expm1(-th * v)
-    lden = np.log(np.abs(math.expm1(-th) + gu * gv))
-    return _settle(-th * v + np.log(np.abs(gu)) - lden,
-                   -th * u + np.log(np.abs(np.expm1(-th * ub))) - lden)
+    l1, l2 = _frank_log_terms(np.exp(lu), np.exp(lub), np.exp(lv), th)
+    return -softplus(l2 - l1), -softplus(l1 - l2)
 
 
 def _joe_log_h(lub, lvb, th):
@@ -635,16 +616,6 @@ _H_LOG_PAIR = {
     "joe": _joe_h_log_pair,
 }
 
-#: Base pair kind -> (prepare from log pairs, evaluate) for the log copula density.
-_PAIR_LOG_DENSITY_LOG_PAIR = {
-    "indep": (lambda lu, lub, lv, lvb: np.broadcast(lu, lv).shape, _indep_evaluate),
-    "clayton": (lambda lu, lub, lv, lvb: (lu, lv, lu + lv), _clayton_evaluate),
-    "gumbel": (lambda lu, lub, lv, lvb: _gumbel_prepare_logs(lu, lv), _gumbel_evaluate),
-    "frank": (lambda lu, lub, lv, lvb: (np.exp(lu), np.exp(lv)), _frank_evaluate),
-    "joe": (lambda lu, lub, lv, lvb: (lub, lvb, lub + lvb),
-            lambda p, th: _joe_evaluate(p, th, log1mexp)),
-}
-
 
 def _log_pair_args(kind: str, p, q):
     (lu, lub), (lv, lvb) = p, q
@@ -664,7 +635,7 @@ def pair_h_log_pair(fam: PairFamily, p, q):
 def pair_log_density_log_pair(fam: PairFamily, p, q):
     """pair_log_density on log pairs; u-space kinds only."""
     _need_u_kind(fam)
-    prepare, evaluate = _PAIR_LOG_DENSITY_LOG_PAIR[_base_kind(fam.kind)]
+    prepare, evaluate = _PAIR_LOG_DENSITY[_base_kind(fam.kind)]
     return _ret(evaluate(prepare(*_log_pair_args(fam.kind, p, q)), fam.theta))
 
 

@@ -147,40 +147,46 @@ def tail_log_density_one_pass(kind: str, theta: float, x, y):
 
 
 def pair_log_density_one_pass(kind: str, theta: float, u, v):
-    """log c(u, v) computed in one pass, each operation in the package's order."""
+    """log c(u, v) computed in one pass, each operation in the package's order.
+
+    Every kind but gaussian starts from the log pairs (log u, log1p(-u)) of the
+    clipped points; survival kinds swap the two logs instead of taking 1 - u.
+    """
     th = theta
     u = np.clip(np.asarray(u, float), 1e-12, 1.0 - 1e-12)
     v = np.clip(np.asarray(v, float), 1e-12, 1.0 - 1e-12)
-    if kind.startswith("surv"):
-        kind, u, v = kind[4:], 1.0 - u, 1.0 - v
     if kind == "gaussian":
         x, y = ndtri(u), ndtri(v)
         r2 = th * th
         return (-0.5 * math.log1p(-r2)
                 - (r2 * (x * x + y * y) - 2.0 * th * x * y) / (2.0 * (1.0 - r2)))
+    lu, lub, lv, lvb = np.log(u), np.log1p(-u), np.log(v), np.log1p(-v)
+    if kind.startswith("surv"):
+        kind, lu, lub, lv, lvb = kind[4:], lub, lu, lvb, lv
     if kind == "clayton":
-        la, lb = -th * np.log(u), -th * np.log(v)
+        la, lb = -th * lu, -th * lv
         m = np.maximum(la, lb)
         ls = m + np.log(np.exp(la - m) + np.exp(lb - m) - np.exp(-m))
-        return math.log1p(th) - (th + 1.0) * (np.log(u) + np.log(v)) - (2.0 + 1.0 / th) * ls
+        return math.log1p(th) - (th + 1.0) * (lu + lv) - (2.0 + 1.0 / th) * ls
     if kind == "gumbel":
-        lxt, lyt = np.log(-np.log(u)), np.log(-np.log(v))
+        lxt, lyt = np.log(-lu), np.log(-lv)
         la = np.logaddexp(th * lxt, th * lyt)
         a_pow = np.exp(la / th)
         return (-a_pow + (th - 1.0) * (lxt + lyt) + (1.0 / th - 2.0) * la
-                - np.log(u) - np.log(v) + np.log(a_pow + th - 1.0))
+                - lu - lv + np.log(a_pow + th - 1.0))
     if kind == "frank":
-        gu, gv, g1 = np.expm1(-th * u), np.expm1(-th * v), math.expm1(-th)
-        return (math.log(-th * g1) + np.log1p(gu) + np.log1p(gv)
-                - 2.0 * np.log(np.abs(g1 + gu * gv)))
-    lxb, lyb = np.log1p(-u), np.log1p(-v)
-    la, lb = th * lxb, th * lyb
-    lt = np.logaddexp(la, lb + np.log1p(-np.exp(la)))
-    bracket = np.logaddexp(
-        math.log(th - 1.0) + np.log1p(-np.exp(la)) + np.log1p(-np.exp(lb))
-        if th > 1.0 else -np.inf,
-        math.log(th) + lt)
-    return (th - 1.0) * (lxb + lyb) + (1.0 / th - 2.0) * lt + bracket
+        # expm1(-th) + gu gv = e**(-th v) gu - e**(-th) expm1(th (1-u))
+        u, ub, v = np.exp(lu), np.exp(lub), np.exp(lv)
+        lden = np.logaddexp(-th * v + np.log(np.abs(np.expm1(-th * u))),
+                            -th + np.log(np.abs(np.expm1(th * ub))))
+        return math.log(-th * math.expm1(-th)) - th * (u + v) - 2.0 * lden
+    # joe: log(th - 1 + t) for the last factor, t = a + b - a b
+    la, lb = th * lub, th * lvb
+    with np.errstate(divide="ignore"):
+        l1a = np.where(la > -math.log(2.0), np.log(-np.expm1(la)), np.log1p(-np.exp(la)))
+    lt = np.logaddexp(la, lb + l1a)
+    last = np.logaddexp(math.log(th - 1.0), lt) if th > 1.0 else lt
+    return (th - 1.0) * (lub + lvb) + (1.0 / th - 2.0) * lt + last
 
 
 # ---------------------------------------------------------------------------

@@ -511,8 +511,7 @@ def _mp_h(mp, fam, u, v):
 
 
 def test_h_kernels_match_mpmath():
-    # pair_h and tail_h against the closed forms; the log-pair density against
-    # the u-space one, and each log pair h sums to 1
+    # pair_h and tail_h against the closed forms, and each log pair h sums to 1
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(43)
     u, v = rng.uniform(0.01, 0.99, size=(2, 400))
@@ -524,9 +523,6 @@ def test_h_kernels_match_mpmath():
             np.testing.assert_allclose(pair_h(fam, u, v), want, rtol=1e-12, atol=1e-15)
             lh, lhb = pair_h_log_pair(fam, _log_pair(u), _log_pair(v))
             np.testing.assert_allclose(np.exp(lh) + np.exp(lhb), 1.0, rtol=0.0, atol=1e-14)
-            np.testing.assert_allclose(
-                pair_log_density_log_pair(fam, _log_pair(u), _log_pair(v)),
-                pair_log_density(fam, u, v), rtol=0.0, atol=1e-12)
         for kind, th in tail_cases():
             if kind == "hr":
                 continue
@@ -536,6 +532,64 @@ def test_h_kernels_match_mpmath():
             np.testing.assert_allclose(tail_h(fam, x, y), want, rtol=1e-12)
             lh, lhb = tail_h_log_pair(fam, x, y)
             np.testing.assert_allclose(np.exp(lh) + np.exp(lhb), 1.0, rtol=0.0, atol=1e-14)
+
+
+def _mp_pair_log_density(mp, kind, th, u, v):
+    """log c(u, v) of a pair kind from its textbook closed form, in mpmath."""
+    if kind.startswith("surv"):
+        return _mp_pair_log_density(mp, kind[4:], th, 1 - u, 1 - v)
+    if kind == "gaussian":
+        x, y = (mp.sqrt(2) * mp.erfinv(2 * w - 1) for w in (u, v))
+        return -mp.log1p(-th * th) / 2 - (th * th * (x * x + y * y) - 2 * th * x * y) / (
+            2 * (1 - th * th))
+    if kind == "clayton":
+        c = (1 + th) * (u * v) ** (-th - 1) * (u ** -th + v ** -th - 1) ** (-1 / th - 2)
+    elif kind == "gumbel":
+        x, y = -mp.log(u), -mp.log(v)
+        a = x ** th + y ** th
+        c = (mp.exp(-a ** (1 / th)) / (u * v) * (x * y) ** (th - 1) * a ** (2 / th - 2)
+             * (1 + (th - 1) * a ** (-1 / th)))
+    elif kind == "frank":
+        g1, gu, gv = mp.expm1(-th), mp.expm1(-th * u), mp.expm1(-th * v)
+        c = -th * g1 * mp.exp(-th * (u + v)) / (g1 + gu * gv) ** 2
+    else:  # joe
+        a, b = (1 - u) ** th, (1 - v) ** th
+        t = a + b - a * b
+        c = ((1 - u) * (1 - v)) ** (th - 1) * t ** (1 / th - 2) * (th - 1 + t)
+    return mp.log(c)
+
+
+@pytest.mark.parametrize("kind", [k for k in PAIR_KINDS if k != "indep"])
+def test_pair_log_density_matches_mpmath(kind):
+    # theta across the whole search box, both ends included (an even count
+    # skips frank's theta = 0); points within 1e-12 of either end
+    mp = pytest.importorskip("mpmath")
+    pts = np.array([1e-12, 1e-7, 1e-3, 0.3, 0.5, 0.7, 1 - 1e-3, 1 - 1e-7, 1 - 1e-12])
+    u, v = (a.ravel() for a in np.meshgrid(pts, pts))
+    lo, hi, _ = PAIR_BOXES[kind]
+    with mp.workdps(40):
+        for th in np.linspace(lo, hi, 8):
+            got = pair_log_density(PairFamily(kind, th), u, v)
+            for g, a, b in zip(got, u, v):
+                want = _mp_pair_log_density(mp, kind, mp.mpf(th), mp.mpf(a), mp.mpf(b))
+                err = abs(g - want) / max(1.0, abs(want))
+                assert err <= 1e-8, (th, a, b, float(g), float(want))
+
+
+@pytest.mark.parametrize("th", [1.5, 2.0, 6.0, 30.0])
+def test_joe_h_inv_keeps_small_targets_and_complements(th):
+    # the bisection stops at a tolerance relative to min(w, 1 - w), so a small
+    # target and a small complement both keep their leading digits; h near 1
+    # is a double spaced 1.1e-16 apart, which bounds a complement below 1e-8
+    mp = pytest.importorskip("mpmath")
+    fam = PairFamily("joe", th)
+    with mp.workdps(50):
+        t = mp.mpf(th)
+        for v in (0.05, 0.5, 0.95):
+            for w, rtol in [(1e-10, 1e-4), (1e-7, 1e-4), (1e-4, 1e-4),
+                            (1.0 - 1e-8, 1e-7), (1.0 - 1e-6, 1e-7), (1.0 - 1e-4, 1e-7)]:
+                h = _mp_pair_h(mp, "joe", t, mp.mpf(float(pair_h_inv(fam, w, v))), mp.mpf(v))
+                assert abs(h - w) <= rtol * min(w, 1 - mp.mpf(w)), (v, w, float(h))
 
 
 @pytest.mark.parametrize("kind,th", [("survclayton", 2.0), ("survgumbel", 2.5),
