@@ -23,7 +23,7 @@ from .numerics import (
     quad_1d,
     reg_beta_cdf,
     reg_beta_log_cdf_sf,
-    reg_beta_quantile,
+    reg_beta_logit_quantile,
     softplus,
     std_normal_cdf,
     std_normal_quantile,
@@ -32,6 +32,11 @@ from .numerics import (
 
 #: Pair-copula arguments are clamped to this closed sub-interval of (0, 1).
 EPS_UNIT = 1e-12
+
+#: The largest x that tail_h_inv returns, the largest finite double: a root
+#: beyond it (a tail h still short of its target at every finite x) comes back
+#: as X_MAX, never as inf.
+X_MAX = float(np.finfo(float).max)
 
 #: The same clamp on the normal-score scale: ndtri of the two ends. ndtri is
 #: monotone, so clamping z = ndtri(u) here is clipping u to the unit interval.
@@ -220,20 +225,26 @@ def tail_h_score(fam: TailFamily, x, y):
 
 
 def tail_h_inv(fam: TailFamily, u, y):
-    """Inverse of tail_h in x at fixed y."""
+    """Inverse of tail_h in x at fixed y; a root beyond X_MAX comes back as X_MAX.
+
+    The logistic and negative logistic roots are closed forms in x / y; a
+    power that overflows means the root lies beyond every double. The
+    Dirichlet root is y e**t, with t = log(x / y) the logit of the beta
+    argument, solved by numerics.reg_beta_logit_quantile.
+    """
     (y,) = _pos("tail h_inv", y)
     u = _clip_unit(u)
     th = fam.theta
-    if fam.kind == "hr":
-        out = _hr_h_inv_score(std_normal_quantile(u), y, th)
-    elif fam.kind == "logistic":
-        out = y * np.expm1(th / (1.0 - th) * np.log1p(-u)) ** (1.0 / th)
-    elif fam.kind == "neglogistic":
-        out = y * np.expm1(-th / (1.0 + th) * np.log(u)) ** (-1.0 / th)
-    else:  # dirichlet
-        p = np.clip(reg_beta_quantile(u, th + 1.0, th), 1e-15, 1.0 - 1e-15)
-        out = y * p / (1.0 - p)
-    return _ret(out)
+    with np.errstate(over="ignore"):
+        if fam.kind == "hr":
+            out = _hr_h_inv_score(std_normal_quantile(u), y, th)
+        elif fam.kind == "logistic":
+            out = y * np.expm1(th / (1.0 - th) * np.log1p(-u)) ** (1.0 / th)
+        elif fam.kind == "neglogistic":
+            out = y * np.expm1(-th / (1.0 + th) * np.log(u)) ** (-1.0 / th)
+        else:  # dirichlet
+            out = y * np.exp(reg_beta_logit_quantile(np.log(u), np.log1p(-u), th + 1.0, th))
+    return _ret(np.minimum(out, X_MAX))
 
 
 def tail_h_inv_score(fam: TailFamily, z, y):
@@ -419,18 +430,28 @@ def _h_inv_base(kind: str, w, v, th) -> np.ndarray:
         z = np.maximum(z, y)
         x = z * (-np.expm1(th * (ly - np.log(z)))) ** (1.0 / th)
         return np.exp(-x)
-    # joe: monotone bisection on the h-function. Targets beyond the h-values at
-    # the bracket ends are clipped to them, so those rows get the bracket end.
+    # joe: monotone bisection in x = log(u / (1 - u)), whose two ends give
+    # both log u and log(1 - u) without cancellation, on the smaller side of
+    # w: log h against log w up to 1/2, -log(1 - h) against -log(1 - w)
+    # above, so a small target and a small complement both keep their digits.
+    # Targets beyond the values at the bracket ends are clipped to them, so
+    # those rows get the bracket end.
     w_arr, v_arr = np.broadcast_arrays(np.asarray(w, dtype=float),
                                        np.asarray(v, dtype=float))
     lvb = np.log1p(-v_arr)
+    high = w_arr > 0.5
 
-    def h(uu):
-        return np.exp(_joe_log_h(np.log1p(-uu), lvb, th))
+    def side(x):
+        lh = _joe_log_h(-softplus(x), lvb, th)
+        with np.errstate(divide="ignore"):
+            return np.where(high, -np.log(-np.expm1(lh)), lh)
 
-    w_arr = np.clip(w_arr, h(EPS_UNIT), h(1.0 - EPS_UNIT))
-    return invert_monotone(h, w_arr, (EPS_UNIT, 1.0 - EPS_UNIT),
-                           tol=1e-11 * np.minimum(w_arr, 1.0 - w_arr))
+    ends = (LOG_LO - LOG_HI, LOG_HI - LOG_LO)   # the logits of the clip
+    target = np.clip(np.where(high, -np.log1p(-w_arr), np.log(w_arr)), *map(side, ends))
+    x = invert_monotone(side, target, ends, tol=1e-11)
+    e = np.exp(-np.abs(x))
+    m = e / (1.0 + e)                          # the smaller of u and 1 - u
+    return np.where(x > 0.0, 1.0 - m, m)
 
 
 def prepare_pair_log_density(kind: str, u, v) -> Callable[[float], np.ndarray]:

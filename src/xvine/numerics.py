@@ -88,14 +88,123 @@ def reg_beta_log_cdf_sf(x, y, a: float, b: float):
     return np.where(low, lc, lrest), np.where(low, lrest, lc)
 
 
-def reg_beta_quantile(u, a: float, b: float):
-    """Inverse of reg_beta_cdf in x."""
+#: Past this |t|, I_p(a, b) at m = min(p, 1 - p) is its leading power term
+#: m**a' (1-m)**b' / (a' B(a, b)), with (a', b') the shapes of the smaller side:
+#: the next term is O(m) = e**-50 relative, and m itself underflows past 745.
+_LOGIT_FAR = 50.0
+
+#: The logit solve's bracket. e**1500 overflows whatever positive double it
+#: multiplies, so a root beyond it needs no more digits.
+_LOGIT_MAX = 1500.0
+
+
+def _beta_logit_start(lw, lwb, sgn, a: float, b: float, lbeta: float):
+    """A start for reg_beta_logit_quantile; sgn is +1 where lw <= lwb, else -1."""
+    if a > 1.5 and b > 1.5:
+        # AS 109 / Numerical Recipes, whose w is -s here: from the normal
+        # deviate x of w, skew-corrected, the quantile a / (a + b e**(-2 s)),
+        # of logit log(a / b) + 2 s. At shapes up to 1.5 the tail starts
+        # below take fewer iterations.
+        r = np.sqrt(-2.0 * np.minimum(lw, lwb))
+        x = sgn * ((2.30753 + 0.27061 * r) / (1.0 + (0.99229 + 0.04481 * r) * r) - r)
+        al = (x * x - 3.0) / 6.0
+        ia, ib = 1.0 / (2.0 * a - 1.0), 1.0 / (2.0 * b - 1.0)
+        h = 2.0 / (ia + ib)
+        s = x * np.sqrt(al + h) / h + (ib - ia) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        return math.log(a / b) + 2.0 * s
+    # the power-law tails I ~ p**a / (a B) and 1 - I ~ q**b / (b B), each
+    # capped at p = a / (a + b), where the two meet
+    lt = a * math.log(a / (a + b)) - math.log(a)
+    lu = b * math.log(b / (a + b)) - math.log(b)
+    lp = np.minimum((lw + math.log(a) + lbeta) / a, math.log(a / (a + b)))
+    lq = np.minimum((lwb + math.log(b) + lbeta) / b, math.log(b / (a + b)))
+    return np.where(lw < lt - np.logaddexp(lt, lu),
+                    lp - log1mexp(lp), log1mexp(lq) - lq)
+
+
+def reg_beta_logit_quantile(lw, lwb, a: float, b: float):
+    """The logit t = log(p / (1 - p)) with I_p(a, b) = w, from lw = log w and
+    lwb = log(1 - w), for w strictly inside (0, 1).
+
+    Each row solves on the smaller side of w: log I_p(a, b) = lw where
+    lw <= lwb, else log(1 - I_p(a, b)) = lwb, so neither end is read through
+    1 - w. The solve is Halley's on t. With f the side's log value,
+    df/dt = +-p**a q**b / (B(a, b) e**f) and d2f/dt2 = df/dt (a - (a+b) p - df/dt).
+    Each row keeps a bracket in t, starting from [-1500, 1500], and
+    bisects when a step would leave it. A row stops on its own, once its step
+    is below 1e-5 of the spread of t, sqrt(1/a + 1/b) (capped at 1): Halley
+    converges cubically, so that step leaves an error of order 1e-15. Or it
+    stops once its bracket has shrunk to rounding level. So a row's result
+    does not depend on the other rows of the batch. A root beyond the bracket
+    comes back as its end. Each value comes from one betainc at the smaller of
+    p and 1 - p, as in reg_beta_log_cdf_sf, so the solve is as accurate as that
+    function.
+    """
     if a <= 0.0 or b <= 0.0:
         raise DomainError(f"beta shapes must be positive, got a={a}, b={b}")
-    u = np.asarray(u, dtype=float)
-    if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):  # NaN fails it too
-        raise DomainError("beta quantile needs u in [0, 1]")
-    return special.betaincinv(a, b, u)
+    lw, lwb = np.broadcast_arrays(np.asarray(lw, dtype=float), np.asarray(lwb, dtype=float))
+    shape = lw.shape
+    if lw.size == 0:
+        return np.empty(shape)
+    if not (np.maximum(lw, lwb).max() < 0.0 and np.minimum(lw, lwb).min() > -np.inf):
+        raise DomainError("beta logit quantile needs log w and log(1 - w) of a w in (0, 1)")
+    lw, lwb = lw.ravel(), lwb.ravel()
+    lbeta = float(special.betaln(a, b))
+    # Every per-row choice below is arithmetic on 0/1 masks rather than
+    # np.where: on masks without pattern np.where costs about ten plain ops.
+    side = lw <= lwb
+    sgn = 2.0 * side - 1.0
+    target = np.minimum(lw, lwb)
+    shapes = np.array([b, a])
+    tol = 1e-5 * min(1.0, math.sqrt(1.0 / a + 1.0 / b))
+    out = np.empty(lw.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = np.minimum(np.maximum(_beta_logit_start(lw, lwb, sgn, a, b, lbeta), -_LOGIT_MAX),
+                       _LOGIT_MAX)
+        lo = np.full(t.shape, -_LOGIT_MAX)
+        hi = np.full(t.shape, _LOGIT_MAX)
+        act = np.arange(t.size)
+        for _ in range(100):
+            at = np.abs(t)
+            e = np.exp(-at)
+            l1 = np.log1p(e)
+            neg = t <= 0.0
+            m = e / (1.0 + e)                        # min(p, q)
+            sa = shapes.take(neg.view(np.uint8))     # betainc's shapes at m:
+            sb = shapes.take((~neg).view(np.uint8))  # (a, b) at t <= 0, else (b, a)
+            dens = -sa * at - (a + b) * l1 - lbeta   # log p**a q**b / B(a, b)
+            c = special.betainc(sa, sb, m)
+            far = at > _LOGIT_FAR
+            if far.any():
+                c = np.where(far, np.exp(dens - np.log(sa)), c)
+            # the side's value: c where the smaller of p, q lies on the side's
+            # own end, else 1 - c
+            f = np.log(np.abs((neg != side) - c))
+            g = f - target
+            df = sgn * np.exp(dens - f)
+            newton = g / df
+            p = np.abs(~neg - m)                     # m at t <= 0, else 1 - m
+            step = newton / np.maximum(1.0 - 0.5 * newton * (a - (a + b) * p - df), 0.5)
+            up = sgn * g < 0.0
+            lo = up * t + ~up * lo
+            hi = up * hi + ~up * t
+            t = t - step
+            inside = (t >= lo) & (t <= hi)
+            done = (np.abs(step) <= tol) & inside
+            if not inside.all():
+                # bisect where a step leaves the bracket, and stop where the
+                # bracket has shrunk to rounding level
+                mid = 0.5 * (lo + hi)
+                t = np.where(inside, t, mid)
+                done |= (mid <= lo) | (mid >= hi)
+            if done.any():
+                out[act] = t
+                keep = np.flatnonzero(~done)
+                if keep.size == 0:
+                    return out.reshape(shape)
+                act, t, lo, hi = act[keep], t[keep], lo[keep], hi[keep]
+                side, sgn, target = side[keep], sgn[keep], target[keep]
+    raise NoConvergence("beta logit quantile did not converge")
 
 
 def wright_omega(x):

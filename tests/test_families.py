@@ -21,10 +21,12 @@ from xvine.families import (
     PAIR_KINDS,
     TAIL_BOXES,
     TAIL_KINDS,
+    X_MAX,
     PairFamily,
     TailFamily,
     Z_HI,
     Z_LO,
+    _tail_h_logs,
     clamp_score,
     log_pair_to_score,
     pair_density,
@@ -123,6 +125,75 @@ def test_tail_h_round_trip(kind, u, y, frac):
     x = float(tail_h_inv(fam, u, y))
     assert x > 0.0
     assert abs(float(tail_h(fam, x, y)) - u) < 1e-7
+
+
+#: Dirichlet roots t = log(x / y) of tail_h = w, from 50-digit mpmath:
+#: (theta, w, t). Each x lies beyond 1e15 * y.
+DIRICHLET_ROOTS = [(0.01, 0.5, 69.33093071223144995),
+                   (1e-3, 0.5, 693.14882309368025714),
+                   (0.1, 1.0 - 1e-6, 138.29881350451881272)]
+
+
+@pytest.mark.parametrize("th,w,t", DIRICHLET_ROOTS)
+def test_dirichlet_h_inv_reaches_far_roots(th, w, t):
+    got = np.log(float(tail_h_inv(TailFamily("dirichlet", th), w, 1.0)))
+    assert abs(got - t) <= 1e-12 * t
+
+
+def _tail_grid(kind):
+    lo, hi, _ = TAIL_BOXES[kind]
+    inner = [g for g in (1e-3, 0.01, 0.1, 0.5, 1.0, 1.01, 1.1, 2.0, 8.0, 28.0) if lo < g < hi]
+    return [lo, *inner, hi]
+
+
+TAIL_INV_W = np.array([1e-12, 1e-6, 0.3, 0.5, 1.0 - 1e-6, 1.0 - 1e-12])
+
+
+@pytest.mark.parametrize("kind,th", [(k, th) for k in ("logistic", "neglogistic", "dirichlet")
+                                     for th in _tail_grid(k)])
+def test_tail_h_inv_round_trip_full_box(kind, th):
+    # log h(h_inv(w)) against log w on the smaller side of w, to 1e-12
+    # relative in that side, at every root below X_MAX; a root beyond it
+    # comes back as X_MAX, where h still falls short of w. No warning, inf
+    # or NaN anywhere. The double nearest 1 - 1e-12 lies below the log-pair
+    # clamp, so h is read before tail_h_log_pair clamps it.
+    fam = TailFamily(kind, th)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = tail_h_inv(fam, TAIL_INV_W, 1.0)
+        assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+        lh, lhb = _tail_h_logs(fam, x, 1.0)
+    low = TAIL_INV_W <= 0.5
+    got = np.where(low, lh, lhb)
+    want = np.where(low, np.log(TAIL_INV_W), np.log1p(-TAIL_INV_W))
+    cap = x == X_MAX
+    assert np.all(np.abs(np.expm1(got - want)[~cap]) <= 1e-12), (got - want)
+    # at the cap the smaller side is still short of its target
+    assert np.all(np.where(low, got <= want, got >= want)[cap])
+
+
+@pytest.mark.parametrize("kind,th", [(k, th) for k in ("logistic", "neglogistic", "dirichlet")
+                                     for th in _tail_grid(k)])
+def test_tail_h_inv_row_does_not_depend_on_its_batch(kind, th):
+    fam = TailFamily(kind, th)
+    rng = np.random.default_rng(9)
+    w = rng.uniform(size=100_000)
+    y = np.exp(rng.uniform(-3.0, 3.0, size=w.size))
+    at = rng.choice(w.size, TAIL_INV_W.size, replace=False)
+    w[at] = TAIL_INV_W
+    batch = tail_h_inv(fam, w, y)
+    alone = [float(tail_h_inv(fam, np.array([wi]), np.array([yi]))[0])
+             for wi, yi in zip(TAIL_INV_W, y[at])]
+    np.testing.assert_array_equal(batch[at], alone)
+
+
+def test_tail_h_inv_caps_roots_beyond_every_double():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fam, w in [(TailFamily("neglogistic", 1e-3), [0.1, 0.5, 0.9]),
+                       (TailFamily("dirichlet", 1e-3), [1.0 - 1e-6, 1.0 - 1e-12]),
+                       (TailFamily("logistic", 1.0 + 1e-6), [0.5, 1.0 - 1e-12])]:
+            np.testing.assert_array_equal(tail_h_inv(fam, w, 1.0), X_MAX)
 
 
 def test_tail_chi_frozen_values():
@@ -578,18 +649,25 @@ def test_pair_log_density_matches_mpmath(kind):
 
 @pytest.mark.parametrize("th", [1.5, 2.0, 6.0, 30.0])
 def test_joe_h_inv_keeps_small_targets_and_complements(th):
-    # the bisection stops at a tolerance relative to min(w, 1 - w), so a small
-    # target and a small complement both keep their leading digits; h near 1
-    # is a double spaced 1.1e-16 apart, which bounds a complement below 1e-8
+    # the bisection runs in the logit of u on the smaller side of w, so a
+    # small target and a small complement both keep their digits down to
+    # what the double u can hold: within 1e-9 relative, or no farther off
+    # than the better of u's two neighbouring doubles
     mp = pytest.importorskip("mpmath")
     fam = PairFamily("joe", th)
     with mp.workdps(50):
         t = mp.mpf(th)
         for v in (0.05, 0.5, 0.95):
-            for w, rtol in [(1e-10, 1e-4), (1e-7, 1e-4), (1e-4, 1e-4),
-                            (1.0 - 1e-8, 1e-7), (1.0 - 1e-6, 1e-7), (1.0 - 1e-4, 1e-7)]:
-                h = _mp_pair_h(mp, "joe", t, mp.mpf(float(pair_h_inv(fam, w, v))), mp.mpf(v))
-                assert abs(h - w) <= rtol * min(w, 1 - mp.mpf(w)), (v, w, float(h))
+            for w in (1e-10, 1e-7, 1e-4, 0.3, 0.7, 1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-8,
+                      1.0 - 1e-10):
+                u = float(pair_h_inv(fam, w, v))
+                scale = min(mp.mpf(w), 1 - mp.mpf(w))
+
+                def err(uu):
+                    return abs(_mp_pair_h(mp, "joe", t, mp.mpf(uu), mp.mpf(v)) - w) / scale
+
+                best = min(err(np.nextafter(u, 0.0)), err(np.nextafter(u, 1.0)))
+                assert err(u) <= max(1e-9, best), (v, w, float(err(u)))
 
 
 @pytest.mark.parametrize("kind,th", [("survclayton", 2.0), ("survgumbel", 2.5),

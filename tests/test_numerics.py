@@ -16,7 +16,7 @@ from xvine.numerics import (
     quad_1d,
     reg_beta_cdf,
     reg_beta_log_cdf_sf,
-    reg_beta_quantile,
+    reg_beta_logit_quantile,
     rng_stream,
     std_normal_cdf,
     std_normal_quantile,
@@ -47,13 +47,29 @@ def test_normal_quantile_domain():
 
 
 def test_beta_round_trip():
-    u = np.linspace(0.01, 0.99, 23)
-    x = reg_beta_quantile(u, 2.5, 0.7)
-    np.testing.assert_allclose(reg_beta_cdf(x, 2.5, 0.7), u, atol=1e-10)
+    # the logit solve against betainc on the smaller side of u, both shapes
+    # above and below 1
+    u = np.concatenate([[1e-12, 1e-6], np.linspace(0.01, 0.99, 23), [1 - 1e-6, 1 - 1e-12]])
+    for a, b in [(2.5, 0.7), (0.7, 2.5), (3.0, 2.0), (0.3, 0.2), (29.0, 28.0)]:
+        t = reg_beta_logit_quantile(np.log(u), np.log1p(-u), a, b)
+        lc, ls = reg_beta_log_cdf_sf(np.exp(np.minimum(t, 0.0)), np.exp(np.minimum(-t, 0.0)), a, b)
+        low = u <= 0.5
+        np.testing.assert_allclose(np.where(low, lc, ls), np.where(low, np.log(u), np.log1p(-u)),
+                                   rtol=0.0, atol=1e-13)
+        mid = slice(2, -2)   # where p itself holds the digits of 1 - p
+        p = 1.0 / (1.0 + np.exp(-t[mid]))
+        np.testing.assert_allclose(reg_beta_cdf(p, a, b), u[mid], atol=1e-12)
 
 
 def test_beta_quantile_domain():
-    check_unit_domain(lambda u: reg_beta_quantile(u, 2.5, 0.7))
+    assert reg_beta_logit_quantile(np.empty(0), np.empty(0), 2.5, 0.7).shape == (0,)
+    assert np.all(np.isfinite(reg_beta_logit_quantile(np.log([0.25, 0.75]),
+                                                      np.log([0.75, 0.25]), 2.5, 0.7)))
+    assert isinstance(reg_beta_logit_quantile(np.log(0.3), np.log(0.7), 2.5, 0.7), np.ndarray)
+    for lw, lwb in [(0.1, -2.0), (np.nan, -1.0), (-1.0, np.nan), (-np.inf, 0.0),
+                    (0.0, -np.inf), ([-1.0, -0.5], [-0.5, 0.2])]:
+        with pytest.raises(DomainError):
+            reg_beta_logit_quantile(lw, lwb, 2.5, 0.7)
 
 
 def test_log1mexp_is_exact_at_both_ends():
@@ -82,7 +98,7 @@ def test_beta_rejects_bad_shapes():
     with pytest.raises(DomainError):
         reg_beta_cdf(0.5, -1.0, 2.0)
     with pytest.raises(DomainError):
-        reg_beta_quantile(0.5, 1.0, 0.0)
+        reg_beta_logit_quantile(np.log(0.5), np.log(0.5), 1.0, 0.0)
 
 
 def test_log_gamma_values():
