@@ -112,12 +112,19 @@ def _beta_logit_start(lw, lwb, sgn, a: float, b: float, lbeta: float):
         h = 2.0 / (ia + ib)
         s = x * np.sqrt(al + h) / h + (ib - ia) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
         return math.log(a / b) + 2.0 * s
-    # the power-law tails I ~ p**a / (a B) and 1 - I ~ q**b / (b B), each
-    # capped at p = a / (a + b), where the two meet
+    # the power-law tails with their first correction,
+    # I ~ p**a / (a B) (1 + (1-b) a p / (a+1)) and
+    # 1 - I ~ q**b / (b B) (1 + (1-a) b q / (b+1)), each solved by one
+    # fixed-point step from the leading term and capped at p = a / (a + b),
+    # where the two meet. With a or b at most 1.5, each correction's
+    # argument stays above -0.9.
     lt = a * math.log(a / (a + b)) - math.log(a)
     lu = b * math.log(b / (a + b)) - math.log(b)
-    lp = np.minimum((lw + math.log(a) + lbeta) / a, math.log(a / (a + b)))
-    lq = np.minimum((lwb + math.log(b) + lbeta) / b, math.log(b / (a + b)))
+    lp_max, lq_max = math.log(a / (a + b)), math.log(b / (a + b))
+    lp = np.minimum((lw + math.log(a) + lbeta) / a, lp_max)
+    lq = np.minimum((lwb + math.log(b) + lbeta) / b, lq_max)
+    lp = np.minimum(lp - np.log1p((1.0 - b) * a / (a + 1.0) * np.exp(lp)) / a, lp_max)
+    lq = np.minimum(lq - np.log1p((1.0 - a) * b / (b + 1.0) * np.exp(lq)) / b, lq_max)
     return np.where(lw < lt - np.logaddexp(lt, lu),
                     lp - log1mexp(lp), log1mexp(lq) - lq)
 
