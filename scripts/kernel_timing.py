@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Time the inverse kernels, tail_h_inv and pair_h_inv, per family kind.
 
-For each kind, theta runs over a grid spanning its estimation box (both ends
-included, evenly spaced on the box's search scale), or over the values given
-with --thetas that lie in the box. Each (kind, theta) is timed on the same
-fixed-seed inputs: w uniform on (0, 1), and y = exp(N(0, 1)) for a tail kind
-or v uniform for a pair kind. The output is one JSON object on standard
-output: per kind and theta, the best and median wall time of --repeats calls
-in milliseconds, and the best in nanoseconds per row.
+For each kind, theta runs over a grid of POINTS values spanning its
+estimation box (both ends included, evenly spaced on the box's search scale),
+or over the values given with --thetas that lie in the box. Each (kind, theta)
+is timed on the same ROWS inputs drawn at seed SEED: w uniform on (0, 1), and
+y = exp(N(0, 1)) for a tail kind or v uniform for a pair kind. The output is
+one JSON object on standard output: per kind and theta, the best and median
+wall time of REPEATS calls in milliseconds, and the best in nanoseconds per
+row.
 
     PYTHONPATH=src python3 scripts/kernel_timing.py > after.json
     PYTHONPATH=src python3 scripts/kernel_timing.py --kinds dirichlet --thetas 0.5 2
@@ -38,6 +39,11 @@ from xvine.families import (
     tail_h_inv,
 )
 
+ROWS = 100_000
+REPEATS = 5
+SEED = 1
+POINTS = 9
+
 #: Maps from a box's search scale to theta and back, by the box's transform name.
 SCALES = {
     "identity": (lambda x: x, lambda s: s),
@@ -47,17 +53,17 @@ SCALES = {
 }
 
 
-def box_grid(box, points: int) -> list[float]:
+def box_grid(box) -> list[float]:
     lo, hi, scale = box
     to, back = SCALES[scale]
-    grid = [lo, *(back(s) for s in np.linspace(to(lo), to(hi), points)[1:-1]), hi]
+    grid = [lo, *(back(s) for s in np.linspace(to(lo), to(hi), POINTS)[1:-1]), hi]
     return [th for th in grid if th != 0.0]  # frank excludes theta = 0
 
 
-def time_calls(call, repeats: int) -> list[float]:
+def time_calls(call) -> list[float]:
     call()  # first call outside the timing: lazy imports, caches
     out = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         call()
         out.append(time.perf_counter() - t0)
@@ -66,19 +72,15 @@ def time_calls(call, repeats: int) -> list[float]:
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--rows", type=int, default=100_000)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--points", type=int, default=9, help="grid points per box")
     p.add_argument("--kinds", nargs="*", help="family kinds to time (default: all)")
     p.add_argument("--thetas", nargs="*", type=float,
                    help="theta values in place of the box grid (those outside a box are skipped)")
     args = p.parse_args(argv)
 
-    rng = np.random.default_rng(args.seed)
-    w = rng.uniform(size=args.rows)
-    y = np.exp(rng.normal(size=args.rows))
-    v = rng.uniform(size=args.rows)
+    rng = np.random.default_rng(SEED)
+    w = rng.uniform(size=ROWS)
+    y = np.exp(rng.normal(size=ROWS))
+    v = rng.uniform(size=ROWS)
 
     plans = [("tail_h_inv", k, TAIL_BOXES[k]) for k in TAIL_KINDS]
     plans += [("pair_h_inv", k, PAIR_BOXES.get(k)) for k in PAIR_KINDS]
@@ -91,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.thetas:
             thetas = [th for th in args.thetas if box[0] <= th <= box[1]]
         else:
-            thetas = box_grid(box, args.points)
+            thetas = box_grid(box)
         for th in thetas:
             if kernel == "tail_h_inv":
                 fam = TailFamily(kind, th)
@@ -101,12 +103,12 @@ def main(argv: list[str] | None = None) -> int:
                 fam = PairFamily(kind, th)
                 def call(fam=fam):
                     return pair_h_inv(fam, w, v)
-            ts = time_calls(call, args.repeats)
+            ts = time_calls(call)
             results.append({"kernel": kernel, "kind": kind, "theta": th,
                             "best_ms": round(min(ts) * 1e3, 3),
                             "median_ms": round(statistics.median(ts) * 1e3, 3),
-                            "best_ns_per_row": round(min(ts) / args.rows * 1e9, 1)})
-    print(json.dumps({"rows": args.rows, "repeats": args.repeats, "seed": args.seed,
+                            "best_ns_per_row": round(min(ts) / ROWS * 1e9, 1)})
+    print(json.dumps({"rows": ROWS, "repeats": REPEATS, "seed": SEED,
                       "python": platform.python_version(), "numpy": np.__version__,
                       "scipy": scipy.__version__, "results": results}, indent=1))
     return 0

@@ -227,10 +227,11 @@ def tail_h_score(fam: TailFamily, x, y):
 def tail_h_inv(fam: TailFamily, u, y):
     """Inverse of tail_h in x at fixed y; a root beyond X_MAX comes back as X_MAX.
 
-    The logistic and negative logistic roots are closed forms in x / y; a
-    power that overflows means the root lies beyond every double. The
-    Dirichlet root is y e**t, with t = log(x / y) the logit of the beta
-    argument, solved by numerics.reg_beta_logit_quantile.
+    The logistic and negative logistic roots are closed forms in x / y, of
+    the form expm1(c)**k; where that power overflows, the root is taken as
+    y e**t from its log t = k log(expm1(c)), so a small y still brings it
+    back below X_MAX. The Dirichlet root is y e**t, with t = log(x / y) the
+    logit of the beta argument, solved by numerics.reg_beta_logit_quantile.
     """
     (y,) = _pos("tail h_inv", y)
     u = _clip_unit(u)
@@ -239,12 +240,23 @@ def tail_h_inv(fam: TailFamily, u, y):
         if fam.kind == "hr":
             out = _hr_h_inv_score(std_normal_quantile(u), y, th)
         elif fam.kind == "logistic":
-            out = y * np.expm1(th / (1.0 - th) * np.log1p(-u)) ** (1.0 / th)
+            out = _power_root(th / (1.0 - th) * np.log1p(-u), 1.0 / th, y)
         elif fam.kind == "neglogistic":
-            out = y * np.expm1(-th / (1.0 + th) * np.log(u)) ** (-1.0 / th)
+            out = _power_root(-th / (1.0 + th) * np.log(u), -1.0 / th, y)
         else:  # dirichlet
-            out = y * np.exp(reg_beta_logit_quantile(np.log(u), np.log1p(-u), th + 1.0, th))
+            t = reg_beta_logit_quantile(np.log(u), np.log1p(-u), th + 1.0, th)
+            out = np.exp(np.log(y) + t)
     return _ret(np.minimum(out, X_MAX))
+
+
+def _power_root(c, k: float, y):
+    """y expm1(c)**k for c > 0, from the log of the power where the power overflows."""
+    r = np.expm1(c) ** k
+    out = y * r
+    over = np.isinf(r)
+    if over.any():
+        out = np.where(over, np.exp(np.log(y) + k * (c + log1mexp(-c))), out)
+    return out
 
 
 def tail_h_inv_score(fam: TailFamily, z, y):

@@ -112,19 +112,12 @@ def _beta_logit_start(lw, lwb, sgn, a: float, b: float, lbeta: float):
         h = 2.0 / (ia + ib)
         s = x * np.sqrt(al + h) / h + (ib - ia) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h))
         return math.log(a / b) + 2.0 * s
-    # the power-law tails with their first correction,
-    # I ~ p**a / (a B) (1 + (1-b) a p / (a+1)) and
-    # 1 - I ~ q**b / (b B) (1 + (1-a) b q / (b+1)), each solved by one
-    # fixed-point step from the leading term and capped at p = a / (a + b),
-    # where the two meet. With a or b at most 1.5, each correction's
-    # argument stays above -0.9.
+    # the power-law tails I ~ p**a / (a B) and 1 - I ~ q**b / (b B), each
+    # capped at p = a / (a + b), where the two meet
     lt = a * math.log(a / (a + b)) - math.log(a)
     lu = b * math.log(b / (a + b)) - math.log(b)
-    lp_max, lq_max = math.log(a / (a + b)), math.log(b / (a + b))
-    lp = np.minimum((lw + math.log(a) + lbeta) / a, lp_max)
-    lq = np.minimum((lwb + math.log(b) + lbeta) / b, lq_max)
-    lp = np.minimum(lp - np.log1p((1.0 - b) * a / (a + 1.0) * np.exp(lp)) / a, lp_max)
-    lq = np.minimum(lq - np.log1p((1.0 - a) * b / (b + 1.0) * np.exp(lq)) / b, lq_max)
+    lp = np.minimum((lw + math.log(a) + lbeta) / a, math.log(a / (a + b)))
+    lq = np.minimum((lwb + math.log(b) + lbeta) / b, math.log(b / (a + b)))
     return np.where(lw < lt - np.logaddexp(lt, lu),
                     lp - log1mexp(lp), log1mexp(lq) - lq)
 
@@ -157,12 +150,9 @@ def reg_beta_logit_quantile(lw, lwb, a: float, b: float):
         raise DomainError("beta logit quantile needs log w and log(1 - w) of a w in (0, 1)")
     lw, lwb = lw.ravel(), lwb.ravel()
     lbeta = float(special.betaln(a, b))
-    # Every per-row choice below is arithmetic on 0/1 masks rather than
-    # np.where: on masks without pattern np.where costs about ten plain ops.
     side = lw <= lwb
     sgn = 2.0 * side - 1.0
     target = np.minimum(lw, lwb)
-    shapes = np.array([b, a])
     tol = 1e-5 * min(1.0, math.sqrt(1.0 / a + 1.0 / b))
     out = np.empty(lw.shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -177,8 +167,8 @@ def reg_beta_logit_quantile(lw, lwb, a: float, b: float):
             l1 = np.log1p(e)
             neg = t <= 0.0
             m = e / (1.0 + e)                        # min(p, q)
-            sa = shapes.take(neg.view(np.uint8))     # betainc's shapes at m:
-            sb = shapes.take((~neg).view(np.uint8))  # (a, b) at t <= 0, else (b, a)
+            sa = np.where(neg, a, b)                 # betainc's shapes at m:
+            sb = np.where(neg, b, a)                 # (a, b) at t <= 0, else (b, a)
             dens = -sa * at - (a + b) * l1 - lbeta   # log p**a q**b / B(a, b)
             c = special.betainc(sa, sb, m)
             far = at > _LOGIT_FAR
@@ -186,15 +176,15 @@ def reg_beta_logit_quantile(lw, lwb, a: float, b: float):
                 c = np.where(far, np.exp(dens - np.log(sa)), c)
             # the side's value: c where the smaller of p, q lies on the side's
             # own end, else 1 - c
-            f = np.log(np.abs((neg != side) - c))
+            f = np.log(np.where(neg == side, c, 1.0 - c))
             g = f - target
             df = sgn * np.exp(dens - f)
             newton = g / df
-            p = np.abs(~neg - m)                     # m at t <= 0, else 1 - m
+            p = np.where(neg, m, 1.0 - m)
             step = newton / np.maximum(1.0 - 0.5 * newton * (a - (a + b) * p - df), 0.5)
             up = sgn * g < 0.0
-            lo = up * t + ~up * lo
-            hi = up * hi + ~up * t
+            lo = np.where(up, t, lo)
+            hi = np.where(up, hi, t)
             t = t - step
             inside = (t >= lo) & (t <= hi)
             done = (np.abs(step) <= tol) & inside

@@ -1,6 +1,7 @@
 """Bivariate tail and pair families: densities, h-functions, summaries."""
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -194,6 +195,20 @@ def test_tail_h_inv_caps_roots_beyond_every_double():
                        (TailFamily("dirichlet", 1e-3), [1.0 - 1e-6, 1.0 - 1e-12]),
                        (TailFamily("logistic", 1.0 + 1e-6), [0.5, 1.0 - 1e-12])]:
             np.testing.assert_array_equal(tail_h_inv(fam, w, 1.0), X_MAX)
+
+
+@pytest.mark.parametrize("kind,th,w", [("dirichlet", 1e-3, 0.509), ("neglogistic", 0.01, 0.921),
+                                       ("logistic", 1.01, 1.0 - 8.1e-4)])
+def test_tail_h_inv_keeps_finite_roots_past_an_overflowing_ratio(kind, th, w):
+    # x / y is beyond X_MAX, but at y = 0.05 the root itself is a finite double
+    fam, y = TailFamily(kind, th), 0.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = float(tail_h_inv(fam, w, y))
+        lh, lhb = _tail_h_logs(fam, np.array([x]), np.array([y]))
+    assert x < X_MAX and math.log(x) - math.log(y) > math.log(X_MAX)
+    got, want = (lh[0], math.log(w)) if w <= 0.5 else (lhb[0], math.log1p(-w))
+    assert abs(math.expm1(got - want)) <= 1e-12
 
 
 def test_tail_chi_frozen_values():
