@@ -12,7 +12,13 @@ cover:
   0.8, 4 degrees of freedom, 20 000 rows of 10 variables, k = 200; seeds
   1-10, four data sets each), with learned structure and mBIC truncation;
 - samples of `five_variable_spec` refitted on its own structure, families
-  chosen over the full catalogues (seeds 1-10, 4 000 rows, k = 200).
+  chosen over the full catalogues (seeds 1-10, 4 000 rows, k = 200);
+- paths those inputs miss, each on seeds 1-5: the student-t data on a given
+  C-vine structure (so Kendall's tau is computed at selection, not carried
+  over from the structure search); the five-variable samples with every
+  family pinned to the model's, and fitted as inverted-Pareto input with
+  mBIC truncation; the student-t data rounded to one decimal, whose ties
+  the rank transform must count; and the student-t data with tau_min = 0.2.
 
 Run it on two checkouts and compare with one `diff`:
 
@@ -28,12 +34,13 @@ import json
 import numpy as np
 
 from xvine.estimate import FitOptions, FitReport, fit_pipeline
-from xvine.reference import five_variable_spec
+from xvine.reference import cvine, five_variable_spec, spec_families
 from xvine.simulate import sample_inverted_pareto
 
 T_D, T_N, T_K, T_RHO, T_NU, T_SETS = 10, 20_000, 200, 0.8, 4.0, 4
 FIVE_N, FIVE_K = 4000, 200
 SEEDS = range(1, 11)
+EXTRA_SEEDS = range(1, 6)
 
 
 def student_t_sets(seed: int) -> list[np.ndarray]:
@@ -64,11 +71,31 @@ def main() -> int:
             print(fingerprint(f"student_t seed={seed} set={i}",
                               fit_pipeline(data, T_K, opts)))
     bench = five_variable_spec()
+    samples = {seed: sample_inverted_pareto(bench, FIVE_N, seed=seed)[0] for seed in SEEDS}
     opts = FitOptions(structure=bench.vine, truncation="mbic", threads=1)
     for seed in SEEDS:
-        z, _ = sample_inverted_pareto(bench, FIVE_N, seed=seed)
         print(fingerprint(f"five_variable seed={seed}",
-                          fit_pipeline(1.0 / z, FIVE_K, opts)))
+                          fit_pipeline(1.0 / samples[seed], FIVE_K, opts)))
+
+    fams = spec_families(bench)
+    extra = {
+        "given_structure": (FitOptions(structure=cvine(T_D), truncation="mbic", threads=1),
+                            lambda x: x),
+        "ties": (FitOptions(truncation="mbic", threads=1), lambda x: np.round(x, 1)),
+        "tau_min": (FitOptions(truncation="mbic", tau_min=0.2, threads=1), lambda x: x),
+    }
+    for seed in EXTRA_SEEDS:
+        data = student_t_sets(seed)[0]
+        for label, (opts, prep) in extra.items():
+            print(fingerprint(f"student_t_{label} seed={seed}",
+                              fit_pipeline(prep(data), T_K, opts)))
+        z = samples[seed]
+        print(fingerprint(f"five_variable_pinned seed={seed}", fit_pipeline(
+            1.0 / z, FIVE_K, FitOptions(structure=bench.vine, tail_families=fams,
+                                        pair_families=fams, threads=1))))
+        print(fingerprint(f"five_variable_inverted_pareto seed={seed}", fit_pipeline(
+            z, options=FitOptions(input_kind="inverted-pareto", truncation="mbic",
+                                  threads=1))))
     return 0
 
 

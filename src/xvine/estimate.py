@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import combinations
+from numbers import Integral
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -79,13 +80,15 @@ def rank_transform(data: np.ndarray, k: int) -> PseudoSample:
     for j in range(d):
         if np.all(X[:, j] == X[0, j]):
             raise DegenerateColumn(f"column {j + 1} is constant")
-    # maximal ranks: the rank of an entry is the count of column entries <= it
-    order = np.argsort(X, axis=0)
+    # maximal ranks: the rank of an entry is the count of column entries <= it,
+    # that is one past the last sorted position holding its value
     rnk = np.empty(X.shape, dtype=np.intp)
+    pos = np.arange(1, n + 1)
     for j in range(d):
-        idx = order[:, j]
+        idx = np.argsort(X[:, j])
         col = X[idx, j]
-        rnk[idx, j] = np.searchsorted(col, col, side="right")
+        last = np.where(np.r_[col[1:] != col[:-1], True], pos, n)
+        rnk[idx, j] = np.minimum.accumulate(last[::-1])[::-1]
     u_hat = 1.0 - (rnk - 0.5) / n
     z = u_hat * (n / float(k))
     return PseudoSample(z=z, k=float(k), n=n, exceed=z < 1.0)
@@ -334,12 +337,19 @@ def select_pair_family(
     ``tau_min`` in absolute value are forced to the independence copula
     without trying the rest of the catalogue.
     """
+    return _select_pair_family(u, v, catalogue, tau_min, n_min, None)
+
+
+def _select_pair_family(
+    u, v, catalogue: Sequence[str], tau_min: float, n_min: int, abs_tau: float | None
+) -> EdgeFit:
+    """select_pair_family, given |tau| of (u, v) or None to compute it."""
     if not catalogue:
         raise DomainError("empty pair catalogue")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     n = int(u.size)
-    if n < n_min or abs(empirical_tau(u, v)) < tau_min:
+    if n < n_min or (abs(empirical_tau(u, v)) if abs_tau is None else abs_tau) < tau_min:
         return EdgeFit(
             family=PairFamily("indep"), loglik=0.0, aic=0.0, n_eff=n, forced_indep=True
         )
@@ -395,6 +405,31 @@ class FitOptions:
             raise DomainError("psi0 must lie in (0, 1)")
         if self.aic_convention not in ("paper", "standard"):
             raise DomainError(f"unknown AIC convention {self.aic_convention!r}")
+        for what in ("tail_catalogue", "pair_catalogue"):
+            if not getattr(self, what):
+                raise DomainError(f"empty {what}")
+
+        # a pinned kind is read only on its own trees (a key with an empty
+        # conditioning set is a first-tree edge), so one map of every edge's
+        # kind can pin both
+        def first(key) -> bool:
+            return len(key) < 3 or not key[2]
+
+        for what, kinds, known in (
+            ("tail_catalogue", self.tail_catalogue, TAIL_KINDS),
+            ("pair_catalogue", self.pair_catalogue, PAIR_KINDS),
+            ("tail_families",
+             [kind for key, kind in self.tail_families.items() if first(key)], TAIL_KINDS),
+            ("pair_families",
+             [kind for key, kind in self.pair_families.items() if not first(key)], PAIR_KINDS),
+        ):
+            for kind in kinds:
+                if kind not in known:
+                    raise DomainError(f"unknown family {kind!r} in {what}")
+        if not (isinstance(self.n_min, Integral) and self.n_min >= 1):
+            raise DomainError(f"n_min must be a positive integer, got {self.n_min!r}")
+        if not 0.0 <= self.tau_min < 1.0:  # NaN fails it too
+            raise DomainError(f"tau_min must lie in [0, 1), got {self.tau_min!r}")
 
 
 @dataclass(frozen=True)
@@ -459,18 +494,15 @@ def _fit_one_tail(ps: PseudoSample, e: Edge, opts: FitOptions) -> EdgeFit:
 
 def _fit_one_pair(job: tuple, opts: FitOptions) -> tuple[EdgeFit, str | None]:
     """Fit of a deeper edge on its pseudo-observations; independence and the
-    error message when the fit fails."""
-    e, u, v, mask = job
+    error message when the fit fails. The job carries the edge's |tau| from
+    the candidates, or None where the structure was given."""
+    e, u, v, mask, abs_tau = job
     try:
         fixed = opts.pair_families.get(e.key)
         if fixed is not None:
             return fit_pair_edge(u[mask], v[mask], fixed, n_min=opts.n_min), None
-        return select_pair_family(
-            u[mask],
-            v[mask],
-            opts.pair_catalogue,
-            tau_min=opts.tau_min,
-            n_min=opts.n_min,
+        return _select_pair_family(
+            u[mask], v[mask], opts.pair_catalogue, opts.tau_min, opts.n_min, abs_tau
         ), None
     except XVineError as exc:
         fit = EdgeFit(
@@ -493,7 +525,8 @@ def _candidates(ps: PseudoSample, ev: _Evaluator, prev: list[Edge] | None):
     Tree 1 joins variables, weighted by empirical chi. Tree L+1 joins pairs
     of tree-L edges that share one component, weighted by the absolute
     Kendall's tau of their conditional values on the joint exceedances of
-    the conditioning set.
+    the conditioning set: the values, rows and orientation (a < b) that the
+    chosen edge's family selection reads, so it takes that weight as its tau.
     """
     if prev is None:
         nodes = list(range(1, ps.d + 1))
@@ -583,8 +616,12 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
         if opts.structure is not None:
             vine = opts.structure.truncate(level)
             edges = list(vine.trees[-1])
+            taus = {}
         else:
-            chosen = _kruskal(*_candidates(ps, ev, levels[-1] if levels else None))
+            nodes, weighted = _candidates(ps, ev, levels[-1] if levels else None)
+            chosen = _kruskal(nodes, weighted)
+            # |tau| of each candidate by what it joins: selection reuses it
+            taus = {frozenset(pair): w for w, _key, pair in weighted}
             vine = VineSequence([chosen], d=d) if level == 1 else vine.extend(chosen)
             joined = {_components(e): e for e in vine.trees[-1]}
             edges = [joined[frozenset(p)] for p in chosen]
@@ -594,7 +631,8 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
             done = parallel_map(lambda e: (_fit_one_tail(ps, e, opts), None), edges, n_threads)
         else:
             jobs = [
-                (e, ev.r(e.child_a, e.a), ev.r(e.child_b, e.b), _joint_exceedance(ps, e.cond))
+                (e, ev.r(e.child_a, e.a), ev.r(e.child_b, e.b), _joint_exceedance(ps, e.cond),
+                 taus.get(_components(e)))
                 for e in edges
             ]
             done = parallel_map(lambda job: _fit_one_pair(job, opts), jobs, n_threads)

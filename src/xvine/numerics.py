@@ -3,8 +3,9 @@ quadrature, and reproducible random streams.
 
 Everything here is a thin, contract-checked layer over numpy/scipy. The rest of
 the package never imports scipy directly, so tolerances and truncation
-conventions live in one place. scipy.optimize and scipy.integrate are imported
-on first use, so `import xvine` loads only scipy.special.
+conventions live in one place. The scalar search is Brent's bounded method
+written out on Python floats, and scipy.integrate is imported on first use, so
+`import xvine` and a fit load only scipy.special.
 """
 from __future__ import annotations
 
@@ -238,27 +239,92 @@ class ScalarProblem:
             raise DomainError(f"unknown transform {self.transform!r}")
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
 def minimize_scalar(problem: ScalarProblem, tol: float = 1e-6) -> tuple[float, float]:
     """Minimize a ScalarProblem; returns (argmin, min value).
 
-    The argmin is located to within `tol` on the transformed scale.
+    The argmin is located to within `tol` on the transformed scale, by Brent's
+    (1973) bounded search: golden-section steps, parabolic ones where the last
+    three points allow. The loop is scipy's `fminbound` step for step, on
+    Python floats, so it takes the same points and returns the same bits
+    without numpy-scalar work around each evaluation. A non-finite objective
+    value counts as 1e300; more than 500 evaluations raise NoConvergence.
     """
-    from scipy import optimize
-
+    objective = problem.objective
     fwd, inv = _TRANSFORMS[problem.transform]
-    t_lo, t_hi = fwd(problem.bracket[0]), fwd(problem.bracket[1])
+    a, b = float(fwd(problem.bracket[0])), float(fwd(problem.bracket[1]))
 
     def goal(t: float) -> float:
-        val = problem.objective(float(inv(t)))
-        # fminbound compares values; replace non-finite by a huge finite penalty
+        val = objective(float(inv(t)))
         return float(val) if math.isfinite(val) else 1e300
 
-    t_min, f_min, status, _ = optimize.fminbound(
-        goal, t_lo, t_hi, xtol=tol, maxfun=500, full_output=True, disp=0)
-    if status != 0:
-        why = "500 evaluations reached" if status == 1 else "NaN encountered"
-        raise NoConvergence(f"bounded scalar search failed: {why}")
-    return float(inv(t_min)), float(f_min)
+    # xf holds the best point so far, nfc the second best, fulc the previous nfc
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = ffulc = fnfc = goal(xf)
+    fu = math.inf
+    rat = e = 0.0
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + tol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # a parabola through the three points, kept if it steps inside
+            # (a, b) by less than half the step before last
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = goal(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            raise NoConvergence("bounded scalar search failed: 500 evaluations reached")
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        raise NoConvergence("bounded scalar search failed: NaN encountered")
+    return float(inv(xf)), fx
 
 
 def invert_monotone(f, target, bracket, tol: float = 1e-10,

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from xvine import estimate
 from xvine.cli import main
+from xvine.errors import NoConvergence
 from xvine.families import TailFamily, tail_chi
 from xvine.model import XVineSpec, model_from_json, model_to_json
 from xvine.reference import five_variable_spec
@@ -145,17 +147,34 @@ def test_fit_k_handling(bench_spec_file, tmp_path, capsys):
     assert "ignored" in capsys.readouterr().err
 
 
-def test_fit_partial_failure_exit_code(bench_spec_file, tmp_path, capsys):
+def test_fit_partial_failure_exit_code(bench_spec_file, tmp_path, capsys, monkeypatch):
     data = simulate_csv(bench_spec_file, tmp_path, n=1500, seed=13)
     out = tmp_path / "fit.json"
+
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("bounded scalar search failed: 500 evaluations reached")
+
+    # every deeper fit fails, as only a search can once the options are checked
+    monkeypatch.setattr(estimate, "fit_pair_edge", no_convergence)
     code = main(["fit", "--data", data, "--input-kind", "inverted-pareto",
-                 "--pair-catalogue", "plackett", "--out", str(out)])
+                 "--out", str(out)])
     assert code == 4
     assert "warning:" in capsys.readouterr().err
     report = json.loads(out.read_text())
     assert report["errors"]
     deeper = [rec for rec in report["edges"] if rec["level"] > 1]
     assert deeper and all(rec["family"] == "indep" for rec in deeper)
+
+
+@pytest.mark.parametrize("catalogue", ["plackett", "gaussian,clayton,", "gausian,clayton"])
+def test_fit_rejects_bad_pair_catalogue(bench_spec_file, tmp_path, capsys, catalogue):
+    data = simulate_csv(bench_spec_file, tmp_path, n=1500, seed=13)
+    out = tmp_path / "fit.json"
+    code = main(["fit", "--data", data, "--input-kind", "inverted-pareto",
+                 "--pair-catalogue", catalogue, "--out", str(out)])
+    assert code == 2
+    assert "pair_catalogue" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_mbic_reports_qstar(bench_spec_file, tmp_path, capsys):

@@ -119,9 +119,19 @@ def test_import_leaves_scipy_stats_out():
 
 
 def test_import_leaves_scipy_optimize_and_integrate_out():
-    # both load on the first fit or quadrature, not on import
+    # scipy.integrate loads on the first quadrature, not on import, and
+    # scipy.optimize never (test_fit_leaves_scipy_optimize_out)
     code = ("import sys, xvine; "
             "assert not {'scipy.optimize', 'scipy.integrate'} & set(sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(xvine.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
+
+
+def test_fit_leaves_scipy_optimize_out():
+    code = ("import sys, numpy as np; from xvine.estimate import fit_pipeline; "
+            "x = np.random.default_rng(3).standard_t(4, size=(600, 4)); "
+            "assert fit_pipeline(x, 60).spec.d == 4; "
+            "assert 'scipy.optimize' not in sys.modules")
     env = {**os.environ, "PYTHONPATH": str(Path(xvine.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
@@ -337,6 +347,47 @@ def test_fit_options_validation():
         FitOptions(psi0=1.0)
     with pytest.raises(DomainError):
         FitOptions(aic_convention="hqc")
+
+
+@pytest.mark.parametrize("bad", [
+    {"pair_catalogue": ()},
+    {"pair_catalogue": ("gausian", "clayton")},
+    {"pair_catalogue": ("gaussian", "clayton", "")},
+    {"tail_catalogue": ()},
+    {"tail_catalogue": ("hr", "husler")},
+    {"tail_families": {(1, 2, ()): "gumbel"}},
+    {"pair_families": {(1, 3, (2,)): "hr"}},
+    {"n_min": -3},
+    {"n_min": 0},
+    {"n_min": 2.5},
+    {"tau_min": float("nan")},
+    {"tau_min": float("inf")},
+    {"tau_min": -0.1},
+    {"tau_min": 1.0},
+])
+def test_fit_options_reject_bad_kinds_and_thresholds(bad):
+    with pytest.raises(DomainError):
+        FitOptions(**bad)
+
+
+def test_fit_options_accept_one_map_pinning_every_tree(bench):
+    # the first-tree kinds are read only as tail kinds, the rest as pair kinds
+    fams = spec_families(bench)
+    FitOptions(tail_families=fams, pair_families=fams, n_min=np.int64(5), tau_min=0.0)
+
+
+def test_pipeline_computes_each_tau_once(monkeypatch, bench_sample):
+    import xvine.estimate as est
+
+    seen = []
+
+    def recording_tau(u, v):
+        seen.append((np.asarray(u).tobytes(), np.asarray(v).tobytes()))
+        return empirical_tau(u, v)
+
+    monkeypatch.setattr(est, "empirical_tau", recording_tau)
+    fit_pipeline(bench_sample, 200)
+    assert seen and len(set(seen)) == len(seen)
 
 
 def test_pipeline_known_structure_recovers_families(bench, bench_sample):

@@ -1,13 +1,23 @@
 """Numerical kernel contracts: inversion, optimization, quadrature, streams."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
-from xvine.errors import BracketFailure, DomainError
+from xvine.errors import BracketFailure, DomainError, NoConvergence
+from xvine.families import (
+    PAIR_BOXES,
+    TAIL_BOXES,
+    prepare_pair_log_density,
+    prepare_tail_log_density,
+)
 from xvine.numerics import (
+    _TRANSFORMS,
     ScalarProblem,
     invert_monotone,
     log1mexp,
@@ -133,6 +143,101 @@ def test_minimize_scalar_survives_nonfinite():
                          (1e-3, 10.0), transform="log")
     arg, _ = minimize_scalar(prob, tol=1e-9)
     assert abs(arg - 2.0) < 1e-5
+
+
+def counted(f):
+    """f with a running count of its calls in `.calls`."""
+    def g(x):
+        g.calls += 1
+        return f(x)
+    g.calls = 0
+    return g
+
+
+def fminbound_reference(problem: ScalarProblem, tol: float) -> tuple[float, float, int]:
+    """scipy's fminbound on the problem's transformed axis, with the same
+    penalty for non-finite values: (argmin, min value, evaluations)."""
+    fwd, inv = _TRANSFORMS[problem.transform]
+
+    def goal(t):
+        val = problem.objective(float(inv(t)))
+        return float(val) if math.isfinite(val) else 1e300
+
+    t, f, status, nfev = optimize.fminbound(
+        goal, fwd(problem.bracket[0]), fwd(problem.bracket[1]), xtol=tol, maxfun=500,
+        full_output=True, disp=0)
+    assert status == 0
+    return float(inv(t)), float(f), nfev
+
+
+def assert_matches_fminbound(objective, box, transform, tol):
+    f = counted(objective)
+    got = minimize_scalar(ScalarProblem(f, box, transform), tol=tol)
+    assert (*got, f.calls) == fminbound_reference(ScalarProblem(objective, box, transform), tol)
+
+
+QUADRATICS = [
+    ("identity", (-4.0, 7.0), 1.3),
+    ("log", (1e-3, 50.0), 0.42),
+    ("logm1", (1.0 + 1e-6, 30.0), 2.6),
+    ("atanh", (-0.999, 0.999), -0.55),
+]
+
+
+@pytest.mark.parametrize("transform,box,truth", QUADRATICS)
+@pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-4])
+def test_minimize_scalar_matches_fminbound_on_quadratics(transform, box, truth, tol):
+    assert_matches_fminbound(lambda x: (x - truth) ** 2, box, transform, tol)
+
+
+@pytest.mark.parametrize("transform,box,_truth", QUADRATICS)
+def test_minimize_scalar_matches_fminbound_at_bracket_ends(transform, box, _truth):
+    lo, hi = box
+    assert_matches_fminbound(lambda x: x - lo, box, transform, 1e-7)
+    assert_matches_fminbound(lambda x: hi - x, box, transform, 1e-7)
+
+
+@pytest.mark.parametrize("c,w", [(4.4, 0.28), (3.0, 0.5)])
+def test_minimize_scalar_matches_fminbound_on_plateaus(c, w):
+    # flat outside a well: equal values take the tie rules of the point updates
+    assert_matches_fminbound(lambda x: min(abs(x - c), w), (-4.0, 7.0), "identity", 1e-7)
+    assert_matches_fminbound(lambda x: 0.0 if abs(x - c) < w else 1.0, (-4.0, 7.0),
+                             "identity", 1e-7)
+
+
+def test_minimize_scalar_matches_fminbound_on_nonfinite_region():
+    objective = lambda x: np.inf if x < 0.5 else (x - 2.0) ** 2
+    assert_matches_fminbound(objective, (1e-3, 10.0), "log", 1e-9)
+    assert_matches_fminbound(lambda x: np.nan if x > 3.0 else -x, (-4.0, 7.0), "identity", 1e-7)
+
+
+@pytest.mark.parametrize("kind", sorted(TAIL_BOXES))
+def test_minimize_scalar_matches_fminbound_on_tail_loglik(kind):
+    rng = np.random.default_rng(5)
+    x = 1.0 / rng.uniform(0.01, 1.0, 150)
+    y = x * np.exp(rng.normal(0.0, 0.7, 150))
+    loglik = prepare_tail_log_density(kind, x, y)
+    lo, hi, transform = TAIL_BOXES[kind]
+    assert_matches_fminbound(lambda th: -float(loglik(th).sum()), (lo, hi), transform, 1e-7)
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_BOXES))
+def test_minimize_scalar_matches_fminbound_on_pair_loglik(kind):
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((200, 2)) @ np.linalg.cholesky([[1.0, 0.6], [0.6, 1.0]]).T
+    u, v = std_normal_cdf(g).T
+    loglik = prepare_pair_log_density(kind, u, v)
+    lo, hi, transform = PAIR_BOXES[kind]
+    assert_matches_fminbound(lambda th: -float(loglik(th).sum()), (lo, hi), transform, 1e-7)
+
+
+def test_minimize_scalar_stops_at_500_evaluations():
+    # |x| with a tolerance far below the spacing of doubles near 1: the
+    # bracket would have to shrink to 1e-300 around 0
+    f = counted(abs)
+    with pytest.raises(NoConvergence):
+        minimize_scalar(ScalarProblem(f, (-1.0, 2.0)), tol=1e-300)
+    assert f.calls == 500
 
 
 def test_invert_monotone_scalar_and_array():
