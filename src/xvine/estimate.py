@@ -20,19 +20,20 @@ from .errors import (
     XVineError,
 )
 from .families import (
-    PAIR_BOXES,
+    _PAIR_RECORDS,
+    _TAIL_RECORDS,
     PAIR_KINDS,
-    TAIL_BOXES,
     TAIL_KINDS,
     PairFamily,
     TailFamily,
+    _kind_record,
     prepare_pair_log_density,
     prepare_tail_log_density,
 )
 from .model import XVineSpec, _Evaluator
 from .numerics import _TRANSFORMS, ScalarProblem, minimize_scalar
 from .simulate import parallel_map, resolve_threads
-from .vines import Edge, VineSequence, _components, _kruskal_forest
+from .vines import Edge, VineSequence, _components, _edge_key, _kruskal_forest
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +245,7 @@ def fit_tail_edge(
     the half-sum convention (``"paper"``) or ``2 - (l_a + l_b)`` (``"standard"``).
     """
     a, b = _check_indices(ps, (a, b), 2)
-    if kind not in TAIL_BOXES:
-        raise DomainError(f"unknown tail family {kind!r}")
+    box = _kind_record(_TAIL_RECORDS, "tail", kind).box
     if aic_convention not in ("paper", "standard"):
         raise DomainError(f"unknown AIC convention {aic_convention!r}")
     mask_a = ps.exceed[:, a - 1]
@@ -257,7 +257,7 @@ def fit_tail_edge(
     thetas, logls, flags = [], [], []
     for mask in (mask_a, mask_b):
         loglik = prepare_tail_log_density(kind, ps.z[mask, a - 1], ps.z[mask, b - 1])
-        theta, ll, flag = _maximize(TAIL_BOXES[kind], loglik, partial(TailFamily, kind))
+        theta, ll, flag = _maximize(box, loglik, partial(TailFamily, kind))
         thetas.append(theta)
         logls.append(ll)
         flags.append(flag)
@@ -281,15 +281,14 @@ def fit_pair_edge(u: np.ndarray, v: np.ndarray, kind: str, *, n_min: int = 10) -
     if u.size != v.size:
         raise DomainError("mismatched sample sizes")
     n = int(u.size)
-    if kind == "indep":
-        return EdgeFit(family=PairFamily("indep"), loglik=0.0, aic=0.0, n_eff=n)
-    if kind not in PAIR_BOXES:
-        raise DomainError(f"unknown pair family {kind!r}")
+    box = _kind_record(_PAIR_RECORDS, "pair", kind).box
+    if box is None:  # no parameter to fit
+        return EdgeFit(family=PairFamily(kind), loglik=0.0, aic=0.0, n_eff=n)
     if n < n_min:
         raise InsufficientData(f"need at least {n_min} rows, got {n}")
 
     loglik = prepare_pair_log_density(kind, u, v)
-    theta, ll, flag = _maximize(PAIR_BOXES[kind], loglik, partial(PairFamily, kind))
+    theta, ll, flag = _maximize(box, loglik, partial(PairFamily, kind))
     return EdgeFit(
         family=PairFamily(kind, theta),
         loglik=ll,
@@ -409,27 +408,33 @@ class FitOptions:
             if not getattr(self, what):
                 raise DomainError(f"empty {what}")
 
-        # a pinned kind is read only on its own trees (a key with an empty
-        # conditioning set is a first-tree edge), so one map of every edge's
-        # kind can pin both
-        def first(key) -> bool:
-            return len(key) < 3 or not key[2]
-
+        # pin keys name edges as VineSequence.find_edge reads them; a pinned
+        # kind is read only on its own trees (a key with an empty conditioning
+        # set is a first-tree edge), so one map of every edge's kind can pin both
+        for what in ("tail_families", "pair_families"):
+            object.__setattr__(self, what, {_edge_key(ref): kind
+                                            for ref, kind in getattr(self, what).items()})
         for what, kinds, known in (
             ("tail_catalogue", self.tail_catalogue, TAIL_KINDS),
             ("pair_catalogue", self.pair_catalogue, PAIR_KINDS),
-            ("tail_families",
-             [kind for key, kind in self.tail_families.items() if first(key)], TAIL_KINDS),
-            ("pair_families",
-             [kind for key, kind in self.pair_families.items() if not first(key)], PAIR_KINDS),
+            ("tail_families", self._pins(True).values(), TAIL_KINDS),
+            ("pair_families", self._pins(False).values(), PAIR_KINDS),
         ):
             for kind in kinds:
                 if kind not in known:
                     raise DomainError(f"unknown family {kind!r} in {what}")
+        if self.structure is not None:
+            for key in (*self._pins(True), *self._pins(False)):
+                self.structure.find_edge(key)   # UnknownEdge if it names no edge
         if not (isinstance(self.n_min, Integral) and self.n_min >= 1):
             raise DomainError(f"n_min must be a positive integer, got {self.n_min!r}")
         if not 0.0 <= self.tau_min < 1.0:  # NaN fails it too
             raise DomainError(f"tau_min must lie in [0, 1), got {self.tau_min!r}")
+
+    def _pins(self, first: bool) -> dict[tuple, str]:
+        """The pins read on first-tree edges (tail_families) or deeper (pair_families)."""
+        pins = self.tail_families if first else self.pair_families
+        return {key: kind for key, kind in pins.items() if (not key[2]) == first}
 
 
 @dataclass(frozen=True)
@@ -469,7 +474,7 @@ def mbic_curve(records: Sequence[Sequence[dict]], psi0: float = 0.9) -> list[flo
     for j in range(2, len(records) + 1):
         psi = psi0 ** (j - 1)
         for rec in records[j - 1]:
-            if rec["family"] != "indep":
+            if rec["theta"] is not None:  # every edge but independence
                 acc += math.log(rec["n_eff"]) - 2.0 * math.log(psi / (1.0 - psi))
             acc -= 2.0 * rec["loglik"] + 2.0 * math.log(1.0 - psi)
         out.append(acc)
@@ -641,6 +646,11 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
             (tail if level == 1 else pairs)[e] = fit.family
             if error is not None:
                 errors.append(error)
+
+    if opts.structure is None:
+        fitted = {e.key for lvl in levels for e in lvl}
+        errors += [f"pinned edge {key} is no edge of the fitted vine"
+                   for key in (*opts._pins(True), *opts._pins(False)) if key not in fitted]
 
     # --- truncation -------------------------------------------------------
     records = [[_record(e, fits[e]) for e in lvl] for lvl in levels]

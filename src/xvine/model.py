@@ -21,23 +21,20 @@ from .errors import (
     RecursionUnavailable,
 )
 from .families import (
+    _PAIR_RECORDS,
+    _TAIL_RECORDS,
     PAIR_KINDS,
-    SCORE_KINDS,
     TAIL_KINDS,
     PairFamily,
     TailFamily,
+    _clamp_log_pair,
+    clamp_score,
     log_pair_to_score,
     pair_h_inv,
     pair_h_inv_score,
-    pair_h_log_pair,
-    pair_h_score,
-    pair_log_density_log_pair,
-    pair_log_density_score,
     score_to_log_pair,
     tail_h_inv,
     tail_h_inv_score,
-    tail_h_log_pair,
-    tail_h_score,
     tail_log_density,
 )
 from .numerics import invert_monotone, std_normal_cdf, std_normal_quantile
@@ -139,10 +136,10 @@ def log_density(spec: XVineSpec, x):
         ev = _Evaluator(spec.tail, spec.pairs, col)
         for t in spec.vine.trees[1:]:
             for e in t:
-                fam = spec.pairs[e]
-                score = fam.kind in SCORE_KINDS
-                total += (pair_log_density_score if score else pair_log_density_log_pair)(
-                    fam, ev.value(e.child_a, e.a, score), ev.value(e.child_b, e.b, score))
+                fam, rec = ev.family(e)
+                p = rec.prepare(ev.arg(e.child_a, e.a, rec.score),
+                                ev.arg(e.child_b, e.b, rec.score))
+                total += rec.evaluate(p, fam.theta)
         out[ok] = total
     return float(out[0]) if squeeze else out
 
@@ -175,19 +172,19 @@ class _Evaluator:
 
     value(e, node, score) is the conditional value R_{node | A_e minus node}:
     tail_h on tree 1, and deeper the pair h-function of e applied to the values
-    of its two children. An edge whose family kind is in SCORE_KINDS computes
-    it as a normal score z = Phi^-1(R) from scores of its children. Any other
-    edge computes the log pair (log R, log(1 - R)) from log pairs of its
-    children, through the families' log-pair kernels, so a value near 1 keeps
-    its complement exact. A reader asks for the form it needs (`score`), and
-    the other form is converted once and memoised under (e, node, score). So
-    a run of hr / gaussian edges stays in scores, with no conversion in
-    between. r(e, node) is R itself, exp(log R) or Phi(z), memoised as well.
-    quantile inverts down the same children with the u-space inverses, handed
-    R of each conditioning value. Density, conditional CDFs and quantiles, the
-    sampler and the fitter all go through it. It reads only the families of
-    the edges it visits, so the fitter can hand it family maps that grow one
-    tree at a time.
+    of its two children, each from the record of e's family kind. An edge of a
+    score kind computes it as a normal score z = Phi^-1(R) from scores of its
+    children; any other edge computes the log pair (log R, log(1 - R)) from log
+    pairs of its children, so a value near 1 keeps its complement exact. A
+    reader asks for the form it needs (`score`), and the other form is
+    converted once and memoised under (e, node, score). Each value is clamped
+    where it is made, a raw tree-1 hr score where a pair edge reads it (`arg`),
+    so the records' formulas run with no check. r(e, node) is R itself,
+    exp(log R) or Phi(z), memoised as well. quantile inverts down the same
+    children with the inverse kernels, which clip the sampler's uniforms.
+    Density, conditional CDFs and quantiles, the sampler and the fitter all go
+    through it. It reads only the families of the edges it visits, so the
+    fitter can hand it family maps that grow one tree at a time.
     """
 
     __slots__ = ("tail", "pairs", "col", "memo", "trace")
@@ -201,15 +198,17 @@ class _Evaluator:
         self.trace = trace
 
     def family(self, e: Edge):
-        return self.tail[e] if e.level == 1 else self.pairs[e]
+        """The family of e and the record of its kind."""
+        fam = self.tail[e] if e.level == 1 else self.pairs[e]
+        return fam, (_TAIL_RECORDS if e.level == 1 else _PAIR_RECORDS)[fam.kind]
 
     def r(self, e: Edge, node: int):
         """The conditional value as a probability."""
         key = (e, node, None)
         if key not in self.memo:
-            self.memo[key] = (std_normal_cdf(self.value(e, node, True))
-                              if self.family(e).kind in SCORE_KINDS
-                              else np.exp(self.value(e, node, False)[0]))
+            score = self.family(e)[1].score
+            val = self.value(e, node, score)
+            self.memo[key] = std_normal_cdf(val) if score else np.exp(val[0])
         return self.memo[key]
 
     def value(self, e: Edge, node: int, score: bool):
@@ -218,31 +217,36 @@ class _Evaluator:
         got = self.memo.get(key)
         if got is not None:
             return got
-        fam = self.family(e)
-        native = fam.kind in SCORE_KINDS
+        fam, rec = self.family(e)
+        native = rec.score
         other = e.b if node == e.a else e.a
         if native != score:
-            to = log_pair_to_score if score else score_to_log_pair
-            val = to(self.value(e, node, native))
+            val = self.value(e, node, native)
+            val = clamp_score(log_pair_to_score(val)) if score else score_to_log_pair(val)
         elif e.level == 1:
-            h = tail_h_score if native else tail_h_log_pair
-            val = h(fam, self.col[node], self.col[other])
+            val = rec.h(self.col[node], self.col[other], fam.theta)
+            if not native:
+                val = _clamp_log_pair(val)
             self.event("tail_h", e, node)
         else:
             child_t = e.child_a if node == e.a else e.child_b
             child_o = e.child_b if child_t is e.child_a else e.child_a
-            zt = self.value(child_t, node, native)
-            zo = self.value(child_o, other, native)
-            h = pair_h_score if native else pair_h_log_pair
-            val = h(fam, zt, zo)
+            val = rec.h(self.arg(child_t, node, native), self.arg(child_o, other, native),
+                        fam.theta)
+            val = clamp_score(val) if native else _clamp_log_pair(val)
             self.event("pair_h", e, node)
         self.memo[key] = val
         return val
 
+    def arg(self, e: Edge, node: int, score: bool):
+        """value() as a pair edge reads it, with a raw tree-1 score clamped."""
+        val = self.value(e, node, score)
+        return clamp_score(val) if score and e.level == 1 else val
+
     def quantile(self, e: Edge, node: int, w, score: bool = False):
         """The x of `node` whose value on e is w (a normal score if `score`)."""
-        fam = self.family(e)
-        native = fam.kind in SCORE_KINDS
+        fam, rec = self.family(e)
+        native = rec.score
         if native != score:
             w = (std_normal_quantile if native else std_normal_cdf)(w)
         other = e.b if node == e.a else e.a

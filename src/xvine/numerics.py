@@ -210,14 +210,6 @@ def wright_omega(x):
     return special.wrightomega(np.asarray(x, dtype=float))
 
 
-def log_gamma(a):
-    """log Gamma(a) for a > 0."""
-    a = np.asarray(a, dtype=float)
-    if np.any(a <= 0.0):
-        raise DomainError("log_gamma needs a > 0")
-    return special.gammaln(a)
-
-
 @dataclass(frozen=True)
 class ScalarProblem:
     """A one-dimensional minimization problem on a box.

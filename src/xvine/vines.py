@@ -102,6 +102,20 @@ def _check_tree(node_set: set, pairs: list[tuple], level: int) -> None:
         raise NotATree(f"tree {level} is disconnected")
 
 
+def _edge_key(ref) -> tuple:
+    """The key (a, b, sorted D) with a < b of an Edge, (a, b) or (a, b, D)."""
+    if isinstance(ref, Edge):
+        return ref.key
+    parts = tuple(ref)
+    if len(parts) == 2:
+        x, y = sorted(parts)
+        return (x, y, ())
+    if len(parts) == 3:
+        x, y = sorted(parts[:2])
+        return (x, y, tuple(sorted(parts[2])))
+    raise UnknownEdge(f"cannot interpret edge reference {ref!r}")
+
+
 def _components(e: Edge) -> frozenset:
     """What e joins: two nodes on tree 1, two edges of the previous tree deeper."""
     return e.union if e.level == 1 else frozenset((e.child_a, e.child_b))
@@ -258,18 +272,7 @@ class VineSequence:
 
     def find_edge(self, ref) -> Edge:
         """Resolve an edge reference: an Edge, (a, b) for tree 1, or (a, b, D)."""
-        if isinstance(ref, Edge):
-            key = ref.key
-        else:
-            parts = tuple(ref)
-            if len(parts) == 2:
-                x, y = sorted(parts)
-                key = (x, y, ())
-            elif len(parts) == 3:
-                x, y = sorted(parts[:2])
-                key = (x, y, tuple(sorted(parts[2])))
-            else:
-                raise UnknownEdge(f"cannot interpret edge reference {ref!r}")
+        key = _edge_key(ref)
         try:
             return self._by_key[key]
         except KeyError:

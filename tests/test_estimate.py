@@ -18,6 +18,7 @@ from xvine.errors import (
     InfeasibleLevel,
     InsufficientData,
     NotATree,
+    UnknownEdge,
 )
 from xvine.estimate import (
     FitOptions,
@@ -374,6 +375,39 @@ def test_fit_options_accept_one_map_pinning_every_tree(bench):
     # the first-tree kinds are read only as tail kinds, the rest as pair kinds
     fams = spec_families(bench)
     FitOptions(tail_families=fams, pair_families=fams, n_min=np.int64(5), tau_min=0.0)
+
+
+def test_fit_options_pin_keys_in_any_order(bench, bench_sample):
+    # (3, 1, (2,)) names edge (1,3;2) as find_edge reads it
+    opts = FitOptions(structure=bench.vine, truncation=2, pair_families={(3, 1, (2,)): "frank"})
+    assert opts.pair_families == {(1, 3, (2,)): "frank"}
+    report = fit_pipeline(bench_sample, 200, options=opts)
+    fam = report.spec.family_of((1, 3, (2,)))
+    assert fam.kind == "frank" and not report.errors
+
+
+@pytest.mark.parametrize("pins", [
+    {"tail_families": {(1, 3): "hr"}},
+    {"pair_families": {(1, 5, (2,)): "frank"}},
+    {"pair_families": {(5, 1, (4, 3, 2)): "frank", (1, 5, (2, 3)): "joe"}},
+])
+def test_fit_options_reject_pins_off_a_given_structure(bench, pins):
+    with pytest.raises(UnknownEdge):
+        FitOptions(structure=bench.vine, **pins)
+
+
+def test_fit_options_ignore_pins_on_the_other_map_s_trees(bench):
+    # a deeper key in tail_families and a tree-1 key in pair_families are not read
+    FitOptions(structure=bench.vine, tail_families={(1, 5, (2,)): "frank"},
+               pair_families={(1, 3): "hr"})
+
+
+def test_pipeline_names_pins_off_a_learned_vine(bench_sample):
+    opts = FitOptions(truncation=2, tail_families={(1, 9): "hr"},
+                      pair_families={(2, 1, (7,)): "frank", (1, 3): "hr"})
+    report = fit_pipeline(bench_sample, 200, options=opts)
+    assert report.errors == ("pinned edge (1, 9, ()) is no edge of the fitted vine",
+                             "pinned edge (1, 2, (7,)) is no edge of the fitted vine")
 
 
 def test_pipeline_computes_each_tau_once(monkeypatch, bench_sample):

@@ -15,11 +15,14 @@ import oracles as oc
 from conftest import PAIR_RANGES, TAIL_RANGES
 from xvine.errors import DomainError
 from xvine.families import (
+    _PAIR_RECORDS,
+    _TAIL_RECORDS,
     EPS_UNIT,
     LOG_HI,
     LOG_LO,
     PAIR_BOXES,
     PAIR_KINDS,
+    SCORE_KINDS,
     TAIL_BOXES,
     TAIL_KINDS,
     X_MAX,
@@ -27,7 +30,6 @@ from xvine.families import (
     TailFamily,
     Z_HI,
     Z_LO,
-    _tail_h_logs,
     clamp_score,
     log_pair_to_score,
     pair_density,
@@ -163,7 +165,7 @@ def test_tail_h_inv_round_trip_full_box(kind, th):
         warnings.simplefilter("error")
         x = tail_h_inv(fam, TAIL_INV_W, 1.0)
         assert np.all(np.isfinite(x)) and np.all(x > 0.0)
-        lh, lhb = _tail_h_logs(fam, x, 1.0)
+        lh, lhb = _TAIL_RECORDS[kind].h(x, 1.0, th)
     low = TAIL_INV_W <= 0.5
     got = np.where(low, lh, lhb)
     want = np.where(low, np.log(TAIL_INV_W), np.log1p(-TAIL_INV_W))
@@ -205,7 +207,7 @@ def test_tail_h_inv_keeps_finite_roots_past_an_overflowing_ratio(kind, th, w):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x = float(tail_h_inv(fam, w, y))
-        lh, lhb = _tail_h_logs(fam, np.array([x]), np.array([y]))
+        lh, lhb = _TAIL_RECORDS[kind].h(np.array([x]), np.array([y]), th)
     assert x < X_MAX and math.log(x) - math.log(y) > math.log(X_MAX)
     got, want = (lh[0], math.log(w)) if w <= 0.5 else (lhb[0], math.log1p(-w))
     assert abs(math.expm1(got - want)) <= 1e-12
@@ -443,6 +445,52 @@ def test_tau_inverse_domain():
         tau_inverse("indep", 0.3)
     with pytest.raises(DomainError):
         tau_inverse("gaussian", 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the record tables
+# ---------------------------------------------------------------------------
+
+def test_derived_tables_keep_contents_and_order():
+    # bench/worker.py and scripts/kernel_timing.py read these
+    assert TAIL_KINDS == ("hr", "logistic", "neglogistic", "dirichlet")
+    assert PAIR_KINDS == ("indep", "gaussian", "clayton", "gumbel", "frank", "joe",
+                          "survclayton", "survgumbel", "survjoe")
+    assert list(TAIL_BOXES.items()) == [
+        ("hr", (1e-3, 50.0, "log")),
+        ("logistic", (1.0 + 1e-6, 28.0, "logm1")),
+        ("neglogistic", (1e-3, 28.0, "log")),
+        ("dirichlet", (1e-3, 28.0, "log")),
+    ]
+    assert list(PAIR_BOXES.items()) == [
+        ("gaussian", (-0.999, 0.999, "atanh")),
+        ("clayton", (1e-6, 28.0, "log")),
+        ("gumbel", (1.0 + 1e-8, 17.0, "logm1")),
+        ("frank", (-35.0, 35.0, "identity")),
+        ("joe", (1.0 + 1e-8, 30.0, "logm1")),
+        ("survclayton", (1e-6, 28.0, "log")),
+        ("survgumbel", (1.0 + 1e-8, 17.0, "logm1")),
+        ("survjoe", (1.0 + 1e-8, 30.0, "logm1")),
+    ]
+    assert SCORE_KINDS == frozenset({"hr", "gaussian"})
+
+
+def test_every_record_fills_the_slots_its_doors_reach():
+    shared = ("domain", "prepare", "evaluate", "h", "h_inv")
+    for kind, rec in _TAIL_RECORDS.items():
+        assert rec.name == kind and rec.need and rec.box is not None
+        assert all(callable(getattr(rec, slot)) for slot in (*shared, "chi"))
+    for kind, rec in _PAIR_RECORDS.items():
+        assert rec.name == kind and rec.need
+        assert all(callable(getattr(rec, slot)) for slot in (*shared, "tau"))
+        # only independence has no box, and pair_h takes its h on u
+        assert (rec.box is None) == (rec.h_u is not None)
+    for kind in PAIR_KINDS:
+        if kind.startswith("surv"):
+            rec, base = _PAIR_RECORDS[kind], _PAIR_RECORDS[kind[4:]]
+            assert base.survival and not rec.score
+            assert (rec.box, rec.tau, rec.tau_inv, rec.domain) == (
+                base.box, base.tau, base.tau_inv, base.domain)
 
 
 # ---------------------------------------------------------------------------

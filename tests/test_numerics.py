@@ -21,7 +21,6 @@ from xvine.numerics import (
     ScalarProblem,
     invert_monotone,
     log1mexp,
-    log_gamma,
     minimize_scalar,
     quad_1d,
     reg_beta_cdf,
@@ -109,13 +108,6 @@ def test_beta_rejects_bad_shapes():
         reg_beta_cdf(0.5, -1.0, 2.0)
     with pytest.raises(DomainError):
         reg_beta_logit_quantile(np.log(0.5), np.log(0.5), 1.0, 0.0)
-
-
-def test_log_gamma_values():
-    np.testing.assert_allclose(log_gamma([1.0, 2.0, 5.0]),
-                               [0.0, 0.0, np.log(24.0)], atol=1e-12)
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
 
 
 @pytest.mark.parametrize("transform,box,truth", [
