@@ -20,7 +20,8 @@ cover:
   mBIC truncation; the student-t data rounded to one decimal, whose ties
   the rank transform must count; and the student-t data with tau_min = 0.2.
 
-Run it on two checkouts and compare with one `diff`:
+`fits()` lists them; scripts/mbic_agreement.py reads its mBIC fits. Run it
+on two checkouts and compare with one `diff`:
 
     PYTHONPATH=src python3 scripts/fit_hashes.py > after.txt
     (cd ../parent && PYTHONPATH=src python3 scripts/fit_hashes.py) > before.txt
@@ -64,18 +65,17 @@ def fingerprint(label: str, report: FitReport) -> str:
     return f"{label} q_star={report.q_star} {edges}\n{label} sha256={digest}"
 
 
-def main() -> int:
+def fits():
+    """(label, data, k, options) of every fit, in print order."""
     opts = FitOptions(truncation="mbic", threads=1)
     for seed in SEEDS:
         for i, data in enumerate(student_t_sets(seed)):
-            print(fingerprint(f"student_t seed={seed} set={i}",
-                              fit_pipeline(data, T_K, opts)))
+            yield f"student_t seed={seed} set={i}", data, T_K, opts
     bench = five_variable_spec()
     samples = {seed: sample_inverted_pareto(bench, FIVE_N, seed=seed)[0] for seed in SEEDS}
     opts = FitOptions(structure=bench.vine, truncation="mbic", threads=1)
     for seed in SEEDS:
-        print(fingerprint(f"five_variable seed={seed}",
-                          fit_pipeline(1.0 / samples[seed], FIVE_K, opts)))
+        yield f"five_variable seed={seed}", 1.0 / samples[seed], FIVE_K, opts
 
     fams = spec_families(bench)
     extra = {
@@ -87,15 +87,18 @@ def main() -> int:
     for seed in EXTRA_SEEDS:
         data = student_t_sets(seed)[0]
         for label, (opts, prep) in extra.items():
-            print(fingerprint(f"student_t_{label} seed={seed}",
-                              fit_pipeline(prep(data), T_K, opts)))
+            yield f"student_t_{label} seed={seed}", prep(data), T_K, opts
         z = samples[seed]
-        print(fingerprint(f"five_variable_pinned seed={seed}", fit_pipeline(
-            1.0 / z, FIVE_K, FitOptions(structure=bench.vine, tail_families=fams,
-                                        pair_families=fams, threads=1))))
-        print(fingerprint(f"five_variable_inverted_pareto seed={seed}", fit_pipeline(
-            z, options=FitOptions(input_kind="inverted-pareto", truncation="mbic",
-                                  threads=1))))
+        yield (f"five_variable_pinned seed={seed}", 1.0 / z, FIVE_K,
+               FitOptions(structure=bench.vine, tail_families=fams, pair_families=fams,
+                          threads=1))
+        yield (f"five_variable_inverted_pareto seed={seed}", z, None,
+               FitOptions(input_kind="inverted-pareto", truncation="mbic", threads=1))
+
+
+def main() -> int:
+    for label, data, k, opts in fits():
+        print(fingerprint(label, fit_pipeline(data, k, opts)))
     return 0
 
 

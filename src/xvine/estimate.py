@@ -61,13 +61,8 @@ class PseudoSample:
         return self.z.shape[1]
 
 
-def rank_transform(data: np.ndarray, k: int) -> PseudoSample:
-    """Turn raw observations into inverted-Pareto pseudo-observations.
-
-    Column ``j`` is mapped through its maximal ranks to
-    ``(n / k) * (1 - (rnk - 0.5) / n)``, so values below 1 flag the ``k``
-    largest observations of that column.
-    """
+def _raw_data(data: np.ndarray, k: int) -> np.ndarray:
+    """The raw observations as a float array, checked for a rank transform with k."""
     X = np.asarray(data, dtype=float)
     if X.ndim != 2:
         raise DomainError("data must be a 2-d array")
@@ -81,6 +76,24 @@ def rank_transform(data: np.ndarray, k: int) -> PseudoSample:
     for j in range(d):
         if np.all(X[:, j] == X[0, j]):
             raise DegenerateColumn(f"column {j + 1} is constant")
+    return X
+
+
+def _scaled_ranks(rnk: np.ndarray, n: int, k: float) -> np.ndarray:
+    """Maximal ranks out of n on the inverted-Pareto scale of k exceedances."""
+    u_hat = 1.0 - (rnk - 0.5) / n
+    return u_hat * (n / float(k))
+
+
+def rank_transform(data: np.ndarray, k: int) -> PseudoSample:
+    """Turn raw observations into inverted-Pareto pseudo-observations.
+
+    Column ``j`` is mapped through its maximal ranks to
+    ``(n / k) * (1 - (rnk - 0.5) / n)``, so values below 1 flag the ``k``
+    largest observations of that column.
+    """
+    X = _raw_data(data, k)
+    n, d = X.shape
     # maximal ranks: the rank of an entry is the count of column entries <= it,
     # that is one past the last sorted position holding its value
     rnk = np.empty(X.shape, dtype=np.intp)
@@ -90,9 +103,30 @@ def rank_transform(data: np.ndarray, k: int) -> PseudoSample:
         col = X[idx, j]
         last = np.where(np.r_[col[1:] != col[:-1], True], pos, n)
         rnk[idx, j] = np.minimum.accumulate(last[::-1])[::-1]
-    u_hat = 1.0 - (rnk - 0.5) / n
-    z = u_hat * (n / float(k))
+    z = _scaled_ranks(rnk, n, k)
     return PseudoSample(z=z, k=float(k), n=n, exceed=z < 1.0)
+
+
+def _exceedance_rows(data: np.ndarray, k: int) -> tuple[int, PseudoSample]:
+    """The row count and rank_transform(data, k) on the rows with an exceedance.
+
+    Only those rows are ranked: a column's exceedances are its entries at or
+    above its (n - top + 1)-th smallest, top being the number of maximal ranks
+    that scale below 1 (k of them for integer k), and the maximal rank of an
+    entry is its right insertion point in the sorted column.
+    """
+    X = _raw_data(data, k)
+    n = X.shape[0]
+    cols = np.sort(X.T, axis=1)
+    top = int(np.count_nonzero(_scaled_ranks(np.arange(1, n + 1), n, k) < 1.0))
+    exceed = X >= (cols[:, n - top] if top else np.inf)
+    rows = exceed.any(axis=1)
+    kept = X[rows]
+    rnk = np.empty(kept.shape, dtype=np.intp)
+    for j, col in enumerate(cols):
+        rnk[:, j] = np.searchsorted(col, kept[:, j], side="right")
+    return n, PseudoSample(z=_scaled_ranks(rnk, n, k), k=float(k), n=kept.shape[0],
+                           exceed=exceed[rows])
 
 
 def from_inverted_pareto(data: np.ndarray) -> PseudoSample:
@@ -439,7 +473,14 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Fitted model plus per-edge diagnostics and the truncation trace."""
+    """Fitted model plus per-edge diagnostics and the truncation trace.
+
+    Under mBIC truncation, `mbic` is the curve up to where the fit stopped:
+    ``q_star + 1`` entries, or as many as the structure has trees when the
+    curve falls all the way, with ``q_star == 1 + argmin(mbic)``. `edges`
+    holds the records of the trees kept, and `errors` the failures of every
+    tree fitted, in tree and fitting order.
+    """
 
     spec: XVineSpec
     edges: tuple[dict, ...]
@@ -578,19 +619,27 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
     (first tree) or absolute Kendall's tau (deeper trees), and the vine is
     extended one tree at a time (Dissmann et al. 2013). The pseudo-observations
     are the model's own h-function recursion on the vine fitted so far.
+
+    With ``truncation="mbic"`` the choice is sequential: once tree L + 1 does
+    not lower the mBIC curve (`mbic_curve`) below its value after tree L, the
+    fit stops with ``q_star = L``, so it grows ``q_star + 1`` trees. The rule
+    is not exact, as a deeper tree with a large log-likelihood could take the
+    curve below its first local minimum. The whole curve comes from a fit
+    with ``truncation=d - 1``: pass its records, grouped by level, to
+    `mbic_curve`.
     """
     opts = options or FitOptions()
+    # Every mask below is a subset of the rows with an exceedance, and boolean
+    # masks keep row order, so fitting on those rows alone gives the same sums.
     if opts.input_kind == "raw":
         if k is None:
             raise DomainError("k is required for raw input")
-        ps = rank_transform(data, k)
+        n, ps = _exceedance_rows(data, k)
     else:
-        ps = from_inverted_pareto(data)
-    n, d = ps.n, ps.d
-    # Every mask below is a subset of the rows with an exceedance, and boolean
-    # masks keep row order, so fitting on those rows alone gives the same sums.
-    rows = ps.exceed.any(axis=1)
-    ps = PseudoSample(z=ps.z[rows], k=ps.k, n=int(rows.sum()), exceed=ps.exceed[rows])
+        full = from_inverted_pareto(data)
+        n, rows = full.n, full.exceed.any(axis=1)
+        ps = PseudoSample(z=full.z[rows], k=full.k, n=int(rows.sum()), exceed=full.exceed[rows])
+    d = ps.d
     if opts.structure is not None and opts.structure.d != d:
         raise DomainError(
             f"structure has {opts.structure.d} variables but data has {d} columns"
@@ -611,8 +660,8 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
     n_threads = resolve_threads(opts.threads)
     tail: dict[Edge, TailFamily] = {}
     pairs: dict[Edge, PairFamily] = {}
-    fits: dict[Edge, EdgeFit] = {}
     levels: list[list[Edge]] = []  # each tree's edges in fitting order
+    records: list[list[dict]] = []  # and their diagnostics
     errors: list[str] = []  # in tree and fitting order, whatever the thread count
     # one memo for every tree; the family maps grow as the trees are fitted
     ev = _Evaluator(tail, pairs, {j: ps.z[:, j - 1] for j in range(1, d + 1)})
@@ -642,10 +691,14 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
             ]
             done = parallel_map(lambda job: _fit_one_pair(job, opts), jobs, n_threads)
         for e, (fit, error) in zip(edges, done):
-            fits[e] = fit
             (tail if level == 1 else pairs)[e] = fit.family
             if error is not None:
                 errors.append(error)
+        records.append([_record(e, fit) for e, (fit, _error) in zip(edges, done)])
+        if opts.truncation == "mbic" and level > 1:
+            *_, before, after = mbic_curve(records, opts.psi0)
+            if after >= before:  # tree `level` does not lower the curve
+                break
 
     if opts.structure is None:
         fitted = {e.key for lvl in levels for e in lvl}
@@ -653,7 +706,6 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
                    for key in (*opts._pins(True), *opts._pins(False)) if key not in fitted]
 
     # --- truncation -------------------------------------------------------
-    records = [[_record(e, fits[e]) for e in lvl] for lvl in levels]
     mbic_list: tuple[float, ...] = ()
     q_star: int | None = None
     if opts.truncation == "mbic":

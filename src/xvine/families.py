@@ -537,8 +537,8 @@ def prepare_tail_log_density(kind: str, x, y) -> Callable[[float], np.ndarray]:
 
     theta is not checked: callers keep it inside the family's domain.
     """
+    rec = _kind_record(_TAIL_RECORDS, "tail", kind)
     x, y = _pos("tail density", x, y)
-    rec = _TAIL_RECORDS[kind]
     p = rec.prepare(x, y)
     return lambda th: rec.evaluate(p, th)
 
@@ -625,8 +625,8 @@ def prepare_pair_log_density(kind: str, u, v) -> Callable[[float], np.ndarray]:
 
     theta is not checked: callers keep it inside the family's domain.
     """
+    rec = _kind_record(_PAIR_RECORDS, "pair", kind)
     u, v = _clip_unit(u), _clip_unit(v)
-    rec = _PAIR_RECORDS[kind]
     if rec.score:
         p = rec.prepare(std_normal_quantile(u), std_normal_quantile(v))
     else:
@@ -704,7 +704,7 @@ def pair_tau(fam: PairFamily) -> float:
 
 def tau_inverse(kind: str, tau: float) -> float:
     """Parameter whose population tau equals `tau`; by bisection where no closed form exists."""
-    rec = _PAIR_RECORDS[kind]
+    rec = _kind_record(_PAIR_RECORDS, "pair", kind)
     if rec.box is None:
         raise DomainError(f"{kind} has no parameter to solve for")
     if rec.tau_inv is not None:

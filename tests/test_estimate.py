@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from scipy.stats import kendalltau, rankdata
 
 import xvine
+import xvine.estimate as est
 from xvine.errors import (
     DegenerateColumn,
     DomainError,
@@ -23,6 +25,7 @@ from xvine.errors import (
 from xvine.estimate import (
     FitOptions,
     PseudoSample,
+    _exceedance_rows,
     _kruskal,
     empirical_chi,
     empirical_tau,
@@ -42,8 +45,14 @@ from xvine.families import (
     pair_tau,
     tail_chi,
 )
-from xvine.model import model_from_json
-from xvine.reference import chain_vine, five_variable_spec, spec_families
+from xvine.model import XVineSpec, model_from_json, model_to_json
+from xvine.reference import (
+    chain_vine,
+    cvine,
+    five_variable_spec,
+    spec_families,
+    truncated_cvine_study_spec,
+)
 from xvine.simulate import sample_inverted_pareto
 
 
@@ -111,6 +120,34 @@ def test_rank_transform_matches_max_ranks_on_ties():
     X[:, 3] = rng.normal(size=500)
     want = (1.0 - (rankdata(X, method="max", axis=0) - 0.5) / 500) * (500 / 40.0)
     np.testing.assert_array_equal(rank_transform(X, 40).z, want)
+
+
+@pytest.mark.parametrize("k", [40, 7, 40.5, 0.3])
+@pytest.mark.parametrize("ties", [False, True])
+def test_exceedance_rows_are_rank_transform_rows(k, ties):
+    rng = np.random.default_rng(13)
+    X = rng.standard_t(3.0, size=(500, 4))
+    if ties:
+        X = np.round(X, 1)
+    full = rank_transform(X, k)
+    rows = full.exceed.any(axis=1)
+    n, ps = _exceedance_rows(X, k)
+    assert n == 500 and ps.n == int(rows.sum()) and ps.k == full.k
+    np.testing.assert_array_equal(ps.z, full.z[rows])
+    np.testing.assert_array_equal(ps.exceed, full.exceed[rows])
+
+
+def test_exceedance_rows_validation():
+    X = np.random.default_rng(4).normal(size=(30, 2))
+    flat = X.copy()
+    flat[:, 1] = 2.5
+    bad = X.copy()
+    bad[0, 0] = np.nan
+    for data, k in ((X[:, 0], 5), (X, 0), (X, 30), (bad, 5), (X[:1], 0)):
+        with pytest.raises(DomainError):
+            _exceedance_rows(data, k)
+    with pytest.raises(DegenerateColumn):
+        _exceedance_rows(flat, 5)
 
 
 def test_import_leaves_scipy_stats_out():
@@ -554,6 +591,92 @@ def test_pipeline_mbic_reports_curve(bench, bench_sample):
     assert len(report.mbic) == 4
     assert report.q_star == 1 + int(np.argmin(report.mbic))
     assert report.spec.vine.q == report.q_star
+
+
+@pytest.fixture(scope="module")
+def c11_sample():
+    """One draw of the acceptance gate's truncation study (true level 4 of 9)."""
+    z, _ = sample_inverted_pareto(truncated_cvine_study_spec(d=10, q=4, seed=20), 1000,
+                                  seed=3000)
+    return z
+
+
+def first_rise(curve) -> int:
+    """The sequential rule read off a whole curve: the level before its first non-fall."""
+    return next((q for q in range(1, len(curve)) if curve[q] >= curve[q - 1]), len(curve))
+
+
+def per_level(report) -> list[list[dict]]:
+    return [[r for r in report.edges if r["level"] == lvl]
+            for lvl in range(1, report.spec.q + 1)]
+
+
+@pytest.mark.parametrize("case", ["given", "learned", "c11"])
+def test_pipeline_mbic_is_the_full_curve_cut_where_it_stops_falling(
+        case, bench, bench_sample, c11_sample):
+    if case == "c11":
+        data, k = c11_sample, None
+        base = FitOptions(input_kind="inverted-pareto", structure=cvine(10))
+    else:
+        data, k = bench_sample, 200
+        base = FitOptions(structure=bench.vine if case == "given" else None)
+    seq = fit_pipeline(data, k, replace(base, truncation="mbic"))
+    full = fit_pipeline(data, k, replace(base, truncation=data.shape[1] - 1))
+    curve = mbic_curve(per_level(full), base.psi0)
+    q = seq.q_star
+    # on these samples the first level where the curve stops falling is its argmin
+    assert q == first_rise(curve) == 1 + int(np.argmin(curve))
+    assert list(seq.mbic) == curve[:q + 1]
+    assert seq.edges == full.edges[:len(seq.edges)]
+    want = XVineSpec(full.spec.vine.truncate(q), full.spec.tail,
+                     {e: c for e, c in full.spec.pairs.items() if e.level <= q})
+    assert model_to_json(seq.spec) == model_to_json(want)
+
+
+def test_pipeline_mbic_fits_no_tree_past_the_stop(monkeypatch, c11_sample):
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return fit_pair_edge(*args, **kwargs)
+
+    monkeypatch.setattr(est, "fit_pair_edge", counting_fit)
+    base = FitOptions(input_kind="inverted-pareto", structure=cvine(10))
+    counts = {}
+    for truncation in ("mbic", 5, 9):
+        calls.clear()
+        report = fit_pipeline(c11_sample, options=replace(base, truncation=truncation))
+        counts[truncation] = len(calls)
+        if truncation == "mbic":
+            assert report.q_star == 4 and len(report.mbic) == 5
+    # tree q_star + 1 = 5 is fitted to see the curve rise, and no tree below it
+    assert counts["mbic"] == counts[5] < counts[9]
+
+
+def test_pipeline_mbic_on_a_single_tree(bench_sample):
+    report = fit_pipeline(bench_sample[:, :2], 200, FitOptions(truncation="mbic"))
+    assert report.mbic == (0.0,) and report.q_star == 1 and report.spec.q == 1
+
+
+def test_pipeline_mbic_fits_every_tree_while_the_curve_falls(bench, bench_sample):
+    opts = FitOptions(structure=bench.vine.truncate(3), truncation="mbic")
+    report = fit_pipeline(bench_sample, 200, opts)
+    assert report.q_star == 3 and len(report.mbic) == 3
+    assert (np.diff(report.mbic) < 0).all()
+
+
+def test_pipeline_mbic_names_pins_past_the_stop(c11_sample):
+    base = FitOptions(input_kind="inverted-pareto")
+    full = fit_pipeline(c11_sample, options=replace(base, truncation=9))
+    seq = fit_pipeline(c11_sample, options=replace(base, truncation="mbic"))
+    deep = [(r["a"], r["b"], tuple(r["cond"])) for r in full.edges
+            if r["level"] > seq.q_star + 1]
+    assert deep and not seq.errors
+    pinned = replace(base, pair_families={key: "frank" for key in deep})
+    want = tuple(f"pinned edge {key} is no edge of the fitted vine" for key in deep)
+    assert fit_pipeline(c11_sample, options=replace(pinned, truncation="mbic")).errors == want
+    assert fit_pipeline(c11_sample,
+                        options=replace(pinned, truncation=seq.q_star + 1)).errors == want
 
 
 def test_pipeline_partial_failure_is_reported():

@@ -259,6 +259,12 @@ def test_prepared_tail_log_density_is_bit_identical(kind):
             assert float(np.sum(got)) == want or (np.isnan(want) and np.isnan(np.sum(got)))
 
 
+@pytest.mark.parametrize("kind", ["cauchy", "gaussian"])
+def test_prepared_tail_log_density_rejects_unknown_kinds(kind):
+    with pytest.raises(DomainError, match="unknown tail family"):
+        prepare_tail_log_density(kind, [1.0, 2.0], [0.5, 3.0])
+
+
 def test_tail_density_vector_shape():
     fam = TailFamily("logistic", 2.0)
     out = tail_density(fam, GRID, 1.0)
@@ -385,6 +391,12 @@ def test_prepared_pair_log_density_is_bit_identical(kind):
             assert float(np.sum(got)) == want or (np.isnan(want) and np.isnan(np.sum(got)))
 
 
+@pytest.mark.parametrize("kind", ["plackett", "hr"])
+def test_prepared_pair_log_density_rejects_unknown_kinds(kind):
+    with pytest.raises(DomainError, match="unknown pair family"):
+        prepare_pair_log_density(kind, [0.2, 0.7], [0.4, 0.9])
+
+
 def test_survival_reflection_identity():
     base = PairFamily("clayton", 2.0)
     surv = PairFamily("survclayton", 2.0)
@@ -445,6 +457,12 @@ def test_tau_inverse_domain():
         tau_inverse("indep", 0.3)
     with pytest.raises(DomainError):
         tau_inverse("gaussian", 1.0)
+
+
+@pytest.mark.parametrize("kind", ["plackett", "cauchy"])
+def test_tau_inverse_rejects_unknown_kinds(kind):
+    with pytest.raises(DomainError, match="unknown pair family"):
+        tau_inverse(kind, 0.3)
 
 
 # ---------------------------------------------------------------------------
