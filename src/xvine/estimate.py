@@ -85,6 +85,18 @@ def _scaled_ranks(rnk: np.ndarray, n: int, k: float) -> np.ndarray:
     return u_hat * (n / float(k))
 
 
+def _max_ranks(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Maximal ranks of the entries of `rows` within the sorted columns `cols`.
+
+    The maximal rank of an entry is the count of column entries <= it, that is
+    its right insertion point in the sorted column.
+    """
+    rnk = np.empty(rows.shape, dtype=np.intp)
+    for j, col in enumerate(cols):
+        rnk[:, j] = np.searchsorted(col, rows[:, j], side="right")
+    return rnk
+
+
 def rank_transform(data: np.ndarray, k: int) -> PseudoSample:
     """Turn raw observations into inverted-Pareto pseudo-observations.
 
@@ -93,18 +105,8 @@ def rank_transform(data: np.ndarray, k: int) -> PseudoSample:
     largest observations of that column.
     """
     X = _raw_data(data, k)
-    n, d = X.shape
-    # maximal ranks: the rank of an entry is the count of column entries <= it,
-    # that is one past the last sorted position holding its value
-    rnk = np.empty(X.shape, dtype=np.intp)
-    pos = np.arange(1, n + 1)
-    for j in range(d):
-        idx = np.argsort(X[:, j])
-        col = X[idx, j]
-        last = np.where(np.r_[col[1:] != col[:-1], True], pos, n)
-        rnk[idx, j] = np.minimum.accumulate(last[::-1])[::-1]
-    z = _scaled_ranks(rnk, n, k)
-    return PseudoSample(z=z, k=float(k), n=n, exceed=z < 1.0)
+    z = _scaled_ranks(_max_ranks(np.sort(X.T, axis=1), X), X.shape[0], k)
+    return PseudoSample(z=z, k=float(k), n=X.shape[0], exceed=z < 1.0)
 
 
 def _exceedance_rows(data: np.ndarray, k: int) -> tuple[int, PseudoSample]:
@@ -112,8 +114,7 @@ def _exceedance_rows(data: np.ndarray, k: int) -> tuple[int, PseudoSample]:
 
     Only those rows are ranked: a column's exceedances are its entries at or
     above its (n - top + 1)-th smallest, top being the number of maximal ranks
-    that scale below 1 (k of them for integer k), and the maximal rank of an
-    entry is its right insertion point in the sorted column.
+    that scale below 1 (k of them for integer k).
     """
     X = _raw_data(data, k)
     n = X.shape[0]
@@ -122,11 +123,8 @@ def _exceedance_rows(data: np.ndarray, k: int) -> tuple[int, PseudoSample]:
     exceed = X >= (cols[:, n - top] if top else np.inf)
     rows = exceed.any(axis=1)
     kept = X[rows]
-    rnk = np.empty(kept.shape, dtype=np.intp)
-    for j, col in enumerate(cols):
-        rnk[:, j] = np.searchsorted(col, kept[:, j], side="right")
-    return n, PseudoSample(z=_scaled_ranks(rnk, n, k), k=float(k), n=kept.shape[0],
-                           exceed=exceed[rows])
+    return n, PseudoSample(z=_scaled_ranks(_max_ranks(cols, kept), n, k), k=float(k),
+                           n=kept.shape[0], exceed=exceed[rows])
 
 
 def from_inverted_pareto(data: np.ndarray) -> PseudoSample:
@@ -625,8 +623,10 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
     fit stops with ``q_star = L``, so it grows ``q_star + 1`` trees. The rule
     is not exact, as a deeper tree with a large log-likelihood could take the
     curve below its first local minimum. The whole curve comes from a fit
-    with ``truncation=d - 1``: pass its records, grouped by level, to
-    `mbic_curve`.
+    with ``truncation`` equal to the structure's depth (``d - 1`` when the
+    structure is learned): pass its records, grouped by level, to
+    `mbic_curve`. Refitting with ``truncation=1 + argmin(curve)`` gives the
+    model at the curve's argmin, as trees are fitted in order.
     """
     opts = options or FitOptions()
     # Every mask below is a subset of the rows with an exceedance, and boolean

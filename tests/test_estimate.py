@@ -96,22 +96,19 @@ def test_rank_transform_flags_largest_values():
 
 def test_rank_transform_validation():
     X = np.random.default_rng(4).normal(size=(30, 2))
-    with pytest.raises(DomainError):
-        rank_transform(X[:, 0], 5)
-    with pytest.raises(DomainError):
-        rank_transform(X, 0)
-    with pytest.raises(DomainError):
-        rank_transform(X, 30)
-    bad = X.copy()
-    bad[0, 0] = np.inf
-    with pytest.raises(DomainError):
-        rank_transform(bad, 5)
     flat = X.copy()
     flat[:, 1] = 2.5
-    with pytest.raises(DegenerateColumn):
-        rank_transform(flat, 5)
-    with pytest.raises(DomainError):
-        rank_transform(X[:1], 0)
+    for rank in (rank_transform, _exceedance_rows):
+        for data, k in ((X[:, 0], 5), (X, 0), (X, 30), (X[:1], 0)):
+            with pytest.raises(DomainError):
+                rank(data, k)
+        for entry in (np.inf, np.nan):
+            bad = X.copy()
+            bad[0, 0] = entry
+            with pytest.raises(DomainError):
+                rank(bad, 5)
+        with pytest.raises(DegenerateColumn):
+            rank(flat, 5)
 
 
 def test_rank_transform_matches_max_ranks_on_ties():
@@ -135,19 +132,6 @@ def test_exceedance_rows_are_rank_transform_rows(k, ties):
     assert n == 500 and ps.n == int(rows.sum()) and ps.k == full.k
     np.testing.assert_array_equal(ps.z, full.z[rows])
     np.testing.assert_array_equal(ps.exceed, full.exceed[rows])
-
-
-def test_exceedance_rows_validation():
-    X = np.random.default_rng(4).normal(size=(30, 2))
-    flat = X.copy()
-    flat[:, 1] = 2.5
-    bad = X.copy()
-    bad[0, 0] = np.nan
-    for data, k in ((X[:, 0], 5), (X, 0), (X, 30), (bad, 5), (X[:1], 0)):
-        with pytest.raises(DomainError):
-            _exceedance_rows(data, k)
-    with pytest.raises(DegenerateColumn):
-        _exceedance_rows(flat, 5)
 
 
 def test_import_leaves_scipy_stats_out():
