@@ -68,10 +68,6 @@ class RecursionUnavailable(XVineError):
     """No recursion path exists for the requested conditional."""
 
 
-class DimensionTooLarge(XVineError):
-    """Quadrature-based oracle restricted to small dimension."""
-
-
 # --- estimation --------------------------------------------------------------
 
 class DegenerateColumn(XVineError):

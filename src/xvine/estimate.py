@@ -430,7 +430,7 @@ class FitOptions:
         if isinstance(self.truncation, str):
             if self.truncation not in ("auto", "mbic"):
                 raise DomainError(f"unknown truncation mode {self.truncation!r}")
-        elif not isinstance(self.truncation, int):
+        elif isinstance(self.truncation, bool) or not isinstance(self.truncation, int):
             raise DomainError("truncation must be an int, 'auto' or 'mbic'")
         if not 0.0 < self.psi0 < 1.0:
             raise DomainError("psi0 must lie in (0, 1)")
@@ -458,7 +458,8 @@ class FitOptions:
         if self.structure is not None:
             for key in (*self._pins(True), *self._pins(False)):
                 self.structure.find_edge(key)   # UnknownEdge if it names no edge
-        if not (isinstance(self.n_min, Integral) and self.n_min >= 1):
+        if (isinstance(self.n_min, bool) or not isinstance(self.n_min, Integral)
+                or self.n_min < 1):
             raise DomainError(f"n_min must be a positive integer, got {self.n_min!r}")
         if not 0.0 <= self.tau_min < 1.0:  # NaN fails it too
             raise DomainError(f"tau_min must lie in [0, 1), got {self.tau_min!r}")

@@ -14,12 +14,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLarge,
-    DomainError,
-    InvalidIndex,
-    RecursionUnavailable,
-)
+from .errors import DomainError, InvalidIndex, RecursionUnavailable
 from .families import (
     _PAIR_RECORDS,
     _TAIL_RECORDS,
@@ -37,7 +32,7 @@ from .families import (
     tail_h_inv_score,
     tail_log_density,
 )
-from .numerics import invert_monotone, std_normal_cdf, std_normal_quantile
+from .numerics import std_normal_cdf, std_normal_quantile
 from .vines import Edge, StructureMatrix, VineSequence, from_structure_matrix
 
 
@@ -369,119 +364,6 @@ def model_chi(spec: XVineSpec, idx: Sequence[int], n_mc: int = 100_000,
     for v in nodes[1:]:
         hit &= z[:, pos[v]] < 1.0
     return float(hit.mean())
-
-
-# ---------------------------------------------------------------------------
-# quadrature-based conditional copula extraction (small d)
-# ---------------------------------------------------------------------------
-
-#: Panel boundaries (relative to the conditioning scale) for half-line
-#: integration in log space.  The wide span soaks up the slow power-law
-#: tails that appear for parameters near the family boundaries: a logistic
-#: margin integrand decays like x^-theta, so the mass beyond X shrinks only
-#: like X^-(theta-1) and the grid must reach absurd abscissas before the
-#: remainder drops below tolerance.
-_PANEL_MARKS = (1e-36, 1e-30, 1e-24, 1e-18, 1e-12, 1e-8, 1e-5, 1e-2,
-                0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e4, 1e6, 1e9, 1e12,
-                1e16, 1e21, 1e26, 1e30)
-
-
-def _log_axis(scale: float, n_per: int = 20,
-              upper: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights for int_0^upper f(x) dx, x = exp(u)."""
-    from numpy.polynomial.legendre import leggauss
-    gx, gw = leggauss(n_per)
-    breaks = np.log(scale) + np.log(_PANEL_MARKS)
-    if upper is not None:
-        breaks = np.append(breaks[breaks < np.log(upper)], np.log(upper))
-    xs, ws = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        u = 0.5 * (b - a) * gx + 0.5 * (a + b)
-        x = np.exp(u)
-        xs.append(x)
-        ws.append(0.5 * (b - a) * gw * x)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _box_mass(spec: XVineSpec, fixed: dict[int, float],
-              upper: dict[int, float] | None = None, n_per: int = 20) -> float:
-    """Density integrated over the free variables, optionally clipped above.
-
-    Tensor Gauss-Legendre panels in log space, evaluated in one vectorized
-    density call; the wide panel span keeps slow power-law tails inside the
-    rule instead of relying on adaptive refinement.
-    """
-    upper = upper or {}
-    nodes = spec.vine.nodes
-    free = [n for n in nodes if n not in fixed]
-    if not free:
-        point = [fixed[n] for n in nodes]
-        return float(density(spec, point))
-    if len(free) > 3:
-        raise DimensionTooLarge(
-            f"tensor quadrature over {len(free)} free variables is intractable")
-    if len(free) == 3:
-        n_per = min(n_per, 8)
-    scale = max(1.0, *fixed.values()) if fixed else 1.0
-    axes = [_log_axis(scale, n_per, upper.get(f)) for f in free]
-    mesh = np.meshgrid(*[gx for gx, _ in axes], indexing="ij")
-    pts = np.empty((mesh[0].size, spec.d))
-    pos = {n: i for i, n in enumerate(nodes)}
-    for n, v in fixed.items():
-        pts[:, pos[n]] = v
-    for f, m in zip(free, mesh):
-        pts[:, pos[f]] = m.ravel()
-    w = np.ones(mesh[0].size)
-    for wm in np.meshgrid(*[gw for _, gw in axes], indexing="ij"):
-        w = w * wm.ravel()
-    return float(np.dot(np.asarray(density(spec, pts)), w))
-
-
-def _margin_density(spec: XVineSpec, fixed: dict[int, float], n_per: int = 20) -> float:
-    """Marginal tail density at `fixed`; exact margins are 1, so this doubles
-    as a normalization check."""
-    return _box_mass(spec, fixed, n_per=n_per)
-
-
-def conditional_copula_density(spec: XVineSpec, I: Sequence[int], J: Sequence[int],
-                               u_I: Sequence[float], x_J: Sequence[float]) -> float:
-    """Copula density of the variables I conditionally on x_J, by quadrature.
-
-    Slow but construction-independent: everything is derived from the joint
-    density by numerical marginalization, so it can cross-check the closed
-    forms the model was assembled from. Restricted to d <= 4.
-    """
-    if spec.d > 4:
-        raise DimensionTooLarge(f"quadrature extraction limited to d <= 4, got {spec.d}")
-    I = [int(v) for v in I]
-    J = [int(v) for v in J]
-    if set(I) & set(J):
-        raise DomainError("I and J must be disjoint")
-    if len(I) < 2 or not J:
-        raise DomainError("need at least two targets and one conditioning variable")
-    xj = {j: float(x) for j, x in zip(J, x_J)}
-    if any(v <= 0 for v in xj.values()):
-        raise DomainError("conditioning values must be positive")
-    r_j = _margin_density(spec, dict(xj)) if len(J) >= 2 else 1.0
-
-    xs: dict[int, float] = {}
-    for i, u in zip(I, u_I):
-        if not 0.0 < u < 1.0:
-            raise DomainError(f"u must lie in (0, 1), got {u}")
-
-        def cond_cdf(x: float) -> float:
-            return _box_mass(spec, dict(xj), {i: float(x)}) / r_j
-
-        xs[i] = float(invert_monotone(
-            lambda arr: np.asarray([cond_cdf(float(v)) for v in np.atleast_1d(arr)]
-                                   ).reshape(np.shape(arr)),
-            u, (1e-4, 10.0), tol=1e-8, expand=True))
-
-    num = _margin_density(spec, {**xj, **xs}) * r_j ** (len(I) - 1)
-    den = 1.0
-    for i in I:
-        den *= _margin_density(spec, {**xj, i: xs[i]})
-    return num / den
 
 
 # ---------------------------------------------------------------------------

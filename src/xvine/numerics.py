@@ -319,8 +319,7 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-6) -> tuple[float, f
     return float(inv(xf)), fx
 
 
-def invert_monotone(f, target, bracket, tol: float = 1e-10,
-                    expand: bool = False, max_iter: int = 200):
+def invert_monotone(f, target, bracket, tol: float = 1e-10):
     """Solve f(x) = target for monotone (vectorized) f by bisection.
 
     Parameters
@@ -330,9 +329,9 @@ def invert_monotone(f, target, bracket, tol: float = 1e-10,
     bracket : (lo, hi) scalars or arrays bracketing every solution.
     tol : an entry stops at the first midpoint with |f(mid) - target| <= tol,
         or once its bracket has shrunk to rounding level.
-    expand : geometrically widen the bracket (hi *= 2, positive lo /= 2) until
-        it straddles every target; without it a non-straddling bracket raises
-        BracketFailure.
+
+    A bracket that does not straddle every target raises BracketFailure, and
+    200 halvings without every entry stopped raise NoConvergence.
 
     Returns an array shaped like the broadcast inputs (floats collapse back to
     float).
@@ -350,18 +349,6 @@ def invert_monotone(f, target, bracket, tol: float = 1e-10,
     if sign < 0 and not np.all(fhi <= flo):
         raise BracketFailure("f is not monotone over the bracket")
 
-    if expand:
-        for _ in range(max_iter):
-            grow_hi = sign * fhi < sign * target
-            grow_lo = sign * flo > sign * target
-            if not (grow_hi.any() or grow_lo.any()):
-                break
-            hi = np.where(grow_hi, hi * 2.0, hi)
-            lo = np.where(grow_lo, np.where(lo > 0, lo / 2.0, lo * 2.0 - 1.0), lo)
-            flo = np.where(grow_lo, np.asarray(f(lo), dtype=float), flo)
-            fhi = np.where(grow_hi, np.asarray(f(hi), dtype=float), fhi)
-        else:
-            raise BracketFailure("bracket expansion did not straddle the target")
     straddle = (sign * flo <= sign * target + tol) & (sign * fhi >= sign * target - tol)
     if not np.all(straddle):
         raise BracketFailure("target not bracketed")
@@ -370,7 +357,7 @@ def invert_monotone(f, target, bracket, tol: float = 1e-10,
     # its result does not depend on the other entries of the batch.
     out = np.full(target.shape, np.nan)
     done = np.zeros(target.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = np.asarray(f(mid), dtype=float)
         err = fm - target

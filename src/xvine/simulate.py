@@ -50,8 +50,8 @@ class RejectionStats:
 def resolve_threads(threads: int | None = None) -> int:
     """Explicit argument, else the XVINE_THREADS variable, else 1.
 
-    A count below 1, or an XVINE_THREADS that is not an integer, raises
-    DomainError.
+    A count that is not an integer (a bool included) or is below 1, or an
+    XVINE_THREADS that is not an integer, raises DomainError.
     """
     if threads is None:
         env = os.environ.get("XVINE_THREADS", "")
@@ -61,9 +61,7 @@ def resolve_threads(threads: int | None = None) -> int:
             threads = int(env)
         except ValueError:
             raise DomainError(f"XVINE_THREADS must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise DomainError(f"thread count must be at least 1, got {threads}")
-    return int(threads)
+    return _count(threads, "thread count", least=1)
 
 
 class _LiveRows(dict):
@@ -96,7 +94,10 @@ class _LiveRows(dict):
 
 
 def _count(n, name: str = "sample size", least: int = 0) -> int:
-    """n as an int; DomainError unless it is an integer (numpy's too) >= least."""
+    """n as an int; DomainError unless it is an integer (numpy's too, not a
+    bool) >= least."""
+    if isinstance(n, bool):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
     try:
         n = operator.index(n)
     except TypeError:

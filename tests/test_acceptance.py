@@ -174,11 +174,10 @@ def test_c05_density_homogeneity_and_margins():
             scaled = density(spec, t * z)
             worst_hom = max(worst_hom, float(
                 np.max(np.abs(scaled * t**2 - base) / base)))
-        from xvine.model import _margin_density
         for j in (1, 2, 3):
             for x in (0.6, 1.7):
-                worst_margin = max(worst_margin,
-                                   abs(_margin_density(spec, {j: x}) - 1.0))
+                mass = oc.margin_mass(lambda p: density(spec, p), 3, {j: x})
+                worst_margin = max(worst_margin, abs(mass - 1.0))
     ok = worst_hom <= 1e-10 and worst_margin <= 1e-3
     check(5, "density homogeneity and unit margins", ok,
           f"hom {worst_hom:.2e}, margin {worst_margin:.2e}")

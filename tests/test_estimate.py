@@ -366,6 +366,10 @@ def test_fit_options_validation():
     with pytest.raises(DomainError):
         FitOptions(truncation=2.5)
     with pytest.raises(DomainError):
+        FitOptions(truncation=True)
+    with pytest.raises(DomainError):
+        FitOptions(n_min=True)
+    with pytest.raises(DomainError):
         FitOptions(psi0=1.0)
     with pytest.raises(DomainError):
         FitOptions(aic_convention="hqc")

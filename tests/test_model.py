@@ -19,18 +19,11 @@ from conftest import (
     u_quantile,
     u_value,
 )
-from xvine.errors import (
-    DimensionTooLarge,
-    DomainError,
-    InvalidIndex,
-    RecursionUnavailable,
-)
+from xvine.errors import DomainError, InvalidIndex, RecursionUnavailable
 from xvine.families import PairFamily, TailFamily, tail_chi
 from xvine.model import (
     XVineSpec,
-    _margin_density,
     conditional_cdf,
-    conditional_copula_density,
     conditional_quantile,
     density,
     exponent_measure_density,
@@ -260,9 +253,9 @@ def test_exponent_measure_change_of_variables(bench):
 def test_margin_normalization_small_models():
     spec = hr_vine_spec(chain_vine(3), GAMMA3)
     for node, val in ((1, 0.8), (2, 1.6), (3, 0.4)):
-        assert abs(_margin_density(spec, {node: val}) - 1.0) < 1e-6
-    with pytest.raises(DimensionTooLarge):
-        _margin_density(five_variable_spec(), {1: 1.0})
+        assert abs(oc.margin_mass(lambda p: density(spec, p), 3, {node: val}) - 1.0) < 1e-6
+    with pytest.raises(oc.DimensionTooLarge):
+        oc.margin_mass(lambda p: density(five_variable_spec(), p), 5, {1: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +378,21 @@ def test_extracted_copula_matches_partial_correlation():
     spec = hr_vine_spec(chain_vine(3), GAMMA3)
     rho = hr_partial_rho(GAMMA3, 1, 3, [2])
     for u, v, x2 in ((0.3, 0.7, 1.0), (0.6, 0.45, 0.5)):
-        got = conditional_copula_density(spec, (1, 3), (2,), (u, v), (x2,))
+        got = oc.conditional_copula_density(spec, (1, 3), (2,), (u, v), (x2,))
         want = float(oc.gaussian_copula_density(u, v, rho))
         assert abs(got - want) < 1e-5, (u, v, x2)
 
 
 def test_extraction_validation(bench):
     spec = hr_vine_spec(chain_vine(3), GAMMA3)
-    with pytest.raises(DimensionTooLarge):
-        conditional_copula_density(bench, (1, 3), (2,), (0.5, 0.5), (1.0,))
+    with pytest.raises(oc.DimensionTooLarge):
+        oc.conditional_copula_density(bench, (1, 3), (2,), (0.5, 0.5), (1.0,))
     with pytest.raises(DomainError):
-        conditional_copula_density(spec, (1, 2), (2,), (0.5, 0.5), (1.0,))
+        oc.conditional_copula_density(spec, (1, 2), (2,), (0.5, 0.5), (1.0,))
     with pytest.raises(DomainError):
-        conditional_copula_density(spec, (1,), (2,), (0.5,), (1.0,))
+        oc.conditional_copula_density(spec, (1,), (2,), (0.5,), (1.0,))
     with pytest.raises(DomainError):
-        conditional_copula_density(spec, (1, 3), (2,), (0.5, 1.2), (1.0,))
+        oc.conditional_copula_density(spec, (1, 3), (2,), (0.5, 1.2), (1.0,))
 
 
 # ---------------------------------------------------------------------------

@@ -239,13 +239,12 @@ def test_invert_monotone_scalar_and_array():
     np.testing.assert_allclose(got, [1.0, 3.0], atol=1e-9)
 
 
-def test_invert_monotone_decreasing_and_expand():
+def test_invert_monotone_decreasing_and_unbracketed():
     f = lambda x: -x
     assert abs(invert_monotone(f, -5.0, (0.0, 10.0)) - 5.0) < 1e-9
-    # bracket too small without expansion
+    # a bracket that does not straddle the target
     with pytest.raises(BracketFailure):
         invert_monotone(lambda x: x, 100.0, (0.0, 1.0))
-    assert abs(invert_monotone(lambda x: x, 100.0, (0.0, 1.0), expand=True) - 100.0) < 1e-7
 
 
 def test_invert_monotone_rejects_empty_bracket():

@@ -336,7 +336,7 @@ def test_threads_reject_bad_counts(monkeypatch, bench, tmp_path, capsys):
             sample_conditional(bench, 1, 10, seed=0)
         assert resolve_threads(2) == 2  # an explicit count does not read the variable
     monkeypatch.delenv("XVINE_THREADS")
-    for bad in (0, -3):
+    for bad in (0, -3, True, 2.5):
         with pytest.raises(DomainError, match="thread count"):
             resolve_threads(bad)
         with pytest.raises(DomainError):
@@ -364,12 +364,12 @@ def test_empty_and_invalid_requests(bench):
         with pytest.raises(DomainError):
             sample_conditional(bench, 1, -1, seed=0)
         # a size that is not an integer fails where it enters, not inside numpy
-        for bad in (2.5, 100.0, "10", None):
+        for bad in (2.5, 100.0, "10", None, True):
             with pytest.raises(DomainError, match="must be an integer"):
                 sample_conditional(bench, 1, bad, seed=0)
             with pytest.raises(DomainError, match="must be an integer"):
                 sample_inverted_pareto(bench, bad, seed=0)
-        for bad in (0, -5, 2.5):
+        for bad in (0, -5, 2.5, True):
             with pytest.raises(DomainError, match="n_mc"):
                 model_chi(bench, (1, 2), n_mc=bad)
         # numpy integers are integers
