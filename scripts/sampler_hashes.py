@@ -11,11 +11,13 @@ Run it on two checkouts and compare with one `diff`:
     diff before.txt after.txt
 
 `--quick` leaves out the 200 000-row calls (about a minute of the run).
+`calls()` lists them; scripts/sampler_moves.py reads the same list.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+from functools import partial
 
 import numpy as np
 
@@ -55,36 +57,53 @@ def digest(z: np.ndarray) -> str:
     return f"shape={z.shape} sha256={hashlib.sha256(np.ascontiguousarray(z).tobytes()).hexdigest()}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--quick", action="store_true", help="skip the 200 000-row calls")
-    args = p.parse_args(argv)
-
-    big = () if args.quick else (200_000,)
+def calls(quick: bool = False):
+    """(label, call) of every fingerprinted call, in print order. call() gives
+    the rows (a 1-element array for a model_chi value) and the rest of the
+    line: the digest, or the exact value."""
+    big = () if quick else (200_000,)
     specs = {"five_variable": (five_variable_spec(), (100, 20_000, *big)),
              "truncated_cvine": (truncated_cvine_study_spec(), (100, 20_000, *big)),
              "joe4": (joe4_spec(), (100, 9_000)),
              "hr4": (hr4_spec(), (100, 9_000)),
              "hr2": (hr2_spec(), (100, 9_000))}
+
+    def inverted_pareto(spec, n, seed, threads):
+        z, st = sample_inverted_pareto(spec, n, seed, threads=threads)
+        return z, f"{digest(z)} proposals={st.proposals} accepted={st.accepted}"
+
+    def conditional(spec, j, n, seed, threads):
+        z = sample_conditional(spec, j, n, seed, threads=threads)
+        return z, digest(z)
+
+    def chi(spec, idx, seed):
+        val = model_chi(spec, idx, n_mc=20_000, seed=seed)
+        return np.array([val]), repr(val)
+
     for name, (spec, sizes) in specs.items():
         for n in sizes:
             for seed in SEEDS:
                 for threads in THREADS:
-                    z, st = sample_inverted_pareto(spec, n, seed, threads=threads)
-                    print(f"inverted_pareto {name} n={n} seed={seed} threads={threads} "
-                          f"{digest(z)} proposals={st.proposals} accepted={st.accepted}")
+                    yield (f"inverted_pareto {name} n={n} seed={seed} threads={threads}",
+                           partial(inverted_pareto, spec, n, seed, threads))
         for j in (spec.vine.nodes[0], spec.vine.nodes[-1]):
             for n in (100, 9_000):
                 for seed in SEEDS[:3]:
                     for threads in THREADS:
-                        z = sample_conditional(spec, j, n, seed, threads=threads)
-                        print(f"conditional {name} j={j} n={n} seed={seed} "
-                              f"threads={threads} {digest(z)}")
+                        yield (f"conditional {name} j={j} n={n} seed={seed} threads={threads}",
+                               partial(conditional, spec, j, n, seed, threads))
     bench = five_variable_spec()
     for idx in ((1, 2), (2, 4, 5)):
         for seed in SEEDS[:3]:
-            print(f"model_chi five_variable idx={idx} seed={seed} "
-                  f"{model_chi(bench, idx, n_mc=20_000, seed=seed)!r}")
+            yield f"model_chi five_variable idx={idx} seed={seed}", partial(chi, bench, idx, seed)
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--quick", action="store_true", help="skip the 200 000-row calls")
+    args = p.parse_args(argv)
+    for label, call in calls(args.quick):
+        print(f"{label} {call()[1]}")
     return 0
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import XVineError
 from .estimate import FitOptions, fit_pipeline
-from .model import XVineSpec, model_chi, model_from_json
+from .model import XVineSpec, _chi_groups, model_from_json
 from .simulate import sample_conditional, sample_inverted_pareto, sample_pareto
 from .vines import StructureMatrix, from_structure_matrix
 
@@ -141,12 +141,8 @@ def cmd_chi(args) -> int:
         raise XVineError("exactly one of --spec or --data is required")
     if args.spec is not None:
         spec = _load_spec(args.spec)
-        d = spec.d
-        groups = combinations(range(1, d + 1), 3 if args.triples else 2)
-        rows = [
-            (*g, model_chi(spec, g, n_mc=args.mc, seed=args.seed))
-            for g in groups
-        ]
+        groups = list(combinations(range(1, spec.d + 1), 3 if args.triples else 2))
+        rows = [(*g, chi) for g, chi in zip(groups, _chi_groups(spec, groups, args.mc, args.seed))]
     else:
         from .estimate import empirical_chi, from_inverted_pareto, rank_transform
 
@@ -157,8 +153,7 @@ def cmd_chi(args) -> int:
             ps = rank_transform(data, args.k)
         else:
             ps = from_inverted_pareto(data)
-        d = ps.d
-        groups = combinations(range(1, d + 1), 3 if args.triples else 2)
+        groups = combinations(range(1, ps.d + 1), 3 if args.triples else 2)
         rows = [(*g, empirical_chi(ps, g)) for g in groups]
     cols = "a,b,c,chi" if args.triples else "a,b,chi"
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -26,8 +26,8 @@ from .families import (
     TAIL_KINDS,
     PairFamily,
     TailFamily,
+    _from_unit,
     _kind_record,
-    prepare_pair_log_density,
     prepare_tail_log_density,
 )
 from .model import XVineSpec, _Evaluator
@@ -286,48 +286,44 @@ def fit_tail_edge(
         raise InsufficientData(
             f"edge ({a},{b}): need at least {n_min} exceedances on each side"
         )
-    thetas, logls, flags = [], [], []
-    for mask in (mask_a, mask_b):
-        loglik = prepare_tail_log_density(kind, ps.z[mask, a - 1], ps.z[mask, b - 1])
-        theta, ll, flag = _maximize(box, loglik, partial(TailFamily, kind))
-        thetas.append(theta)
-        logls.append(ll)
-        flags.append(flag)
-    theta_hat = 0.5 * (thetas[0] + thetas[1])
+    thetas, logls, flags = zip(*(
+        _maximize(box, prepare_tail_log_density(kind, ps.z[mask, a - 1], ps.z[mask, b - 1]),
+                  partial(TailFamily, kind))
+        for mask in (mask_a, mask_b)))
     half_sum = 0.5 * (logls[0] + logls[1])
     aic = 2.0 - half_sum if aic_convention == "paper" else 2.0 - (logls[0] + logls[1])
-    n_eff = int((mask_a | mask_b).sum())
-    return EdgeFit(
-        family=TailFamily(kind, theta_hat),
-        loglik=half_sum,
-        aic=aic,
-        n_eff=n_eff,
-        at_boundary=any(flags),
-    )
+    return EdgeFit(TailFamily(kind, 0.5 * (thetas[0] + thetas[1])), half_sum, aic,
+                   int((mask_a | mask_b).sum()), at_boundary=any(flags))
+
+
+def _fit_pair(kind: str, forms: Callable[[bool], tuple], n: int, n_min: int) -> EdgeFit:
+    """fit_pair_edge on n pairs of conditional values given in either form:
+    forms(score) is the two arrays as normal scores or as log pairs, clamped."""
+    rec = _kind_record(_PAIR_RECORDS, "pair", kind)
+    if rec.box is None:  # no parameter to fit
+        return EdgeFit(family=PairFamily(kind), loglik=0.0, aic=0.0, n_eff=n)
+    if n < n_min:
+        raise InsufficientData(f"need at least {n_min} rows, got {n}")
+    p = rec.prepare(*forms(rec.score))
+    theta, ll, flag = _maximize(rec.box, lambda th: rec.evaluate(p, th), partial(PairFamily, kind))
+    return EdgeFit(PairFamily(kind, theta), ll, 2.0 - 2.0 * ll, n, at_boundary=flag)
+
+
+def _unit_forms(u, v) -> Callable[[bool], tuple]:
+    """forms() of u-space pairs, clipped and converted as the pair kernels do."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if u.size != v.size:
+        raise DomainError("mismatched sample sizes")
+    return lambda score: (_from_unit(u, score), _from_unit(v, score))
 
 
 def fit_pair_edge(u: np.ndarray, v: np.ndarray, kind: str, *, n_min: int = 10) -> EdgeFit:
     """Maximum pseudo-likelihood fit of a pair-copula family."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.size != v.size:
-        raise DomainError("mismatched sample sizes")
-    n = int(u.size)
-    box = _kind_record(_PAIR_RECORDS, "pair", kind).box
-    if box is None:  # no parameter to fit
-        return EdgeFit(family=PairFamily(kind), loglik=0.0, aic=0.0, n_eff=n)
-    if n < n_min:
-        raise InsufficientData(f"need at least {n_min} rows, got {n}")
+    return _fit_pair(kind, _unit_forms(u, v), int(np.size(u)), n_min)
 
-    loglik = prepare_pair_log_density(kind, u, v)
-    theta, ll, flag = _maximize(box, loglik, partial(PairFamily, kind))
-    return EdgeFit(
-        family=PairFamily(kind, theta),
-        loglik=ll,
-        aic=2.0 - 2.0 * ll,
-        n_eff=n,
-        at_boundary=flag,
-    )
+
+def _forced_indep(n: int) -> EdgeFit:
+    return EdgeFit(family=PairFamily("indep"), loglik=0.0, aic=0.0, n_eff=n, forced_indep=True)
 
 
 def _lowest_aic(catalogue: Sequence[str], fits: Sequence[EdgeFit]) -> EdgeFit:
@@ -368,23 +364,19 @@ def select_pair_family(
     ``tau_min`` in absolute value are forced to the independence copula
     without trying the rest of the catalogue.
     """
-    return _select_pair_family(u, v, catalogue, tau_min, n_min, None)
+    forms, n = _unit_forms(u, v), int(np.size(u))
+    return _select_pair(catalogue, forms, n, abs(empirical_tau(u, v)), tau_min, n_min)
 
 
-def _select_pair_family(
-    u, v, catalogue: Sequence[str], tau_min: float, n_min: int, abs_tau: float | None
-) -> EdgeFit:
-    """select_pair_family, given |tau| of (u, v) or None to compute it."""
+def _select_pair(catalogue: Sequence[str], forms: Callable[[bool], tuple], n: int,
+                 abs_tau: float, tau_min: float, n_min: int) -> EdgeFit:
+    """select_pair_family on n pairs given as _fit_pair reads them, whose
+    |tau| is abs_tau."""
     if not catalogue:
         raise DomainError("empty pair catalogue")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = int(u.size)
-    if n < n_min or (abs(empirical_tau(u, v)) if abs_tau is None else abs_tau) < tau_min:
-        return EdgeFit(
-            family=PairFamily("indep"), loglik=0.0, aic=0.0, n_eff=n, forced_indep=True
-        )
-    return _lowest_aic(catalogue, [fit_pair_edge(u, v, kind, n_min=n_min) for kind in catalogue])
+    if n < n_min or abs_tau < tau_min:
+        return _forced_indep(n)
+    return _lowest_aic(catalogue, [_fit_pair(kind, forms, n, n_min) for kind in catalogue])
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +422,10 @@ class FitOptions:
         if isinstance(self.truncation, str):
             if self.truncation not in ("auto", "mbic"):
                 raise DomainError(f"unknown truncation mode {self.truncation!r}")
-        elif isinstance(self.truncation, bool) or not isinstance(self.truncation, int):
+        elif isinstance(self.truncation, bool) or not isinstance(self.truncation, Integral):
             raise DomainError("truncation must be an int, 'auto' or 'mbic'")
+        else:
+            object.__setattr__(self, "truncation", int(self.truncation))
         if not 0.0 < self.psi0 < 1.0:
             raise DomainError("psi0 must lie in (0, 1)")
         if self.aic_convention not in ("paper", "standard"):
@@ -522,42 +516,42 @@ def mbic_curve(records: Sequence[Sequence[dict]], psi0: float = 0.9) -> list[flo
 
 
 def _fit_one_tail(ps: PseudoSample, e: Edge, opts: FitOptions) -> EdgeFit:
+    kw = {"n_min": opts.n_min, "aic_convention": opts.aic_convention}
     fixed = opts.tail_families.get(e.key)
     if fixed is not None:
-        return fit_tail_edge(
-            ps, e.a, e.b, fixed, n_min=opts.n_min, aic_convention=opts.aic_convention
-        )
-    return select_tail_family(
-        ps,
-        e.a,
-        e.b,
-        opts.tail_catalogue,
-        n_min=opts.n_min,
-        aic_convention=opts.aic_convention,
-    )
+        return fit_tail_edge(ps, e.a, e.b, fixed, **kw)
+    return select_tail_family(ps, e.a, e.b, opts.tail_catalogue, **kw)
 
 
 def _fit_one_pair(job: tuple, opts: FitOptions) -> tuple[EdgeFit, str | None]:
-    """Fit of a deeper edge on its pseudo-observations; independence and the
-    error message when the fit fails. The job carries the edge's |tau| from
-    the candidates, or None where the structure was given."""
-    e, u, v, mask, abs_tau = job
+    """Fit of a deeper edge from its _pair_job; independence and why where it fails."""
+    e, n, forms, abs_tau = job
     try:
         fixed = opts.pair_families.get(e.key)
         if fixed is not None:
-            return fit_pair_edge(u[mask], v[mask], fixed, n_min=opts.n_min), None
-        return _select_pair_family(
-            u[mask], v[mask], opts.pair_catalogue, opts.tau_min, opts.n_min, abs_tau
-        ), None
+            return _fit_pair(fixed, forms, n, opts.n_min), None
+        return _select_pair(opts.pair_catalogue, forms, n, abs_tau, opts.tau_min,
+                            opts.n_min), None
     except XVineError as exc:
-        fit = EdgeFit(
-            family=PairFamily("indep"),
-            loglik=0.0,
-            aic=0.0,
-            n_eff=int(mask.sum()),
-            forced_indep=True,
-        )
-        return fit, f"edge {e.label}: {exc}"
+        return _forced_indep(n), f"edge {e.label}: {exc}"
+
+
+def _pair_job(ps: PseudoSample, ev: _Evaluator, e: Edge, opts: FitOptions,
+              abs_tau: float | None) -> tuple:
+    """A deeper edge's job, read from the memo so that workers only fit: the
+    edge, its row count, forms() of its children's values on the joint
+    exceedances of its conditioning set in the forms its kinds read, and
+    their |tau|, the candidates' abs_tau or computed here for a kind not pinned."""
+    mask = _joint_exceedance(ps, e.cond)
+    sides = ((e.child_a, e.a), (e.child_b, e.b))
+    fixed = opts.pair_families.get(e.key)
+    kinds = opts.pair_catalogue if fixed is None else (fixed,)
+    # a log pair masks as one (2, n) array, whose rows are its two ends
+    forms = {score: tuple(np.asarray(ev.arg(c, node, score))[..., mask] for c, node in sides)
+             for score in {_PAIR_RECORDS[k].score for k in kinds}}
+    if abs_tau is None and fixed is None:
+        abs_tau = abs(empirical_tau(*(ev.native(c, node)[mask] for c, node in sides)))
+    return e, int(mask.sum()), forms.__getitem__, abs_tau
 
 
 def _joint_exceedance(ps: PseudoSample, cond) -> np.ndarray:
@@ -570,8 +564,9 @@ def _candidates(ps: PseudoSample, ev: _Evaluator, prev: list[Edge] | None):
     Tree 1 joins variables, weighted by empirical chi. Tree L+1 joins pairs
     of tree-L edges that share one component, weighted by the absolute
     Kendall's tau of their conditional values on the joint exceedances of
-    the conditioning set: the values, rows and orientation (a < b) that the
-    chosen edge's family selection reads, so it takes that weight as its tau.
+    the conditioning set, each in its edge's form (ranked as R itself): the
+    values, rows and orientation (a < b) that the chosen edge's family
+    selection reads, so it takes that weight as its tau.
     """
     if prev is None:
         nodes = list(range(1, ps.d + 1))
@@ -584,7 +579,7 @@ def _candidates(ps: PseudoSample, ev: _Evaluator, prev: list[Edge] | None):
         a, b = sorted((s.union | t.union) - cond)
         sa, sb = (s, t) if a in s.union else (t, s)
         mask = _joint_exceedance(ps, cond)
-        u, v = ev.r(sa, a), ev.r(sb, b)
+        u, v = ev.native(sa, a), ev.native(sb, b)
         w = abs(empirical_tau(u[mask], v[mask])) if int(mask.sum()) >= 2 else 0.0
         weighted.append((w, (a, b, tuple(sorted(cond))), (s, t)))
     return prev, weighted
@@ -681,15 +676,10 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
             joined = {_components(e): e for e in vine.trees[-1]}
             edges = [joined[frozenset(p)] for p in chosen]
         levels.append(edges)
-        # conditional values come from the memo here, so workers only fit
         if level == 1:
             done = parallel_map(lambda e: (_fit_one_tail(ps, e, opts), None), edges, n_threads)
         else:
-            jobs = [
-                (e, ev.r(e.child_a, e.a), ev.r(e.child_b, e.b), _joint_exceedance(ps, e.cond),
-                 taus.get(_components(e)))
-                for e in edges
-            ]
+            jobs = [_pair_job(ps, ev, e, opts, taus.get(_components(e))) for e in edges]
             done = parallel_map(lambda job: _fit_one_pair(job, opts), jobs, n_threads)
         for e, (fit, error) in zip(edges, done):
             (tail if level == 1 else pairs)[e] = fit.family

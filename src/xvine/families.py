@@ -22,6 +22,7 @@ from scipy.special import gammaln
 
 from .errors import DomainError
 from .numerics import (
+    _log_pair_of_smaller,
     invert_monotone,
     log1mexp,
     quad_1d,
@@ -68,9 +69,12 @@ LOG_HI = math.log1p(-EPS_UNIT)
 # between forms with score_to_log_pair and log_pair_to_score, which lose
 # neither tail. Every value it makes is clamped once, where it is made; a
 # raw hr tree-1 score is the one exception, clamped by the pair edges that
-# read it. The public u-space kernels clip u and go through the same
-# formulas: tail_h and pair_h are exp of the first end of the log pair, or
-# Phi of the score. The inverses of the log-pair kinds still work on u.
+# read it. The inverses work in the same forms: a pair kind's h_inv maps a
+# target and a conditioning value in its form to the root in that form, and
+# a tail kind's maps a target in its form to x. The public u-space kernels
+# are doors to the same formulas: they convert u once on the way in
+# (_from_unit) and take Phi of the score or exp of an end of the log pair on
+# the way out.
 
 
 def _clip_unit(x):
@@ -80,6 +84,12 @@ def _clip_unit(x):
 def _log_pair(u):
     """(log u, log(1 - u)) of a clipped u."""
     return np.log(u), np.log1p(-u)
+
+
+def _from_unit(u, score: bool):
+    """u, clipped as pair_h clips it, in a form: its normal score or its log pair."""
+    u = _clip_unit(u)
+    return std_normal_quantile(u) if score else _log_pair(u)
 
 
 def clamp_score(z):
@@ -95,12 +105,8 @@ def _clamp_log_pair(p):
 
 def score_to_log_pair(z):
     """(log Phi(z), log Phi(-z)): the log pair of u = Phi(z)."""
-    z = np.asarray(z, dtype=float)
-    tail = std_normal_cdf(-np.abs(z))   # the smaller of u and 1 - u
-    with np.errstate(divide="ignore"):
-        lt, lrest = np.log(tail), np.log1p(-tail)
-    neg = z < 0.0
-    return _clamp_log_pair((np.where(neg, lt, lrest), np.where(neg, lrest, lt)))
+    z = np.asarray(z, dtype=float)   # Phi(-|z|) is the smaller of u and 1 - u
+    return _clamp_log_pair(_log_pair_of_smaller(std_normal_cdf(-np.abs(z)), z < 0.0))
 
 
 def log_pair_to_score(p):
@@ -136,11 +142,11 @@ class _Kind:
 
     Log-densities are split into a theta-free `prepare` step on the points
     and a per-theta `evaluate(prepared, theta)`, so a likelihood search over
-    theta prepares its data once. The arguments of `prepare` and `h` and the
-    value of `h` are in the kind's form (`score`): normal scores, or log
-    pairs `(log u, log(1 - u))` with `h` unclamped. A tail kind's `prepare`
-    and `h` take x and y instead, and its `h_inv(w, y, theta)` gives x. The
-    inverse takes w as a score for a score kind and as u otherwise.
+    theta prepares its data once. The arguments and values of `prepare`,
+    `h` and `h_inv` are in the kind's form (`score`): normal scores, or log
+    pairs `(log u, log(1 - u))`, with `h` and `h_inv` unclamped. A tail
+    kind's `prepare` and `h` take x and y instead, and its
+    `h_inv(w, y, theta)` takes the target w in its form and gives x.
     """
 
     name: str
@@ -238,10 +244,9 @@ def _dirichlet_evaluate(p, th):
     return c + th * s - (2.0 * th + 1.0) * lxy
 
 
-def _dirichlet_h_inv(u, y, th):
+def _dirichlet_h_inv(w, y, th):
     # x = y e**t, with t = log(x / y) the logit of the beta argument
-    t = reg_beta_logit_quantile(np.log(u), np.log1p(-u), th + 1.0, th)
-    return np.exp(np.log(y) + t)
+    return np.exp(np.log(y) + reg_beta_logit_quantile(w[0], w[1], th + 1.0, th))
 
 
 _TAIL_RECORDS = {r.name: r for r in (
@@ -254,12 +259,12 @@ _TAIL_RECORDS = {r.name: r for r in (
     _Kind(
         "logistic", "theta > 1", lambda th: th > 1.0, (1.0 + 1e-6, 28.0, "logm1"), False,
         _log_xy_prepare, _logistic_evaluate, _logistic_h,
-        lambda u, y, th: _power_root(th / (1.0 - th) * np.log1p(-u), 1.0 / th, y),
+        lambda w, y, th: _power_root(th / (1.0 - th) * w[1], 1.0 / th, y),
         chi=lambda th: 2.0 - 2.0 ** (1.0 / th)),
     _Kind(
         "neglogistic", "theta > 0", lambda th: th > 0.0, (1e-3, 28.0, "log"), False,
         _log_xy_prepare, _neglogistic_evaluate, _neglogistic_h,
-        lambda u, y, th: _power_root(-th / (1.0 + th) * np.log(u), -1.0 / th, y),
+        lambda w, y, th: _power_root(-th / (1.0 + th) * w[0], -1.0 / th, y),
         chi=lambda th: 2.0 ** (-1.0 / th)),
     _Kind(
         "dirichlet", "theta > 0", lambda th: th > 0.0, (1e-3, 28.0, "log"), False,
@@ -276,6 +281,10 @@ _TAIL_RECORDS = {r.name: r for r in (
 
 def _indep_h_u(u, v, th):
     return np.broadcast_to(np.asarray(u, dtype=float), np.broadcast(u, v).shape)
+
+
+def _indep_h(p, q, th):
+    return tuple(np.broadcast_arrays(p[0], p[1], q[0])[:2])
 
 
 def _gaussian_evaluate(p, th):
@@ -312,9 +321,10 @@ def _clayton_h(p, q, th):
     return _with_complement(-(1.0 + 1.0 / th) * softplus(lg + th * q[0]))
 
 
-def _clayton_h_inv(w, v, th):
-    t = -th * np.log(v) + np.log(np.expm1(-th / (th + 1.0) * np.log(w)))
-    return np.exp(-np.logaddexp(0.0, t) / th)
+def _clayton_h_inv(p, q, th):
+    # u**-th = 1 + e**t, with e**t = v**-th expm1(a), a = -th/(th+1) log w
+    a = -th / (th + 1.0) * p[0]
+    return _with_complement(-softplus(np.log(np.expm1(a)) - th * q[0]) / th)
 
 
 def _clayton_tau_inv(tau):
@@ -345,18 +355,19 @@ def _gumbel_h(p, q, th):
     return _with_complement(-y * np.expm1(s / th) - (th - 1.0) / th * s)
 
 
-def _gumbel_h_inv(w, v, th):
-    # With x = -log u, y = -log v, z = (x**th + y**th)**(1/th), h = w reads
-    # z + (th-1) log z = c, solved by the Wright omega function
-    # (Lawrence, Corless & Jeffrey 2012, ACM TOMS 38). z <= y means x = 0.
-    y = -np.log(v)
+def _gumbel_h_inv(p, q, th):
+    # With x = -log u, y = -log v, z = (x**th + y**th)**(1/th) and m = log(z / y),
+    # h = w reads y expm1(m) + (th-1) m + log w = 0, convex in m, or z + (th-1) log z
+    # = c, solved by Wright omega (Lawrence, Corless & Jeffrey 2012, ACM TOMS 38).
+    # One Newton step in m restores the digits log(z / y) cancels where z is near y.
+    y, lw = -q[0], p[0]
     ly = np.log(y)
     a = th - 1.0
-    c = y + a * ly - np.log(w)
-    z = a * wright_omega(c / a - math.log(a)) if a > 0.0 else c
-    z = np.maximum(z, y)
-    x = z * (-np.expm1(th * (ly - np.log(z)))) ** (1.0 / th)
-    return np.exp(-x)
+    c = y + a * ly - lw
+    m = np.log(a * wright_omega(c / a - math.log(a)) if a > 0.0 else c) - ly
+    m = m - (y * np.expm1(m) + a * m + lw) / (y * np.exp(m) + a)
+    s = th * m   # x = y expm1(s)**(1/th)
+    return _with_complement(-np.exp(ly + (s + log1mexp(-s)) / th))
 
 
 def _gumbel_tau_inv(tau):
@@ -387,16 +398,24 @@ def _frank_h(p, q, th):
     return -softplus(l2 - l1), -softplus(l1 - l2)
 
 
-def _frank_h_inv(w, v, th):
+def _frank_root(w, wb, v, th):
     # h = w solves to e**(-th u) = 1 + gu = num / den, where
     # num = (1-w) e**(-th v) + w e**(-th) and den = (1-w) e**(-th v) + w:
     # sums free of cancellation. Where 1 + gu is small, log(num / den) keeps
     # the digits that forming 1 + gu would round away.
     ev = np.exp(-th * v)
-    den = w + (1.0 - w) * ev
+    den = w + wb * ev
     gu = w * math.expm1(-th) / den
-    return np.where(gu < -0.5, np.log(den / ((1.0 - w) * ev + w * math.exp(-th))),
+    return np.where(gu < -0.5, np.log(den / (wb * ev + w * math.exp(-th))),
                     -np.log1p(gu)) / th
+
+
+def _frank_h_inv(p, q, th):
+    # Frank is radially symmetric, h(u | v) = 1 - h(1 - u | 1 - v), so 1 - u
+    # is the same root at (1 - w, 1 - v); each end comes from the smaller one.
+    w, wb, v, vb = np.exp(p[0]), np.exp(p[1]), np.exp(q[0]), np.exp(q[1])
+    u, ub = _frank_root(w, wb, v, th), _frank_root(wb, w, vb, th)
+    return _log_pair_of_smaller(np.minimum(u, ub), u <= ub)
 
 
 def _frank_tau(th):
@@ -423,29 +442,25 @@ def _joe_log_h(lub, lvb, th):
     return (1.0 / th - 1.0) * softplus(la + log1mexp(lb) - lb) + log1mexp(la)
 
 
-def _joe_h_inv(w, v, th):
+def _joe_h_inv(p, q, th):
     # Monotone bisection in x = log(u / (1 - u)), whose two ends give both
     # log u and log(1 - u) without cancellation, on the smaller side of w:
     # log h against log w up to 1/2, -log(1 - h) against -log(1 - w) above,
     # so a small target and a small complement both keep their digits.
     # Targets beyond the values at the bracket ends are clipped to them, so
     # those rows get the bracket end.
-    w_arr, v_arr = np.broadcast_arrays(np.asarray(w, dtype=float),
-                                       np.asarray(v, dtype=float))
-    lvb = np.log1p(-v_arr)
-    high = w_arr > 0.5
+    lw, lwb, lvb = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (*p, q[1])))
+    high = lw > lwb
 
     def side(x):
         lh = _joe_log_h(-softplus(x), lvb, th)
         with np.errstate(divide="ignore"):
             return np.where(high, -np.log(-np.expm1(lh)), lh)
 
-    ends = (LOG_LO - LOG_HI, LOG_HI - LOG_LO)   # the logits of the clip
-    target = np.clip(np.where(high, -np.log1p(-w_arr), np.log(w_arr)), *map(side, ends))
-    x = invert_monotone(side, target, ends, tol=1e-11)
-    e = np.exp(-np.abs(x))
-    m = e / (1.0 + e)                          # the smaller of u and 1 - u
-    return np.where(x > 0.0, 1.0 - m, m)
+    ends = (-745.0, 745.0)   # u and 1 - u down to the smallest double
+    target = np.clip(np.where(high, -lwb, lw), *map(side, ends))
+    x = invert_monotone(side, target, ends, tol=1e-13)
+    return -softplus(-x), -softplus(x)
 
 
 def _joe_tau(th):
@@ -463,15 +478,14 @@ def _survival(rec: _Kind) -> _Kind:
         rec, name="surv" + rec.name, survival=False,
         prepare=lambda p, q: rec.prepare(p[::-1], q[::-1]),
         h=lambda p, q, th: rec.h(p[::-1], q[::-1], th)[::-1],
-        h_inv=lambda w, v, th: 1.0 - rec.h_inv(1.0 - w, 1.0 - v, th))
+        h_inv=lambda p, q, th: rec.h_inv(p[::-1], q[::-1], th)[::-1])
 
 
 _PAIR_BASE = (
     _Kind(
         "indep", "no parameter", lambda th: th is None, None, False,
         lambda p, q: np.broadcast(p[0], q[0]).shape, lambda shape, th: np.zeros(shape),
-        lambda p, q, th: tuple(np.broadcast_arrays(p[0], p[1], q[0])[:2]), _indep_h_u,
-        tau=lambda th: 0.0, h_u=_indep_h_u),
+        _indep_h, _indep_h, tau=lambda th: 0.0, h_u=_indep_h_u),
     _Kind(
         "gaussian", "-1 < rho < 1", lambda th: -1.0 < th < 1.0, (-0.999, 0.999, "atanh"), True,
         lambda x, y: (x, y, x * x + y * y), _gaussian_evaluate,
@@ -574,14 +588,22 @@ def tail_h_log_pair(fam: TailFamily, x, y):
     return _clamp_log_pair(rec.h(x, y, fam.theta))
 
 
-def tail_h_inv(fam: TailFamily, u, y):
-    """Inverse of tail_h in x at fixed y; a root beyond X_MAX comes back as X_MAX."""
-    (y,) = _pos("tail h_inv", y)
-    u = _clip_unit(u)
-    rec = _TAIL_RECORDS[fam.kind]
+def _tail_root(rec: _Kind, w, y, th):
+    """rec.h_inv(w, y, th), with a root beyond X_MAX brought back as X_MAX."""
     with np.errstate(over="ignore"):
-        out = rec.h_inv(std_normal_quantile(u) if rec.score else u, y, fam.theta)
-    return _ret(np.minimum(out, X_MAX))
+        return np.minimum(rec.h_inv(w, y, th), X_MAX)
+
+
+def tail_h_inv(fam: TailFamily, u, y):
+    """Inverse of tail_h in x at fixed y; a root beyond X_MAX comes back as X_MAX.
+
+    A log-pair kind reads u short of 0 and 1 only, so a target below 1e-12
+    keeps its own root; a score kind clips u as pair_h does."""
+    (y,) = _pos("tail h_inv", y)
+    rec = _TAIL_RECORDS[fam.kind]
+    w = _from_unit(u, True) if rec.score else _log_pair(
+        np.clip(np.asarray(u, dtype=float), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
+    return _ret(_tail_root(rec, w, y, fam.theta))
 
 
 def tail_h_inv_score(fam: TailFamily, z, y):
@@ -626,11 +648,7 @@ def prepare_pair_log_density(kind: str, u, v) -> Callable[[float], np.ndarray]:
     theta is not checked: callers keep it inside the family's domain.
     """
     rec = _kind_record(_PAIR_RECORDS, "pair", kind)
-    u, v = _clip_unit(u), _clip_unit(v)
-    if rec.score:
-        p = rec.prepare(std_normal_quantile(u), std_normal_quantile(v))
-    else:
-        p = rec.prepare(_log_pair(u), _log_pair(v))
+    p = rec.prepare(_from_unit(u, rec.score), _from_unit(v, rec.score))
     return lambda th: rec.evaluate(p, th)
 
 
@@ -644,26 +662,20 @@ def pair_density(fam: PairFamily, u, v):
 
 def pair_h(fam: PairFamily, u, v):
     """Conditional CDF of the first argument given the second, clamped to (0, 1)."""
-    u, v = _clip_unit(u), _clip_unit(v)
     rec, th = _PAIR_RECORDS[fam.kind], fam.theta
     if rec.h_u is not None:
-        out = rec.h_u(u, v, th)
-    elif rec.score:
-        out = std_normal_cdf(rec.h(std_normal_quantile(u), std_normal_quantile(v), th))
-    else:
-        out = np.exp(_clamp_log_pair(rec.h(_log_pair(u), _log_pair(v), th))[0])
-    return _ret(_clip_unit(out))
+        return _ret(_clip_unit(rec.h_u(_clip_unit(u), _clip_unit(v), th)))
+    h = rec.h(_from_unit(u, rec.score), _from_unit(v, rec.score), th)
+    return _ret(_clip_unit(std_normal_cdf(h) if rec.score else np.exp(_clamp_log_pair(h)[0])))
 
 
 def pair_h_inv(fam: PairFamily, w, v):
-    """Inverse of pair_h in its first argument."""
-    w, v = _clip_unit(w), _clip_unit(v)
-    rec, th = _PAIR_RECORDS[fam.kind], fam.theta
-    if rec.score:
-        out = std_normal_cdf(rec.h_inv(std_normal_quantile(w), std_normal_quantile(v), th))
-    else:
-        out = rec.h_inv(w, v, th)
-    return _ret(_clip_unit(out))
+    """Inverse of pair_h in its first argument, clamped to (0, 1) as pair_h is."""
+    rec = _PAIR_RECORDS[fam.kind]
+    u = rec.h_inv(_from_unit(w, rec.score), _from_unit(v, rec.score), fam.theta)
+    if not rec.score:   # from the smaller end, so a root near 1 rounds as 1 - (1 - u)
+        u = np.where(u[0] <= u[1], np.exp(u[0]), -np.expm1(u[1]))
+    return _ret(_clip_unit(std_normal_cdf(u) if rec.score else u))
 
 
 def pair_log_density_score(fam: PairFamily, zu, zv):

@@ -23,16 +23,14 @@ from .families import (
     PairFamily,
     TailFamily,
     _clamp_log_pair,
+    _from_unit,
+    _tail_root,
     clamp_score,
     log_pair_to_score,
-    pair_h_inv,
-    pair_h_inv_score,
     score_to_log_pair,
-    tail_h_inv,
-    tail_h_inv_score,
     tail_log_density,
 )
-from .numerics import std_normal_cdf, std_normal_quantile
+from .numerics import std_normal_cdf
 from .vines import Edge, StructureMatrix, VineSequence, from_structure_matrix
 
 
@@ -46,37 +44,25 @@ class XVineSpec:
     __slots__ = ("vine", "tail", "pairs", "_plans")
 
     def __init__(self, vine: VineSequence, tail: Mapping, pairs: Mapping | None = None):
-        pairs = pairs or {}
-        tail_map: dict[Edge, TailFamily] = {}
-        for ref, f in tail.items():
-            e = vine.find_edge(ref)
-            if e.level != 1:
-                raise DomainError(f"{e.label} is not a first-tree edge")
-            if not isinstance(f, TailFamily):
-                raise DomainError(f"edge {e.label} needs a TailFamily, got {f!r}")
-            if e in tail_map:
-                raise DomainError(f"edge {e.label} assigned twice")
-            tail_map[e] = f
-        pair_map: dict[Edge, PairFamily] = {}
-        for ref, c in pairs.items():
-            e = vine.find_edge(ref)
-            if e.level < 2:
-                raise DomainError(f"{e.label} is a first-tree edge, needs a TailFamily")
-            if not isinstance(c, PairFamily):
-                raise DomainError(f"edge {e.label} needs a PairFamily, got {c!r}")
-            if e in pair_map:
-                raise DomainError(f"edge {e.label} assigned twice")
-            pair_map[e] = c
-        for e in vine.trees[0]:
-            if e not in tail_map:
-                raise DomainError(f"missing tail family for edge {e.label}")
-        for t in vine.trees[1:]:
+        maps: tuple[dict, dict] = ({}, {})   # tail families on tree 1, pair copulas deeper
+        for deep, (fams, cls) in enumerate(((tail, TailFamily), (pairs or {}, PairFamily))):
+            for ref, f in fams.items():
+                e = vine.find_edge(ref)
+                if (e.level > 1) != deep:
+                    raise DomainError(f"{e.label} is a first-tree edge, needs a TailFamily"
+                                      if deep else f"{e.label} is not a first-tree edge")
+                if not isinstance(f, cls):
+                    raise DomainError(f"edge {e.label} needs a {cls.__name__}, got {f!r}")
+                if e in maps[deep]:
+                    raise DomainError(f"edge {e.label} assigned twice")
+                maps[deep][e] = f
+        for t in vine.trees:
             for e in t:
-                if e not in pair_map:
-                    raise DomainError(f"missing pair family for edge {e.label}")
+                if e not in maps[e.level > 1]:
+                    kind = "pair" if e.level > 1 else "tail"
+                    raise DomainError(f"missing {kind} family for edge {e.label}")
         self.vine = vine
-        self.tail = tail_map
-        self.pairs = pair_map
+        self.tail, self.pairs = maps
         self._plans: dict = {}
 
     @property
@@ -163,7 +149,7 @@ def exponent_measure_density(spec: XVineSpec, y):
 # ---------------------------------------------------------------------------
 
 class _Evaluator:
-    """The h-function recursion, memoised per call.
+    """The h-function recursion and its inverse, memoised per call.
 
     value(e, node, score) is the conditional value R_{node | A_e minus node}:
     tail_h on tree 1, and deeper the pair h-function of e applied to the values
@@ -174,9 +160,10 @@ class _Evaluator:
     reader asks for the form it needs (`score`), and the other form is
     converted once and memoised under (e, node, score). Each value is clamped
     where it is made, a raw tree-1 hr score where a pair edge reads it (`arg`),
-    so the records' formulas run with no check. r(e, node) is R itself,
-    exp(log R) or Phi(z), memoised as well. quantile inverts down the same
-    children with the inverse kernels, which clip the sampler's uniforms.
+    so the records' formulas run with no check. quantile inverts down the
+    same children with the records' inverses, in the same two forms: it takes
+    its target in e's form, which `form` makes of a uniform, and hands each
+    child its target in the child's form, converted where the forms differ.
     Density, conditional CDFs and quantiles, the sampler and the fitter all go
     through it. It reads only the families of the edges it visits, so the
     fitter can hand it family maps that grow one tree at a time.
@@ -189,22 +176,13 @@ class _Evaluator:
         self.tail = tail
         self.pairs = pairs
         self.col = col
-        self.memo: dict[tuple[Edge, int, bool | None], np.ndarray | tuple] = {}
+        self.memo: dict[tuple[Edge, int, bool], np.ndarray | tuple] = {}
         self.trace = trace
 
     def family(self, e: Edge):
         """The family of e and the record of its kind."""
         fam = self.tail[e] if e.level == 1 else self.pairs[e]
         return fam, (_TAIL_RECORDS if e.level == 1 else _PAIR_RECORDS)[fam.kind]
-
-    def r(self, e: Edge, node: int):
-        """The conditional value as a probability."""
-        key = (e, node, None)
-        if key not in self.memo:
-            score = self.family(e)[1].score
-            val = self.value(e, node, score)
-            self.memo[key] = std_normal_cdf(val) if score else np.exp(val[0])
-        return self.memo[key]
 
     def value(self, e: Edge, node: int, score: bool):
         """The conditional value as a normal score if `score`, else as a log pair."""
@@ -238,22 +216,32 @@ class _Evaluator:
         val = self.value(e, node, score)
         return clamp_score(val) if score and e.level == 1 else val
 
-    def quantile(self, e: Edge, node: int, w, score: bool = False):
-        """The x of `node` whose value on e is w (a normal score if `score`)."""
+    def native(self, e: Edge, node: int):
+        """The conditional value in e's form as one array rising with R: z or log R."""
+        score = self.family(e)[1].score
+        val = self.value(e, node, score)
+        return val if score else val[0]
+
+    def form(self, e: Edge, u):
+        """Uniforms u, clipped as pair_h clips, in e's form."""
+        return _from_unit(u, self.family(e)[1].score)
+
+    def quantile(self, e: Edge, node: int, w):
+        """The x of `node` whose value on e is w, given in e's form."""
         fam, rec = self.family(e)
-        native = rec.score
-        if native != score:
-            w = (std_normal_quantile if native else std_normal_cdf)(w)
         other = e.b if node == e.a else e.a
         if e.level == 1:
             self.event("tail_h_inv", e, node)
-            return (tail_h_inv_score if native else tail_h_inv)(fam, w, self.col[other])
+            return _tail_root(rec, w, self.col[other], fam.theta)
         child_t = e.child_a if node == e.a else e.child_b
         child_o = e.child_b if child_t is e.child_a else e.child_a
-        zo = self.value(child_o, other, True) if native else self.r(child_o, other)
+        given = self.arg(child_o, other, rec.score)
         self.event("pair_h_inv", e, node)
-        w = (pair_h_inv_score if native else pair_h_inv)(fam, w, zo)
-        return self.quantile(child_t, node, w, native)
+        w = rec.h_inv(w, given, fam.theta)
+        w = clamp_score(w) if rec.score else _clamp_log_pair(w)
+        if self.family(child_t)[1].score != rec.score:
+            w = score_to_log_pair(w) if rec.score else clamp_score(log_pair_to_score(w))
+        return self.quantile(child_t, node, w)
 
     def event(self, kind: str, e: Edge, node: int) -> None:
         if self.trace is not None:
@@ -323,8 +311,8 @@ def conditional_cdf(spec: XVineSpec, i: int, given: Iterable[int], x_i, x_given,
     e = resolve_conditional(spec, i, given)
     col = _columns(spec, i, given, x_given, x_i=x_i)
     ev = _Evaluator(spec.tail, spec.pairs, col, trace=_trace)
-    out = ev.r(e, int(i))
-    return out
+    val = ev.native(e, int(i))
+    return std_normal_cdf(val) if ev.family(e)[1].score else np.exp(val)
 
 
 def conditional_quantile(spec: XVineSpec, i: int, given: Iterable[int], u, x_given,
@@ -340,7 +328,7 @@ def conditional_quantile(spec: XVineSpec, i: int, given: Iterable[int], u, x_giv
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise DomainError("conditional quantile needs u strictly inside (0, 1)")
     ev = _Evaluator(spec.tail, spec.pairs, col, trace=_trace)
-    return ev.quantile(e, int(i), u)
+    return ev.quantile(e, int(i), ev.form(e, u))
 
 
 def model_chi(spec: XVineSpec, idx: Sequence[int], n_mc: int = 100_000,
@@ -350,20 +338,29 @@ def model_chi(spec: XVineSpec, idx: Sequence[int], n_mc: int = 100_000,
     n_mc must be an integer of at least 1; anything else raises DomainError.
     threads=None reads XVINE_THREADS, as the samplers do.
     """
+    return _chi_groups(spec, [idx], n_mc, seed, threads)[0]
+
+
+def _chi_groups(spec: XVineSpec, groups: Iterable[Sequence[int]], n_mc: int,
+                seed: int, threads: int | None = None) -> list[float]:
+    """model_chi of each group, with one conditional sample for each run of
+    groups that share their first variable."""
     from .simulate import _count, sample_conditional
 
-    nodes = tuple(int(v) for v in idx)
-    if len(nodes) not in (2, 3) or len(set(nodes)) != len(nodes):
-        raise DomainError(f"chi needs 2 or 3 distinct variables, got {idx}")
-    if not set(nodes) <= set(spec.vine.nodes):
-        raise DomainError(f"unknown variables in {idx}")
-    n_mc = _count(n_mc, "n_mc", least=1)
-    z = sample_conditional(spec, nodes[0], n_mc, seed, threads=threads)
     pos = {n: i for i, n in enumerate(spec.vine.nodes)}
-    hit = np.ones(n_mc, dtype=bool)
-    for v in nodes[1:]:
-        hit &= z[:, pos[v]] < 1.0
-    return float(hit.mean())
+    out, first = [], None
+    for idx in groups:
+        nodes = tuple(int(v) for v in idx)
+        if len(nodes) not in (2, 3) or len(set(nodes)) != len(nodes):
+            raise DomainError(f"chi needs 2 or 3 distinct variables, got {idx}")
+        if not set(nodes) <= set(pos):
+            raise DomainError(f"unknown variables in {idx}")
+        if nodes[0] != first:
+            first = nodes[0]
+            z = sample_conditional(spec, first, _count(n_mc, "n_mc", least=1), seed,
+                                   threads=threads)
+        out.append(float(np.all(z[:, [pos[v] for v in nodes[1:]]] < 1.0, axis=1).mean()))
+    return out
 
 
 # ---------------------------------------------------------------------------

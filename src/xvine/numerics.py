@@ -64,6 +64,14 @@ def softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
+def _log_pair_of_smaller(m, low):
+    """(log u, log(1 - u)) from m, the smaller of u and 1 - u, which is u
+    where `low`: both ends without cancellation."""
+    with np.errstate(divide="ignore"):
+        lm, lrest = np.log(m), np.log1p(-m)
+    return np.where(low, lm, lrest), np.where(low, lrest, lm)
+
+
 def reg_beta_cdf(x, a: float, b: float):
     """Regularized incomplete beta I_x(a, b), vectorized in x."""
     if a <= 0.0 or b <= 0.0:
@@ -84,9 +92,7 @@ def reg_beta_log_cdf_sf(x, y, a: float, b: float):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     low = x <= y
     c = special.betainc(np.where(low, a, b), np.where(low, b, a), np.where(low, x, y) / (x + y))
-    with np.errstate(divide="ignore"):
-        lc, lrest = np.log(c), np.log1p(-c)
-    return np.where(low, lc, lrest), np.where(low, lrest, lc)
+    return _log_pair_of_smaller(c, low)
 
 
 #: Past this |t|, I_p(a, b) at m = min(p, 1 - p) is its leading power term

@@ -171,7 +171,7 @@ def _conditional_block(spec: XVineSpec, plan, w: np.ndarray, accept_u=None,
                 drops.append(keep)
         if live.size == 0:
             break
-        values[target] = ev.quantile(top, target, w[live, k + 1])
+        values[target] = ev.quantile(top, target, ev.form(top, w[live, k + 1]))
         below += values[target] < 1.0
     order = {node: idx for idx, node in enumerate(spec.vine.nodes)}
     out = np.empty((live.size, spec.d))

@@ -11,7 +11,7 @@ from xvine import estimate
 from xvine.cli import main
 from xvine.errors import NoConvergence
 from xvine.families import TailFamily, tail_chi
-from xvine.model import XVineSpec, model_from_json, model_to_json
+from xvine.model import XVineSpec, model_chi, model_from_json, model_to_json
 from xvine.reference import five_variable_spec
 from xvine.vines import VineSequence
 
@@ -155,7 +155,7 @@ def test_fit_partial_failure_exit_code(bench_spec_file, tmp_path, capsys, monkey
         raise NoConvergence("bounded scalar search failed: 500 evaluations reached")
 
     # every deeper fit fails, as only a search can once the options are checked
-    monkeypatch.setattr(estimate, "fit_pair_edge", no_convergence)
+    monkeypatch.setattr(estimate, "_fit_pair", no_convergence)
     code = main(["fit", "--data", data, "--input-kind", "inverted-pareto",
                  "--out", str(out)])
     assert code == 4
@@ -222,6 +222,21 @@ def test_chi_model_route_is_seeded(hr2_spec_file, tmp_path):
         assert main(["chi", "--spec", hr2_spec_file, "--mc", "5000",
                      "--seed", "21", "--out", str(path)]) == 0
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("triples", [False, True])
+def test_chi_model_route_rows_are_model_chi(bench_spec_file, tmp_path, triples):
+    # one conditional sample per first variable gives each group's own value
+    out = tmp_path / "chi.csv"
+    assert main(["chi", "--spec", bench_spec_file, "--mc", "3000", "--seed", "5",
+                 *(["--triples"] if triples else []), "--out", str(out)]) == 0
+    spec = model_from_json(json.loads(open(bench_spec_file).read()))
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 10   # 5 choose 2 = 5 choose 3
+    for row in rows:
+        *idx, chi = row.split(",")
+        want = model_chi(spec, [int(i) for i in idx], n_mc=3000, seed=5)
+        assert chi == f"{want:.17g}", idx
 
 
 def test_chi_data_route(bench_spec_file, tmp_path):

@@ -367,6 +367,8 @@ def test_fit_options_validation():
         FitOptions(truncation=2.5)
     with pytest.raises(DomainError):
         FitOptions(truncation=True)
+    # a numpy integer is a level, stored as int
+    assert type(FitOptions(truncation=np.int64(2)).truncation) is int
     with pytest.raises(DomainError):
         FitOptions(n_min=True)
     with pytest.raises(DomainError):
@@ -624,11 +626,13 @@ def test_pipeline_mbic_is_the_full_curve_cut_where_it_stops_falling(
 def test_pipeline_mbic_fits_no_tree_past_the_stop(monkeypatch, c11_sample):
     calls = []
 
+    fit_pair = est._fit_pair
+
     def counting_fit(*args, **kwargs):
         calls.append(1)
-        return fit_pair_edge(*args, **kwargs)
+        return fit_pair(*args, **kwargs)
 
-    monkeypatch.setattr(est, "fit_pair_edge", counting_fit)
+    monkeypatch.setattr(est, "_fit_pair", counting_fit)
     base = FitOptions(input_kind="inverted-pareto", structure=cvine(10))
     counts = {}
     for truncation in ("mbic", 5, 9):

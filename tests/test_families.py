@@ -14,6 +14,7 @@ from scipy.special import log_ndtr, ndtr, ndtri
 import oracles as oc
 from conftest import PAIR_RANGES, TAIL_RANGES
 from xvine.errors import DomainError
+from xvine.numerics import _TRANSFORMS
 from xvine.families import (
     _PAIR_RECORDS,
     _TAIL_RECORDS,
@@ -161,14 +162,17 @@ def test_tail_h_inv_round_trip_full_box(kind, th):
     # or NaN anywhere. The double nearest 1 - 1e-12 lies below the log-pair
     # clamp, so h is read before tail_h_log_pair clamps it.
     fam = TailFamily(kind, th)
+    w, y = TAIL_INV_W, np.ones(TAIL_INV_W.size)
+    if (kind, th) == ("dirichlet", 1e-3):   # a target of 9.6e-20, far below the pair clip
+        w, y = np.r_[w, tail_h(fam, 1e-8, 1e8)], np.r_[y, 1e8]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = tail_h_inv(fam, TAIL_INV_W, 1.0)
+        x = tail_h_inv(fam, w, y)
         assert np.all(np.isfinite(x)) and np.all(x > 0.0)
-        lh, lhb = _TAIL_RECORDS[kind].h(x, 1.0, th)
-    low = TAIL_INV_W <= 0.5
+        lh, lhb = _TAIL_RECORDS[kind].h(x, y, th)
+    low = w <= 0.5
     got = np.where(low, lh, lhb)
-    want = np.where(low, np.log(TAIL_INV_W), np.log1p(-TAIL_INV_W))
+    want = np.where(low, np.log(w), np.log1p(-w))
     cap = x == X_MAX
     assert np.all(np.abs(np.expm1(got - want)[~cap]) <= 1e-12), (got - want)
     # at the cap the smaller side is still short of its target
@@ -338,18 +342,41 @@ def test_pair_h_round_trip(kind, w, v, frac):
     assert abs(float(pair_h(fam, u, v)) - w) < 1e-7
 
 
-@pytest.mark.parametrize("kind", ["gumbel", "survgumbel"])
-def test_gumbel_h_inv_round_trip_full_box(kind):
-    lo, hi, _ = PAIR_BOXES[kind]
-    grid = np.linspace(1e-3, 1.0 - 1e-3, 150)
-    w, v = (a.ravel() for a in np.meshgrid(grid, grid))
-    thetas = np.concatenate([[lo], 1.0 + np.geomspace(1e-6, hi - 1.0, 14)])
+#: Targets w on their smaller side, down to 1e-12, and conditioning values
+#: within 1e-12 of either end.
+SIDE_W = np.array([1e-12, 1e-10, 1e-8, 1e-4, 0.05, 0.3, 0.5])
+EDGE_V = np.array([1e-12, 1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-6, 1.0 - 1e-12])
+
+
+@pytest.mark.parametrize("kind", [k for k in PAIR_KINDS if k != "indep"])
+def test_pair_h_inv_round_trip_full_box(kind):
+    # h(h_inv(w)) = w through the record's own form, relative to the smaller
+    # side of w, for w and 1 - w down to 1e-12: log h against log w, or
+    # log(1 - h) against log(1 - w); a score kind through log Phi of scores.
+    # theta spans the search scale of the box, both ends included (an even
+    # count skips frank's theta = 0).
+    rec = _PAIR_RECORDS[kind]
+    lo, hi, transform = PAIR_BOXES[kind]
+    fwd, inv = _TRANSFORMS[transform]
+    thetas = inv(np.linspace(fwd(lo), fwd(hi), 12))
+    thetas[[0, -1]] = lo, hi
+    s, v = (np.tile(a.ravel(), 2) for a in np.meshgrid(SIDE_W, EDGE_V))
+    low = np.arange(s.size) < s.size // 2   # w = s, then w = 1 - s
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for theta in thetas:
-            fam = PairFamily(kind, float(theta))
-            err = np.abs(pair_h(fam, pair_h_inv(fam, w, v), v) - w).max()
-            assert err <= 1e-12, (theta, err)
+        for th in thetas:
+            if rec.score:
+                z, zv = np.where(low, ndtri(s), -ndtri(s)), ndtri(v)
+                back = rec.h(rec.h_inv(z, zv, th), zv, th)
+                got, want = log_ndtr(np.where(low, back, -back)), log_ndtr(np.where(low, z, -z))
+            else:
+                ls, lsb = _log_pair(s)
+                q = _log_pair(v)
+                lh, lhb = rec.h(rec.h_inv((np.where(low, ls, lsb), np.where(low, lsb, ls)), q, th),
+                                q, th)
+                got, want = np.where(low, lh, lhb), ls
+            err = np.abs(np.expm1(got - want))
+            assert err.max() <= 1e-12, (th, s[err.argmax()], low[err.argmax()], v[err.argmax()])
 
 
 @pytest.mark.parametrize("theta,w,v", [
