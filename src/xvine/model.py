@@ -37,8 +37,9 @@ from .vines import Edge, StructureMatrix, VineSequence, from_structure_matrix
 class XVineSpec:
     """A vine plus one family per edge (tail on tree 1, pair copulas deeper).
 
-    `_plans` holds the samplers' plan per conditioning variable, built from
-    the vine on first use (`simulate._conditional_plan`).
+    `_plans` holds the samplers' plan per conditioning variable, and under
+    None the first-exceedance order, built from the vine on first use
+    (`simulate._conditional_plan`, `simulate._rejection_plans`).
     """
 
     __slots__ = ("vine", "tail", "pairs", "_plans")
@@ -350,7 +351,7 @@ def _chi_groups(spec: XVineSpec, groups: Iterable[Sequence[int]], n_mc: int,
     pos = {n: i for i, n in enumerate(spec.vine.nodes)}
     out, first = [], None
     for idx in groups:
-        nodes = tuple(int(v) for v in idx)
+        nodes = tuple(_count(v, "chi variable") for v in idx)
         if len(nodes) not in (2, 3) or len(set(nodes)) != len(nodes):
             raise DomainError(f"chi needs 2 or 3 distinct variables, got {idx}")
         if not set(nodes) <= set(pos):

@@ -2,8 +2,8 @@
 
 Three laws are exposed: the conditional law given that one fixed coordinate is
 below 1 (exact inverse-Rosenblatt along a sampling order), the inverted-Pareto
-law (rejection over uniformly chosen conditioning coordinates), and its
-reciprocal on the Pareto scale.
+law (conditional proposals kept on their first exceedance: Dombry, Engelke &
+Oesting 2016, Biometrika 103(2)), and its reciprocal on the Pareto scale.
 
 Work is carved into fixed-size blocks, each driven by its own counter-based
 substream, so output depends only on (seed, n) and never on the thread count.
@@ -138,7 +138,22 @@ def _conditional_plan(spec: XVineSpec, j: int):
     return plan
 
 
-def _conditional_block(spec: XVineSpec, plan, w: np.ndarray, accept_u=None,
+def _rejection_plans(spec: XVineSpec) -> list[tuple[tuple, frozenset]]:
+    """(plan, nodes ranked before its first node) for each node in vine order.
+
+    Any fixed order is exact. This one ranks nodes by their column positions
+    summed over the d plans, ties broken by label, so plans tend to draw the
+    earlier-ranked nodes first and drop rows early. Kept in `_plans[None]`.
+    """
+    if None not in spec._plans:
+        plans = [_conditional_plan(spec, j) for j in spec.vine.nodes]
+        cols = [[first, *(t for t, _ in rest)] for first, rest in plans]
+        order = sorted(spec.vine.nodes, key=lambda v: (sum(c.index(v) for c in cols), v))
+        spec._plans[None] = [(plan, frozenset(order[:order.index(plan[0])])) for plan in plans]
+    return spec._plans[None]
+
+
+def _conditional_block(spec: XVineSpec, plan, w: np.ndarray, earlier=frozenset(),
                        trace=None) -> tuple[np.ndarray, np.ndarray]:
     """Inverse-Rosenblatt draws along a plan, one per row of the (m, d)
     uniform matrix w; returns (rows, row indices).
@@ -146,38 +161,29 @@ def _conditional_block(spec: XVineSpec, plan, w: np.ndarray, accept_u=None,
     Column 0 of w is the conditioning coordinate and column k + 1 inverts the
     plan's k-th column. Every kernel works row by row, so a row's draw depends
     on its own uniforms only, and rows from many blocks can share one call.
-    Given accept_u, the rejection sampler's uniforms for these rows, a row is
-    dropped before the next column once accept_u * (its coordinates below 1
-    so far) >= 1: that count only grows, so the row would fail the final
-    acceptance test anyway. The sampled columns and the recursion's memo are
-    `_LiveRows`, so a drop copies nothing and each array is compacted when it
-    is read. The returned indices, in increasing order, say which rows of w
-    are live.
+    A row is dropped, with none of its later columns drawn, as soon as a node
+    in `earlier` comes out below 1. The sampled columns and the recursion's
+    memo are `_LiveRows`, so a drop copies nothing and each array is
+    compacted when it is read. The returned indices, in increasing order, say
+    which rows of w are live.
     """
     first, cols = plan
-    n = w.shape[0]
     drops: list[np.ndarray] = []
     values = _LiveRows(drops)
     values[first] = w[:, 0]
     ev = _Evaluator(spec.tail, spec.pairs, values, trace=trace)
     ev.memo = _LiveRows(drops)
-    live = np.arange(n)
-    below = np.ones(n, dtype=np.int64)  # the conditioned coordinate is below 1
+    live = np.arange(w.shape[0])
     for k, (target, top) in enumerate(cols):
-        if accept_u is not None:
-            keep = np.flatnonzero(accept_u * below < 1.0)
+        values[target] = x = ev.quantile(top, target, ev.form(top, w[live, k + 1]))
+        if target in earlier:
+            keep = np.flatnonzero(x >= 1.0)
             if keep.size < live.size:
-                live, accept_u, below = live[keep], accept_u[keep], below[keep]
+                live = live[keep]
                 drops.append(keep)
-        if live.size == 0:
-            break
-        values[target] = ev.quantile(top, target, ev.form(top, w[live, k + 1]))
-        below += values[target] < 1.0
-    order = {node: idx for idx, node in enumerate(spec.vine.nodes)}
-    out = np.empty((live.size, spec.d))
-    for node in values:
-        out[:, order[node]] = values[node]
-    return out, live
+            if live.size == 0:
+                return np.empty((0, spec.d)), live
+    return np.column_stack([values[node] for node in spec.vine.nodes]), live
 
 
 def parallel_map(fn, items, threads: int) -> list:
@@ -204,9 +210,9 @@ def sample_conditional(spec: XVineSpec, j: int, n: int, seed: int,
     blocks' uniform matrices are stacked into calls of up to _MERGE_CAP / d
     rows, which run on up to `threads` threads.
     """
-    if j not in spec.vine.nodes:
+    if _count(j, "conditioning variable") not in spec.vine.nodes:
         raise DomainError(f"conditioning variable {j} not in model")
-    n = _count(n)
+    n, seed = _count(n), _count(seed, "seed")
     threads = resolve_threads(threads)
     plan = _conditional_plan(spec, j)
     if n == 0:
@@ -252,50 +258,40 @@ def _rejection_round(spec: XVineSpec, plans, seed: int, chunk: list[_Block],
     """The next round of every block in chunk, with one merged call per
     conditioning variable.
 
-    A proposal is kept when accept_u * N < 1, where N counts its coordinates
-    below 1. Each block draws its round's `which` and `accept_u` from
-    rng_stream(seed, block, round), and the uniforms of its rows that
-    condition on the j-th variable from rng_stream(seed, block, round, j + 1).
-    Those rows of every block in chunk go through one `_conditional_block`
-    call, and the survivors are split back by block. Rejection is early: the
-    call drops a proposal as soon as its count so far makes it fail the test,
-    and draws none of its later columns. This is exact. The count only grows
-    along the sampling order, every uniform is drawn up front, and every
-    kernel works row by row, so each block keeps the rows and counts it would
-    get from drawing every column of every proposal on its own. The
-    conditioning variables run one at a time, or `threads` at a time, so
-    only that many merged uniform matrices exist at once. A block puts its
-    survivors back in proposal order before the final test.
+    Each block draws its round's `which` from rng_stream(seed, block, round),
+    and the uniforms of its rows that condition on the j-th variable from
+    rng_stream(seed, block, round, j + 1). Those rows of every block in chunk
+    go through one `_conditional_block` call, which drops a proposal at its
+    first coordinate below 1 that ranks before j, so every row it returns is
+    accepted; they are split back by block, in proposal order. Every uniform
+    is drawn up front and every kernel works row by row, so each block keeps
+    the rows it would get on its own. The conditioning variables run one at a
+    time, or `threads` at a time, so only that many merged uniform matrices
+    exist at once.
     """
     d = spec.d
-    sizes = [blk.size() for blk in chunk]
-    draws = []
-    for blk, m in zip(chunk, sizes):
-        rng = rng_stream(seed, blk.index, blk.rnd)
-        draws.append((rng.integers(0, d, size=m), rng.random(m)))
+    whiches = [rng_stream(seed, blk.index, blk.rnd).integers(0, d, size=blk.size())
+               for blk in chunk]
 
     def group(jdx: int):
-        sels = [np.flatnonzero(which == jdx) for which, _ in draws]
+        sels = [np.flatnonzero(which == jdx) for which in whiches]
         if not any(sel.size for sel in sels):
             return []
         w = np.vstack([rng_stream(seed, blk.index, blk.rnd, jdx + 1).random((sel.size, d))
                        for blk, sel in zip(chunk, sels) if sel.size])
-        accept_u = np.concatenate([a[sel] for (_, a), sel in zip(draws, sels)])
-        z, live = _conditional_block(spec, plans[jdx], w, accept_u)
+        plan, earlier = plans[jdx]
+        z, live = _conditional_block(spec, plan, w, earlier)
         offsets = np.cumsum([0] + [sel.size for sel in sels])
         cuts = np.searchsorted(live, offsets)
         return [(sel[live[lo:hi] - off], z[lo:hi])
                 for sel, off, lo, hi in zip(sels, offsets, cuts[:-1], cuts[1:])]
 
     parts = [split for split in parallel_map(group, range(d), threads) if split]
-    for b, (blk, m, (_, accept_u)) in enumerate(zip(chunk, sizes, draws)):
-        idx = np.concatenate([split[b][0] for split in parts])
-        order = np.argsort(idx)
-        idx, z = idx[order], np.vstack([split[b][1] for split in parts])[order]
-        keep = accept_u[idx] * (z < 1.0).sum(axis=1) < 1.0
-        blk.rows.append(z[keep])
-        blk.got += int(keep.sum())
-        blk.proposals += m
+    for b, (blk, which) in enumerate(zip(chunk, whiches)):
+        order = np.argsort(np.concatenate([split[b][0] for split in parts]))
+        blk.rows.append(np.vstack([split[b][1] for split in parts])[order])
+        blk.got += order.size
+        blk.proposals += which.size
         blk.rate = max(blk.got / blk.proposals, 1.0 / (2 * d))
         blk.rnd += 1
         if blk.got < blk.want and blk.rnd >= 500:
@@ -307,10 +303,12 @@ def sample_inverted_pareto(spec: XVineSpec, n: int, seed: int,
                            ) -> tuple[np.ndarray, RejectionStats]:
     """Draw from the inverted-Pareto law of the model by rejection.
 
-    A conditioning coordinate is chosen uniformly, a conditional sample drawn,
-    and the row kept with probability 1/N where N counts its coordinates below
-    1; this removes the multiple-counting of rows lying in several coordinate
-    slabs. Returns the samples and proposal statistics.
+    A conditioning coordinate j is chosen uniformly, a conditional sample
+    drawn, and the row kept when j is its first coordinate below 1 in a fixed
+    node order (`_rejection_plans`): of a row's N coordinates below 1 just one
+    can propose it, so the kept rows follow the target law, with acceptance
+    E[1/N] = R(L)/d (Dombry, Engelke & Oesting 2016). Returns the samples and
+    proposal statistics.
 
     The blocks run in lockstep: blocks still short are queued, and each step
     takes blocks off the front of the queue until their next rounds would
@@ -319,9 +317,9 @@ def sample_inverted_pareto(spec: XVineSpec, n: int, seed: int,
     in different rounds may share a step, and output depends only on
     (seed, n), never on the merging or the thread count.
     """
-    n = _count(n)
+    n, seed = _count(n), _count(seed, "seed")
     threads = resolve_threads(threads)
-    plans = [_conditional_plan(spec, j) for j in spec.vine.nodes]
+    plans = _rejection_plans(spec)
     if n == 0:
         return np.empty((0, spec.d)), RejectionStats(0, 0)
     blocks = [_Block(b, m, spec.d) for b, m in _blocks(n)]

@@ -358,6 +358,10 @@ def test_model_chi_validation(bench):
         model_chi(bench, (1, 1))
     with pytest.raises(DomainError):
         model_chi(bench, (1, 9))
+    # a variable that is not an integer is not rounded to one
+    for idx in ((1.7, 2), (1, 2.2), (True, 2), ("1", 2)):
+        with pytest.raises(DomainError, match="chi variable must be an integer"):
+            model_chi(bench, idx)
 
 
 def test_model_chi_reads_xvine_threads(bench, monkeypatch):

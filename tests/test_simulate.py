@@ -78,26 +78,29 @@ def late_rejection(spec: XVineSpec, n: int, seed: int, draw=full_block):
 
     The same blocks, rounds and random streams as the sampler, but each
     conditioning group draws all its columns with `draw`, with nothing
-    dropped, and the test accept_u * N < 1 comes only once all d columns are
-    drawn.
+    dropped, and a proposal from the j-th plan is kept only once all d
+    columns are drawn, when no node ranked before j in the library's
+    first-exceedance order is below 1.
     """
     d = spec.d
-    plans = [simulate._conditional_plan(spec, j) for j in spec.vine.nodes]
+    nodes = list(spec.vine.nodes)
+    plans = simulate._rejection_plans(spec)
     rows, proposals, accepted = [], 0, 0
     for block in range((n + BLOCK - 1) // BLOCK):
         want = min(BLOCK, n - block * BLOCK)
         kept, got, drawn, rate, rnd = [], 0, 0, 2.0 / (d + 1), 0
         while got < want:
             m = min(max(int(math.ceil((want - got) / rate * 1.2)), 64), 1 << 18)
-            rng = rng_stream(seed, block, rnd)
-            which = rng.integers(0, d, size=m)
-            accept_u = rng.random(m)
+            which = rng_stream(seed, block, rnd).integers(0, d, size=m)
             z = np.empty((m, d))
+            keep = np.empty(m, dtype=bool)
             for jdx in np.unique(which):
                 sel = which == jdx
                 w = rng_stream(seed, block, rnd, int(jdx) + 1).random((int(sel.sum()), d))
-                z[sel] = draw(spec, plans[jdx], w)
-            keep = accept_u * (z < 1.0).sum(axis=1) < 1.0
+                plan, earlier = plans[jdx]
+                z[sel] = draw(spec, plan, w)
+                cols = [nodes.index(v) for v in earlier]
+                keep[sel] = ~(z[sel][:, cols] < 1.0).any(axis=1)
             kept.append(z[keep])
             got += int(keep.sum())
             drawn += m
@@ -281,32 +284,42 @@ def test_sampler_matches_u_space_reference(spec):
                                   joe4_spec()], ids=["bench5", "cvine10", "joe4"])
 def test_dropping_block_computes_each_value_once(spec):
     # rows are dropped between columns, yet every conditional value a later
-    # column needs is still read back from the memo, not computed again
-    for j in spec.vine.nodes:
+    # column needs is still read back from the memo, not computed again; the
+    # last-ranked plans of the 10-d model may drop every row
+    sizes = []
+    for plan, earlier in simulate._rejection_plans(spec):
+        if not earlier:
+            continue
         trace: list = []
-        _, live = simulate._conditional_block(spec, simulate._conditional_plan(spec, j),
-                                             rng_stream(9).random((600, spec.d)),
-                                             rng_stream(10).random(600), trace=trace)
-        assert 0 < live.size < 600
+        _, live = simulate._conditional_block(spec, plan, rng_stream(9).random((600, spec.d)),
+                                             earlier, trace=trace)
+        sizes.append(live.size)
         forward = [t for t in trace if t[0] in ("tail_h", "pair_h")]
         assert len(forward) == len(set(forward))
+    assert max(sizes) < 600 and any(0 < size < 600 for size in sizes)
 
 
 def test_conditional_block_drops_only_sure_rejections():
     spec = joe4_spec()
-    plan = simulate._conditional_plan(spec, 2)
+    nodes = list(spec.vine.nodes)
     w = rng_stream(5).random((600, spec.d))
-    full, _ = simulate._conditional_block(spec, plan, w)
-    accept_u = rng_stream(6).random(600)
-    z, live = simulate._conditional_block(spec, plan, w, accept_u)
-    np.testing.assert_array_equal(z, full[live])
-    assert 0 < live.size < 600
-    dropped = np.setdiff1d(np.arange(600), live)
-    assert np.all(accept_u[dropped] * (full[dropped] < 1.0).sum(axis=1) >= 1.0)
-    # with accept_u = 1 every row fails before its first drawn column: no kernel runs
+    for plan, earlier in simulate._rejection_plans(spec):
+        full, _ = simulate._conditional_block(spec, plan, w)
+        z, live = simulate._conditional_block(spec, plan, w, earlier)
+        np.testing.assert_array_equal(z, full[live])
+        # dropped exactly where a coordinate ranked before the first node is below 1
+        rejected = (full[:, [nodes.index(v) for v in earlier]] < 1.0).any(axis=1)
+        np.testing.assert_array_equal(live, np.flatnonzero(~rejected))
+        if earlier:
+            assert 0 < live.size < 600
+    # the last-ranked plan with its first drawn column forced below 1: every
+    # row drops there, and no later column runs a kernel
+    plan, earlier = max(simulate._rejection_plans(spec), key=lambda got: len(got[1]))
+    w[:, 1] = 1e-9
     trace: list = []
-    z, live = simulate._conditional_block(spec, plan, w, np.ones(600), trace=trace)
-    assert z.shape == (0, 4) and live.size == 0 and trace == []
+    z, live = simulate._conditional_block(spec, plan, w, earlier, trace=trace)
+    assert z.shape == (0, 4) and live.size == 0
+    assert {node for kind, _, node in trace if kind.endswith("_inv")} == {plan[1][0][0]}
 
 
 def test_parallel_map_keeps_input_order():
@@ -372,9 +385,25 @@ def test_empty_and_invalid_requests(bench):
         for bad in (0, -5, 2.5, True):
             with pytest.raises(DomainError, match="n_mc"):
                 model_chi(bench, (1, 2), n_mc=bad)
+        # nor is a seed taken as int(seed), or a conditioning variable as node 1
+        for bad in (1.5, 1.0, True, "1", None):
+            with pytest.raises(DomainError, match="seed must be an integer"):
+                sample_inverted_pareto(bench, 10, seed=bad)
+            with pytest.raises(DomainError, match="seed must be an integer"):
+                sample_pareto(bench, 0, seed=bad)
+            with pytest.raises(DomainError, match="seed must be an integer"):
+                sample_conditional(bench, 1, 10, seed=bad)
+            with pytest.raises(DomainError, match="seed must be an integer"):
+                model_chi(bench, (1, 2), n_mc=10, seed=bad)
+            with pytest.raises(DomainError, match="conditioning variable must be an integer"):
+                sample_conditional(bench, bad, 10, seed=0)
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            sample_inverted_pareto(bench, 10, seed=-1)
         # numpy integers are integers
         assert sample_conditional(bench, 1, np.int64(3), seed=0).shape == (3, 5)
         assert sample_inverted_pareto(bench, np.int32(3), seed=0)[0].shape == (3, 5)
+        np.testing.assert_array_equal(sample_conditional(bench, np.int64(2), 3, seed=np.int64(4)),
+                                      sample_conditional(bench, 2, 3, seed=4))
         assert 0.0 <= model_chi(bench, (1, 2), n_mc=np.int64(10)) <= 1.0
 
 
@@ -427,6 +456,47 @@ def test_acceptance_rate_matches_quadrature_at_d2():
     want = (2.0 - chi) / 2.0
     se = np.sqrt(want * (1.0 - want) / stats.proposals)
     assert abs(stats.acceptance_rate - want) < 3.0 * se
+
+
+def relabelled(spec: XVineSpec, perm: dict[int, int]) -> XVineSpec:
+    """spec with node v renamed perm[v]: the same law, coordinates permuted."""
+    def raw(e):
+        if e.level == 1:
+            return frozenset({perm[e.a], perm[e.b]})
+        return frozenset({raw(e.child_a), raw(e.child_b)})
+
+    vine = VineSequence([[raw(e) for e in t] for t in spec.vine.trees], d=spec.d)
+
+    def key(e):
+        return perm[e.a], perm[e.b], tuple(perm[c] for c in e.cond)
+
+    return XVineSpec(vine, {vine.find_edge(key(e)): f for e, f in spec.tail.items()},
+                     {vine.find_edge(key(e)): f for e, f in spec.pairs.items()})
+
+
+def test_rejection_law_does_not_depend_on_labels(bench):
+    # the first-exceedance order comes from the plans; on a relabelled model
+    # the slab mass d * rate is the same and every margin is still uniform
+    perm = {1: 4, 2: 5, 3: 2, 4: 1, 5: 3}
+    spec = relabelled(bench, perm)
+    n = 40_000
+    z0, s0 = sample_inverted_pareto(bench, n, seed=62)
+    z, stats = sample_inverted_pareto(spec, n, seed=62)
+    d, rate = spec.d, stats.acceptance_rate
+    se = d * np.hypot(np.sqrt(rate * (1 - rate) / stats.proposals),
+                      np.sqrt(s0.acceptance_rate * (1 - s0.acceptance_rate) / s0.proposals))
+    assert abs(d * rate - d * s0.acceptance_rate) < 3.0 * se
+    for j in range(d):
+        p = float((z[:, j] < 1.0).mean())
+        se = np.sqrt((1 - p) / (n * p) + (1 - rate) / (stats.proposals * rate))
+        assert abs(p * d * rate - 1.0) < 3.0 * se, j
+    # the same law: the chi of a first-tree pair carries over to its new labels
+    for e in bench.vine.trees[0]:
+        a, b = perm[e.a] - 1, perm[e.b] - 1
+        chi = tail_chi(bench.tail[e])
+        m = int((z[:, a] < 1.0).sum())
+        phat = float(((z[:, a] < 1.0) & (z[:, b] < 1.0)).sum()) / m
+        assert abs(phat - chi) < 3.0 * np.sqrt(chi * (1 - chi) / m), e.label
 
 
 def test_rejection_stats_bookkeeping():
