@@ -2,11 +2,12 @@
 """The laws of the inverted-Pareto samples, for comparing two checkouts.
 
 For each `inverted_pareto` call of scripts/sampler_hashes.py (its `calls()`)
-prints the acceptance rate, the inverse-kernel rows drawn per accepted row,
-the worst z-score of P(Z_j < 1) * d * rate = 1 over the coordinates j, and
-the z-score of each first-tree edge's empirical chi against `tail_chi`. A
-change to the rejection rule moves every row, so rows cannot be compared
-by position (scripts/sampler_moves.py); the laws they follow can.
+prints the acceptance rate, the inverse-kernel rows and the uniforms drawn
+per accepted row, the worst z-score of P(Z_j < 1) * d * rate = 1 over the
+coordinates j, and the z-score of each first-tree edge's empirical chi
+against `tail_chi`. A change to the rejection rule moves every row, so rows
+cannot be compared by position (scripts/sampler_moves.py); the laws they
+follow can.
 
     PYTHONPATH=src python3 scripts/sampler_laws.py            # this checkout
     python3 scripts/sampler_laws.py ../parent .               # two, line by line
@@ -30,24 +31,42 @@ def laws(quick: bool) -> None:
     """Print one line of figures per inverted-Pareto call."""
     from sampler_hashes import calls
 
-    from xvine import model
+    from xvine import model, simulate
     from xvine.families import tail_chi
     from xvine.simulate import sample_inverted_pareto
 
     inverse_rows: list[int] = []
+    uniforms: list[int] = []
     quantile = model._Evaluator.quantile
+    stream = simulate.rng_stream
 
     def counting(self, e, node, w):
         # every call inverts one edge's kernel: tail_h_inv on tree 1, pair_h_inv deeper
         inverse_rows.append(len(w[0] if isinstance(w, tuple) else w))
         return quantile(self, e, node, w)
 
+    class CountingStream:
+        """A generator that counts the uniforms it draws."""
+
+        def __init__(self, gen):
+            self.gen = gen
+
+        def __getattr__(self, name):
+            return getattr(self.gen, name)
+
+        def random(self, size):
+            out = self.gen.random(size)
+            uniforms.append(out.size)
+            return out
+
     model._Evaluator.quantile = counting
+    simulate.rng_stream = lambda seed, *path: CountingStream(stream(seed, *path))
     for label, call in calls(quick):
         if not label.startswith("inverted_pareto"):
             continue
         spec, n, seed, threads = call.args
         inverse_rows.clear()
+        uniforms.clear()
         z, st = sample_inverted_pareto(spec, n, seed, threads=threads)
         rate = st.acceptance_rate
         below = z < 1.0
@@ -67,6 +86,7 @@ def laws(quick: bool) -> None:
             chis.append(f"({e.a},{e.b})={(got - want) / se:+.2f}")
         per_row = sum(inverse_rows) / st.accepted
         print(f"{label} rate={rate:.4f} inverse_rows/accepted={per_row:.2f}"
+              f" uniforms/accepted={sum(uniforms) / st.accepted:.2f}"
               f" worst_margin_z={worst:+.2f} chi_z=" + ",".join(chis), flush=True)
 
 

@@ -8,7 +8,9 @@ Oesting 2016, Biometrika 103(2)), and its reciprocal on the Pareto scale.
 Work is carved into fixed-size blocks, each driven by its own counter-based
 substream, so output depends only on (seed, n) and never on the thread count.
 Blocks pool their rows into merged inverse-Rosenblatt calls; every kernel
-works row by row, so merging moves no row.
+works row by row, so merging moves no row. The conditional sampler draws
+each block's uniform matrix up front; the rejection sampler draws each
+column only for the proposals still live before it (`_rejection_round`).
 """
 from __future__ import annotations
 
@@ -153,29 +155,31 @@ def _rejection_plans(spec: XVineSpec) -> list[tuple[tuple, frozenset]]:
     return spec._plans[None]
 
 
-def _conditional_block(spec: XVineSpec, plan, w: np.ndarray, earlier=frozenset(),
+def _conditional_block(spec: XVineSpec, plan, column, earlier=frozenset(),
                        trace=None) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-Rosenblatt draws along a plan, one per row of the (m, d)
-    uniform matrix w; returns (rows, row indices).
+    """Inverse-Rosenblatt draws along a plan; returns (rows, row indices).
 
-    Column 0 of w is the conditioning coordinate and column k + 1 inverts the
-    plan's k-th column. Every kernel works row by row, so a row's draw depends
-    on its own uniforms only, and rows from many blocks can share one call.
-    A row is dropped, with none of its later columns drawn, as soon as a node
-    in `earlier` comes out below 1. The sampled columns and the recursion's
-    memo are `_LiveRows`, so a drop copies nothing and each array is
-    compacted when it is read. The returned indices, in increasing order, say
-    which rows of w are live.
+    column(k, live) gives the uniforms of column k for the rows `live`, in
+    increasing order, or for every row when live is None; column 0 is the
+    conditioning coordinate and column k + 1 inverts the plan's k-th column.
+    Column 0 is asked for once, for every row, and column k + 1 once, for the
+    rows still live before it. Every kernel works row by row, so a row's draw
+    depends on its own uniforms only, and rows from many blocks can share one
+    call. A row is dropped, and no later uniform asked for it, as soon as a
+    node in `earlier` comes out below 1. The sampled columns and the
+    recursion's memo are `_LiveRows`, so a drop copies nothing and each array
+    is compacted when it is read. The returned indices, in increasing order,
+    say which rows are live.
     """
     first, cols = plan
     drops: list[np.ndarray] = []
     values = _LiveRows(drops)
-    values[first] = w[:, 0]
+    values[first] = w0 = column(0, None)
     ev = _Evaluator(spec.tail, spec.pairs, values, trace=trace)
     ev.memo = _LiveRows(drops)
-    live = np.arange(w.shape[0])
+    live = np.arange(w0.size)
     for k, (target, top) in enumerate(cols):
-        values[target] = x = ev.quantile(top, target, ev.form(top, w[live, k + 1]))
+        values[target] = x = ev.quantile(top, target, ev.form(top, column(k + 1, live)))
         if target in earlier:
             keep = np.flatnonzero(x >= 1.0)
             if keep.size < live.size:
@@ -184,6 +188,11 @@ def _conditional_block(spec: XVineSpec, plan, w: np.ndarray, earlier=frozenset()
             if live.size == 0:
                 return np.empty((0, spec.d)), live
     return np.column_stack([values[node] for node in spec.vine.nodes]), live
+
+
+def _matrix_columns(w: np.ndarray):
+    """The column source of an (m, d) uniform matrix for `_conditional_block`."""
+    return lambda k, live: w[:, k] if live is None else w[live, k]
 
 
 def parallel_map(fn, items, threads: int) -> list:
@@ -224,7 +233,7 @@ def sample_conditional(spec: XVineSpec, j: int, n: int, seed: int,
 
     def run(chunk):
         w = np.vstack([rng_stream(seed, b).random((m, spec.d)) for b, m in chunk])
-        return _conditional_block(spec, plan, w, trace=_trace)[0]
+        return _conditional_block(spec, plan, _matrix_columns(w), trace=_trace)[0]
 
     # a trace records the calls in order, so they run on one thread
     return np.vstack(parallel_map(run, chunks, threads if _trace is None else 1))
@@ -258,16 +267,25 @@ def _rejection_round(spec: XVineSpec, plans, seed: int, chunk: list[_Block],
     """The next round of every block in chunk, with one merged call per
     conditioning variable.
 
-    Each block draws its round's `which` from rng_stream(seed, block, round),
-    and the uniforms of its rows that condition on the j-th variable from
-    rng_stream(seed, block, round, j + 1). Those rows of every block in chunk
-    go through one `_conditional_block` call, which drops a proposal at its
-    first coordinate below 1 that ranks before j, so every row it returns is
-    accepted; they are split back by block, in proposal order. Every uniform
-    is drawn up front and every kernel works row by row, so each block keeps
-    the rows it would get on its own. The conditioning variables run one at a
-    time, or `threads` at a time, so only that many merged uniform matrices
-    exist at once.
+    Each block draws its round's `which` from rng_stream(seed, block, round).
+    Its rows that condition on the j-th variable go through one
+    `_conditional_block` call with the same rows of every other block in
+    chunk; the call drops a proposal at its first coordinate below 1 that
+    ranks before j, so every row it returns is accepted, and the rows are
+    split back by block, in proposal order.
+
+    The uniforms are drawn a column at a time, only for the rows still live.
+    For block b the generator G = rng_stream(seed, b, round, j + 1) draws
+    column 0 as G.random(m) for the block's m rows of that group, in proposal
+    order, then each later column for the block's rows still live before it,
+    in proposal order. This keeps the law exact: each uniform is drawn after
+    everything that decides which row it goes to, and independently of it, so
+    the live rows' next column is i.i.d. U(0, 1), as if every column of every
+    row were drawn up front and the dropped rows' columns thrown away. No two
+    blocks share a generator and a row's liveness depends on its own values
+    only, so each block keeps the rows it would get on its own, whatever the
+    merging or the thread count. The conditioning variables run one at a
+    time, or `threads` at a time.
     """
     d = spec.d
     whiches = [rng_stream(seed, blk.index, blk.rnd).integers(0, d, size=blk.size())
@@ -275,13 +293,17 @@ def _rejection_round(spec: XVineSpec, plans, seed: int, chunk: list[_Block],
 
     def group(jdx: int):
         sels = [np.flatnonzero(which == jdx) for which in whiches]
-        if not any(sel.size for sel in sels):
-            return []
-        w = np.vstack([rng_stream(seed, blk.index, blk.rnd, jdx + 1).random((sel.size, d))
-                       for blk, sel in zip(chunk, sels) if sel.size])
-        plan, earlier = plans[jdx]
-        z, live = _conditional_block(spec, plan, w, earlier)
         offsets = np.cumsum([0] + [sel.size for sel in sels])
+        if not offsets[-1]:
+            return []
+        gens = [rng_stream(seed, blk.index, blk.rnd, jdx + 1) for blk in chunk]
+
+        def column(k, live):
+            cuts = offsets if live is None else np.searchsorted(live, offsets)
+            return np.concatenate([gen.random(m) for gen, m in zip(gens, np.diff(cuts))])
+
+        plan, earlier = plans[jdx]
+        z, live = _conditional_block(spec, plan, column, earlier)
         cuts = np.searchsorted(live, offsets)
         return [(sel[live[lo:hi] - off], z[lo:hi])
                 for sel, off, lo, hi in zip(sels, offsets, cuts[:-1], cuts[1:])]

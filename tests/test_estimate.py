@@ -657,18 +657,29 @@ def test_pipeline_mbic_fits_every_tree_while_the_curve_falls(bench, bench_sample
     assert (np.diff(report.mbic) < 0).all()
 
 
-def test_pipeline_mbic_names_pins_past_the_stop(c11_sample):
-    base = FitOptions(input_kind="inverted-pareto")
-    full = fit_pipeline(c11_sample, options=replace(base, truncation=9))
-    seq = fit_pipeline(c11_sample, options=replace(base, truncation="mbic"))
+def student_t_sample() -> np.ndarray:
+    """20 000 Student-t rows (nu = 4) in 10 variables with AR(1) correlation
+    0.8^|i - j|: tail dependence weakens fast along the chain, so mBIC stops
+    after a few trees."""
+    rng = np.random.default_rng(23)
+    idx = np.arange(10)
+    chol = np.linalg.cholesky(0.8 ** np.abs(idx[:, None] - idx[None, :]))
+    g = rng.standard_normal((20_000, 10)) @ chol.T
+    return g / np.sqrt(rng.chisquare(4.0, size=20_000) / 4.0)[:, None]
+
+
+def test_pipeline_mbic_names_pins_past_the_stop():
+    data, k = student_t_sample(), 200
+    base = FitOptions()
+    full = fit_pipeline(data, k, options=replace(base, truncation=9))
+    seq = fit_pipeline(data, k, options=replace(base, truncation="mbic"))
     deep = [(r["a"], r["b"], tuple(r["cond"])) for r in full.edges
             if r["level"] > seq.q_star + 1]
     assert deep and not seq.errors
     pinned = replace(base, pair_families={key: "frank" for key in deep})
     want = tuple(f"pinned edge {key} is no edge of the fitted vine" for key in deep)
-    assert fit_pipeline(c11_sample, options=replace(pinned, truncation="mbic")).errors == want
-    assert fit_pipeline(c11_sample,
-                        options=replace(pinned, truncation=seq.q_star + 1)).errors == want
+    assert fit_pipeline(data, k, options=replace(pinned, truncation="mbic")).errors == want
+    assert fit_pipeline(data, k, options=replace(pinned, truncation=seq.q_star + 1)).errors == want
 
 
 def test_pipeline_partial_failure_is_reported():

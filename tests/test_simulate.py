@@ -58,8 +58,8 @@ def joe4_spec() -> XVineSpec:
 
 
 def full_block(spec: XVineSpec, plan, w: np.ndarray) -> np.ndarray:
-    """_conditional_block with nothing dropped."""
-    z, live = simulate._conditional_block(spec, plan, w)
+    """_conditional_block on the uniform matrix w, with nothing dropped."""
+    z, live = simulate._conditional_block(spec, plan, simulate._matrix_columns(w))
     assert live.size == len(w)
     return z
 
@@ -73,14 +73,36 @@ def u_space_block(spec: XVineSpec, plan, w: np.ndarray) -> np.ndarray:
     return np.column_stack([col[node] for node in spec.vine.nodes])
 
 
-def late_rejection(spec: XVineSpec, n: int, seed: int, draw=full_block):
-    """sample_inverted_pareto with every column of every proposal drawn.
+def stream_uniforms(spec: XVineSpec, plan, earlier, gen, m: int, draw) -> np.ndarray:
+    """The (m, d) uniforms of one conditioning group under the stream contract.
 
-    The same blocks, rounds and random streams as the sampler, but each
-    conditioning group draws all its columns with `draw`, with nothing
-    dropped, and a proposal from the j-th plan is kept only once all d
-    columns are drawn, when no node ranked before j in the library's
-    first-exceedance order is below 1.
+    gen draws column 0 for all m rows, then each later column for the rows
+    with no node of `earlier` below 1 in the columns before it, in row order.
+    Every column is inverted for every row by `draw`; a dropped row's later
+    columns hold 0.5, which no stream draws.
+    """
+    first, cols = plan
+    nodes = list(spec.vine.nodes)
+    drawn = [nodes.index(v) for v in [first, *(t for t, _ in cols)]]
+    w = np.full((m, spec.d), 0.5)
+    w[:, 0] = gen.random(m)
+    for k in range(1, spec.d):
+        z = draw(spec, plan, w)
+        seen = [c for c in drawn[:k] if nodes[c] in earlier]
+        live = ~(z[:, seen] < 1.0).any(axis=1)
+        w[live, k] = gen.random(int(live.sum()))
+    return w
+
+
+def late_rejection(spec: XVineSpec, n: int, seed: int, draw=full_block):
+    """sample_inverted_pareto with every column of every proposal inverted.
+
+    The same blocks, rounds and random streams as the sampler, with each
+    column's uniforms drawn for the rows still live before it
+    (`stream_uniforms`). Each conditioning group inverts all its columns for
+    all its rows with `draw`, and a proposal from the j-th plan is kept only
+    once all d columns are inverted, when no node ranked before j in the
+    library's first-exceedance order is below 1.
     """
     d = spec.d
     nodes = list(spec.vine.nodes)
@@ -96,8 +118,9 @@ def late_rejection(spec: XVineSpec, n: int, seed: int, draw=full_block):
             keep = np.empty(m, dtype=bool)
             for jdx in np.unique(which):
                 sel = which == jdx
-                w = rng_stream(seed, block, rnd, int(jdx) + 1).random((int(sel.sum()), d))
                 plan, earlier = plans[jdx]
+                w = stream_uniforms(spec, plan, earlier, rng_stream(seed, block, rnd, int(jdx) + 1),
+                                    int(sel.sum()), draw)
                 z[sel] = draw(spec, plan, w)
                 cols = [nodes.index(v) for v in earlier]
                 keep[sel] = ~(z[sel][:, cols] < 1.0).any(axis=1)
@@ -180,9 +203,14 @@ def block_calls(monkeypatch) -> list[int]:
     calls: list[int] = []
     real_block = simulate._conditional_block
 
-    def counting_block(spec, plan, w, *args, **kwargs):
-        calls.append(len(w))
-        return real_block(spec, plan, w, *args, **kwargs)
+    def counting_block(spec, plan, column, *args, **kwargs):
+        def counted(k, live):
+            u = column(k, live)
+            if live is None:
+                calls.append(u.size)
+            return u
+
+        return real_block(spec, plan, counted, *args, **kwargs)
 
     monkeypatch.setattr(simulate, "_conditional_block", counting_block)
     return calls
@@ -234,6 +262,47 @@ def test_one_merged_call_per_conditioning_variable(block_calls):
     _, stats = sample_inverted_pareto(spec, 20_000, seed=1)
     assert len(block_calls) == spec.d
     assert sum(block_calls) == stats.proposals
+
+
+def test_rejection_draws_no_uniform_for_a_dropped_row(monkeypatch):
+    # column 0 is drawn for every proposal and each later column only for the
+    # rows still live before it, so at d = 10, where most proposals drop
+    # early, well under half of the d uniforms per proposal are drawn
+    spec = truncated_cvine_study_spec()
+    drawn = {"integers": 0, "random": 0}
+    asked: list[int] = []  # rows asked of each column after column 0
+
+    class CountingGenerator:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def integers(self, *args, **kwargs):
+            out = self.gen.integers(*args, **kwargs)
+            drawn["integers"] += out.size
+            return out
+
+        def random(self, size):
+            out = self.gen.random(size)
+            drawn["random"] += out.size
+            return out
+
+    real_block = simulate._conditional_block
+
+    def recording_block(spec, plan, column, *args, **kwargs):
+        def recorded(k, live):
+            if live is not None:
+                asked.append(live.size)
+            return column(k, live)
+
+        return real_block(spec, plan, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "rng_stream",
+                        lambda seed, *path: CountingGenerator(rng_stream(seed, *path)))
+    monkeypatch.setattr(simulate, "_conditional_block", recording_block)
+    _, stats = sample_inverted_pareto(spec, 20_000, seed=1)
+    assert drawn["integers"] == stats.proposals
+    assert drawn["random"] == stats.proposals + sum(asked)
+    assert drawn["random"] < 0.45 * stats.proposals * spec.d
 
 
 def test_plans_are_built_once_per_spec(monkeypatch, tmp_path):
@@ -291,7 +360,8 @@ def test_dropping_block_computes_each_value_once(spec):
         if not earlier:
             continue
         trace: list = []
-        _, live = simulate._conditional_block(spec, plan, rng_stream(9).random((600, spec.d)),
+        w = rng_stream(9).random((600, spec.d))
+        _, live = simulate._conditional_block(spec, plan, simulate._matrix_columns(w),
                                              earlier, trace=trace)
         sizes.append(live.size)
         forward = [t for t in trace if t[0] in ("tail_h", "pair_h")]
@@ -304,8 +374,8 @@ def test_conditional_block_drops_only_sure_rejections():
     nodes = list(spec.vine.nodes)
     w = rng_stream(5).random((600, spec.d))
     for plan, earlier in simulate._rejection_plans(spec):
-        full, _ = simulate._conditional_block(spec, plan, w)
-        z, live = simulate._conditional_block(spec, plan, w, earlier)
+        full = full_block(spec, plan, w)
+        z, live = simulate._conditional_block(spec, plan, simulate._matrix_columns(w), earlier)
         np.testing.assert_array_equal(z, full[live])
         # dropped exactly where a coordinate ranked before the first node is below 1
         rejected = (full[:, [nodes.index(v) for v in earlier]] < 1.0).any(axis=1)
@@ -317,7 +387,8 @@ def test_conditional_block_drops_only_sure_rejections():
     plan, earlier = max(simulate._rejection_plans(spec), key=lambda got: len(got[1]))
     w[:, 1] = 1e-9
     trace: list = []
-    z, live = simulate._conditional_block(spec, plan, w, earlier, trace=trace)
+    z, live = simulate._conditional_block(spec, plan, simulate._matrix_columns(w), earlier,
+                                         trace=trace)
     assert z.shape == (0, 4) and live.size == 0
     assert {node for kind, _, node in trace if kind.endswith("_inv")} == {plan[1][0][0]}
 
@@ -496,6 +567,29 @@ def test_rejection_law_does_not_depend_on_labels(bench):
         chi = tail_chi(bench.tail[e])
         m = int((z[:, a] < 1.0).sum())
         phat = float(((z[:, a] < 1.0) & (z[:, b] < 1.0)).sum()) / m
+        assert abs(phat - chi) < 3.0 * np.sqrt(chi * (1 - chi) / m), e.label
+
+
+def test_rejection_law_on_the_10d_model():
+    # the 10-d model drops most proposals before their last column; the kept
+    # rows still have unit margins, Z_j uniform given Z_j < 1, and the chi of
+    # every first-tree pair
+    spec = truncated_cvine_study_spec()
+    n = 50_000
+    z, stats = sample_inverted_pareto(spec, n, seed=64)
+    d, rate = spec.d, stats.acceptance_rate
+    pos = {v: i for i, v in enumerate(spec.vine.nodes)}
+    below = z < 1.0
+    for j in range(d):
+        p = float(below[:, j].mean())
+        se = np.sqrt((1 - p) / (n * p) + (1 - rate) / (stats.proposals * rate))
+        assert abs(p * d * rate - 1.0) < 3.0 * se, j
+        assert kstest(z[below[:, j], j], "uniform").pvalue > 0.001, j
+    for e in spec.vine.trees[0]:
+        chi = tail_chi(spec.tail[e])
+        base = below[:, pos[e.a]]
+        m = int(base.sum())
+        phat = float((base & below[:, pos[e.b]]).sum()) / m
         assert abs(phat - chi) < 3.0 * np.sqrt(chi * (1 - chi) / m), e.label
 
 
