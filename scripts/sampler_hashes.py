@@ -49,7 +49,7 @@ def hr4_spec() -> XVineSpec:
 
 
 def hr2_spec() -> XVineSpec:
-    """d = 2 with acceptance below the first round's guess: blocks take two rounds."""
+    """d = 2 and gamma = 0.01: chi near 1, acceptance about 0.52."""
     return XVineSpec(chain_vine(2), {(1, 2): TailFamily("hr", 0.01)})
 
 

@@ -2,8 +2,9 @@
 """The laws of the inverted-Pareto samples, for comparing two checkouts.
 
 For each `inverted_pareto` call of scripts/sampler_hashes.py (its `calls()`)
-prints the acceptance rate, the inverse-kernel rows and the uniforms drawn
-per accepted row, the worst z-score of P(Z_j < 1) * d * rate = 1 over the
+prints the acceptance rate, the rows accepted per row asked for, the blocks
+and the block rounds the call took, the inverse-kernel rows and the uniforms
+drawn per accepted row, the worst z-score of P(Z_j < 1) * d * rate = 1 over the
 coordinates j, and the z-score of each first-tree edge's empirical chi
 against `tail_chi`. A change to the rejection rule moves every row, so rows
 cannot be compared by position (scripts/sampler_moves.py); the laws they
@@ -37,6 +38,7 @@ def laws(quick: bool) -> None:
 
     inverse_rows: list[int] = []
     uniforms: list[int] = []
+    rounds: list[int] = []
     quantile = model._Evaluator.quantile
     stream = simulate.rng_stream
 
@@ -59,14 +61,21 @@ def laws(quick: bool) -> None:
             uniforms.append(out.size)
             return out
 
+        def integers(self, *args, **kwargs):
+            # each block round draws its conditioning variables once
+            rounds.append(1)
+            return self.gen.integers(*args, **kwargs)
+
     model._Evaluator.quantile = counting
     simulate.rng_stream = lambda seed, *path: CountingStream(stream(seed, *path))
     for label, call in calls(quick):
         if not label.startswith("inverted_pareto"):
             continue
         spec, n, seed, threads = call.args
+        simulate._rejection_plans(spec)  # whatever a spec sets up once is not counted
         inverse_rows.clear()
         uniforms.clear()
+        rounds.clear()
         z, st = sample_inverted_pareto(spec, n, seed, threads=threads)
         rate = st.acceptance_rate
         below = z < 1.0
@@ -85,7 +94,9 @@ def laws(quick: bool) -> None:
             se = math.sqrt(want * (1.0 - want) / m) if 0.0 < want < 1.0 else math.inf
             chis.append(f"({e.a},{e.b})={(got - want) / se:+.2f}")
         per_row = sum(inverse_rows) / st.accepted
-        print(f"{label} rate={rate:.4f} inverse_rows/accepted={per_row:.2f}"
+        print(f"{label} rate={rate:.4f} accepted/asked={st.accepted / n:.3f}"
+              f" blocks={-(-n // simulate.BLOCK)} rounds={len(rounds)}"
+              f" inverse_rows/accepted={per_row:.2f}"
               f" uniforms/accepted={sum(uniforms) / st.accepted:.2f}"
               f" worst_margin_z={worst:+.2f} chi_z=" + ",".join(chis), flush=True)
 

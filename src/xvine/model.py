@@ -38,8 +38,9 @@ class XVineSpec:
     """A vine plus one family per edge (tail on tree 1, pair copulas deeper).
 
     `_plans` holds the samplers' plan per conditioning variable, and under
-    None the first-exceedance order, built from the vine on first use
-    (`simulate._conditional_plan`, `simulate._rejection_plans`).
+    None the first-exceedance order with the rejection sampler's rate hint,
+    built on first use (`simulate._conditional_plan`,
+    `simulate._rejection_plans`).
     """
 
     __slots__ = ("vine", "tail", "pairs", "_plans")

@@ -11,6 +11,10 @@ Blocks pool their rows into merged inverse-Rosenblatt calls; every kernel
 works row by row, so merging moves no row. The conditional sampler draws
 each block's uniform matrix up front; the rejection sampler draws each
 column only for the proposals still live before it (`_rejection_round`).
+The rejection sampler sizes each block's first round from the spec's
+acceptance rate, measured once per spec by a pilot round on fixed streams
+that no call draws from (`_pilot_rate`), and writes each block's rows
+straight into the output.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidIndex
+from .errors import DomainError, InvalidIndex, NoConvergence
 from .model import XVineSpec, _Evaluator
 from .numerics import rng_stream
 from .vines import Edge, sampling_order
@@ -140,19 +144,23 @@ def _conditional_plan(spec: XVineSpec, j: int):
     return plan
 
 
-def _rejection_plans(spec: XVineSpec) -> list[tuple[tuple, frozenset]]:
-    """(plan, nodes ranked before its first node) for each node in vine order.
+def _rejection_plans(spec: XVineSpec) -> tuple[list[tuple[tuple, frozenset]], float]:
+    """(plans, rate): (plan, nodes ranked before its first node) for each node
+    in vine order, and the hint round 0 of every block is sized from.
 
     Any fixed order is exact. This one ranks nodes by their column positions
     summed over the d plans, ties broken by label, so plans tend to draw the
-    earlier-ranked nodes first and drop rows early. Kept in `_plans[None]`.
+    earlier-ranked nodes first and drop rows early. The rate is measured once
+    (`_pilot_rate`). Both are kept in `_plans[None]`.
     """
-    if None not in spec._plans:
+    got = spec._plans.get(None)
+    if got is None:
         plans = [_conditional_plan(spec, j) for j in spec.vine.nodes]
         cols = [[first, *(t for t, _ in rest)] for first, rest in plans]
         order = sorted(spec.vine.nodes, key=lambda v: (sum(c.index(v) for c in cols), v))
-        spec._plans[None] = [(plan, frozenset(order[:order.index(plan[0])])) for plan in plans]
-    return spec._plans[None]
+        plans = [(plan, frozenset(order[:order.index(plan[0])])) for plan in plans]
+        got = spec._plans[None] = (plans, _pilot_rate(spec, plans))
+    return got
 
 
 def _conditional_block(spec: XVineSpec, plan, column, earlier=frozenset(),
@@ -239,27 +247,50 @@ def sample_conditional(spec: XVineSpec, j: int, n: int, seed: int,
     return np.vstack(parallel_map(run, chunks, threads if _trace is None else 1))
 
 
-class _Block:
-    """One block of the rejection sampler: its rows so far and its next round.
+#: Seed and stream key of the pilot round (`_pilot_rate`). Its streams have
+#: paths of four and five entries; the samplers' have one to three.
+_PILOT_SEED, _PILOT_KEY = 0, (0, 0, 0)
 
-    Each round draws 20 % more proposals than the shortfall needs at the rate
-    so far (first guess 2/(d+1)). The margin stays on the first round too:
-    without it the 5-d sampler draws a sixth fewer proposals, but at d = 10,
-    where the rate is below the guess, most blocks take a second round and
-    the sampler runs slower.
+
+def _bounded(m: float) -> int:
+    """A round's proposals: m rounded up, within [64, 2^18]."""
+    return min(max(int(math.ceil(m)), 64), 1 << 18)
+
+
+def _round0(want: int, rate: float) -> int:
+    """Proposals of a block's round 0: what `want` rows need at the spec's
+    rate hint, plus three binomial standard deviations."""
+    return _bounded((want + 3 * math.sqrt(want * (1 - rate))) / rate)
+
+
+class _Block:
+    """One block of the rejection sampler: the output rows it fills and its
+    next round.
+
+    Round 0 draws the proposals `want` rows need at the spec's rate hint, plus
+    three binomial standard deviations (`_round0`), so a second round is rare.
+    A later round draws 20 % more than the shortfall needs at the block's own
+    rate so far. The streams are rng_stream(seed, *key, round[, j + 1]).
     """
 
-    __slots__ = ("index", "want", "rows", "got", "proposals", "rate", "rnd")
+    __slots__ = ("key", "out", "got", "proposals", "rnd", "size")
 
-    def __init__(self, index: int, want: int, d: int):
-        self.index, self.want = index, want
-        self.rows: list[np.ndarray] = []
+    def __init__(self, key: tuple, out: np.ndarray, size: int):
+        self.key, self.out, self.size = key, out, size
         self.got = self.proposals = self.rnd = 0
-        self.rate = 2.0 / (d + 1)
 
-    def size(self) -> int:
-        """Proposals of the next round."""
-        return min(max(int(math.ceil((self.want - self.got) / self.rate * 1.2)), 64), 1 << 18)
+
+def _pilot_rate(spec: XVineSpec, plans) -> float:
+    """A lower confidence bound on the acceptance rate of `plans`, from one
+    pilot round of 2 * BLOCK proposals.
+
+    The pilot's seed and streams are fixed and no sampler call draws from
+    them, so the hint, and every size it sets, depends on the spec only.
+    """
+    pilot = _Block(_PILOT_KEY, np.empty((0, spec.d)), 2 * BLOCK)
+    _rejection_round(spec, plans, _PILOT_SEED, [pilot], 1)
+    p = pilot.got / pilot.proposals
+    return max(p - 2 * math.sqrt(p * (1 - p) / pilot.proposals), 1 / (2 * spec.d))
 
 
 def _rejection_round(spec: XVineSpec, plans, seed: int, chunk: list[_Block],
@@ -267,7 +298,7 @@ def _rejection_round(spec: XVineSpec, plans, seed: int, chunk: list[_Block],
     """The next round of every block in chunk, with one merged call per
     conditioning variable.
 
-    Each block draws its round's `which` from rng_stream(seed, block, round).
+    Each block draws its round's `which` from rng_stream(seed, *key, round).
     Its rows that condition on the j-th variable go through one
     `_conditional_block` call with the same rows of every other block in
     chunk; the call drops a proposal at its first coordinate below 1 that
@@ -275,7 +306,7 @@ def _rejection_round(spec: XVineSpec, plans, seed: int, chunk: list[_Block],
     split back by block, in proposal order.
 
     The uniforms are drawn a column at a time, only for the rows still live.
-    For block b the generator G = rng_stream(seed, b, round, j + 1) draws
+    For a block the generator G = rng_stream(seed, *key, round, j + 1) draws
     column 0 as G.random(m) for the block's m rows of that group, in proposal
     order, then each later column for the block's rows still live before it,
     in proposal order. This keeps the law exact: each uniform is drawn after
@@ -285,10 +316,11 @@ def _rejection_round(spec: XVineSpec, plans, seed: int, chunk: list[_Block],
     blocks share a generator and a row's liveness depends on its own values
     only, so each block keeps the rows it would get on its own, whatever the
     merging or the thread count. The conditioning variables run one at a
-    time, or `threads` at a time.
+    time, or `threads` at a time. The rows a block still wants go straight
+    into its `out`; it counts the surplus as accepted.
     """
     d = spec.d
-    whiches = [rng_stream(seed, blk.index, blk.rnd).integers(0, d, size=blk.size())
+    whiches = [rng_stream(seed, *blk.key, blk.rnd).integers(0, d, size=blk.size)
                for blk in chunk]
 
     def group(jdx: int):
@@ -296,7 +328,7 @@ def _rejection_round(spec: XVineSpec, plans, seed: int, chunk: list[_Block],
         offsets = np.cumsum([0] + [sel.size for sel in sels])
         if not offsets[-1]:
             return []
-        gens = [rng_stream(seed, blk.index, blk.rnd, jdx + 1) for blk in chunk]
+        gens = [rng_stream(seed, *blk.key, blk.rnd, jdx + 1) for blk in chunk]
 
         def column(k, live):
             cuts = offsets if live is None else np.searchsorted(live, offsets)
@@ -311,13 +343,16 @@ def _rejection_round(spec: XVineSpec, plans, seed: int, chunk: list[_Block],
     parts = [split for split in parallel_map(group, range(d), threads) if split]
     for b, (blk, which) in enumerate(zip(chunk, whiches)):
         order = np.argsort(np.concatenate([split[b][0] for split in parts]))
-        blk.rows.append(np.vstack([split[b][1] for split in parts])[order])
+        want = len(blk.out)
+        take = order[:max(want - blk.got, 0)]
+        blk.out[blk.got:blk.got + take.size] = np.vstack([split[b][1] for split in parts])[take]
         blk.got += order.size
         blk.proposals += which.size
-        blk.rate = max(blk.got / blk.proposals, 1.0 / (2 * d))
         blk.rnd += 1
-        if blk.got < blk.want and blk.rnd >= 500:
-            raise DomainError("rejection sampler failed to reach the requested size")
+        blk.size = _bounded((want - blk.got) / max(blk.got / blk.proposals, 1 / (2 * d)) * 1.2)
+        if blk.got < want and blk.rnd >= 500:
+            raise NoConvergence("rejection sampler failed to reach the requested size "
+                                "in 500 rounds")
 
 
 def sample_inverted_pareto(spec: XVineSpec, n: int, seed: int,
@@ -341,20 +376,20 @@ def sample_inverted_pareto(spec: XVineSpec, n: int, seed: int,
     """
     n, seed = _count(n), _count(seed, "seed")
     threads = resolve_threads(threads)
-    plans = _rejection_plans(spec)
+    plans, rate = _rejection_plans(spec)
     if n == 0:
         return np.empty((0, spec.d)), RejectionStats(0, 0)
-    blocks = [_Block(b, m, spec.d) for b, m in _blocks(n)]
+    z = np.empty((n, spec.d))
+    blocks = [_Block((b,), z[b * BLOCK:b * BLOCK + m], _round0(m, rate)) for b, m in _blocks(n)]
     queue = deque(blocks)
     while queue:
         chunk = [queue.popleft()]
-        total = chunk[0].size()
-        while queue and total + queue[0].size() <= _MERGE_CAP:
-            total += queue[0].size()
+        total = chunk[0].size
+        while queue and total + queue[0].size <= _MERGE_CAP:
+            total += queue[0].size
             chunk.append(queue.popleft())
         _rejection_round(spec, plans, seed, chunk, threads)
-        queue.extend(blk for blk in chunk if blk.got < blk.want)
-    z = np.vstack([np.vstack(blk.rows)[:blk.want] for blk in blocks])
+        queue.extend(blk for blk in chunk if blk.got < len(blk.out))
     stats = RejectionStats(proposals=sum(blk.proposals for blk in blocks),
                            accepted=sum(blk.got for blk in blocks))
     return z, stats

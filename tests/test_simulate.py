@@ -14,7 +14,7 @@ import oracles as oc
 from conftest import make_random_vine, u_quantile
 from xvine import simulate
 from xvine.cli import main
-from xvine.errors import DomainError
+from xvine.errors import DomainError, NoConvergence
 from xvine.estimate import FitOptions, fit_pipeline
 from xvine.families import PairFamily, TailFamily, tail_chi
 from xvine.model import XVineSpec, conditional_cdf, model_chi, model_to_json
@@ -102,17 +102,18 @@ def late_rejection(spec: XVineSpec, n: int, seed: int, draw=full_block):
     (`stream_uniforms`). Each conditioning group inverts all its columns for
     all its rows with `draw`, and a proposal from the j-th plan is kept only
     once all d columns are inverted, when no node ranked before j in the
-    library's first-exceedance order is below 1.
+    library's first-exceedance order is below 1. Round 0 takes its size from
+    the library's rule and the spec's rate hint.
     """
     d = spec.d
     nodes = list(spec.vine.nodes)
-    plans = simulate._rejection_plans(spec)
+    plans, hint = simulate._rejection_plans(spec)
     rows, proposals, accepted = [], 0, 0
     for block in range((n + BLOCK - 1) // BLOCK):
         want = min(BLOCK, n - block * BLOCK)
-        kept, got, drawn, rate, rnd = [], 0, 0, 2.0 / (d + 1), 0
+        kept, got, drawn, rnd = [], 0, 0, 0
+        m = simulate._round0(want, hint)
         while got < want:
-            m = min(max(int(math.ceil((want - got) / rate * 1.2)), 64), 1 << 18)
             which = rng_stream(seed, block, rnd).integers(0, d, size=m)
             z = np.empty((m, d))
             keep = np.empty(m, dtype=bool)
@@ -128,6 +129,7 @@ def late_rejection(spec: XVineSpec, n: int, seed: int, draw=full_block):
             got += int(keep.sum())
             drawn += m
             rate = max(got / drawn, 1.0 / (2 * d))
+            m = min(max(int(math.ceil((want - got) / rate * 1.2)), 64), 1 << 18)
             rnd += 1
         rows.append(np.vstack(kept)[:want])
         proposals += drawn
@@ -160,13 +162,22 @@ def test_rejection_sampler_thread_invariant(bench):
     assert (sa.proposals, sa.accepted) == (sb.proposals, sb.accepted)
 
 
+def overrate(spec: XVineSpec, hint: float = 0.6) -> XVineSpec:
+    """spec with its rate hint set to `hint`, so round 0 of a block whose
+    acceptance is below it falls short and the block takes a second round."""
+    spec._plans[None] = (simulate._rejection_plans(spec)[0], hint)
+    return spec
+
+
 @pytest.mark.parametrize("spec,min_rounds", [(truncated_cvine_study_spec(), 1),
-                                              (hr2_spec(0.01), 2)], ids=["cvine10", "hr2"])
+                                              (overrate(hr2_spec(0.01)), 2)],
+                         ids=["cvine10", "hr2"])
 def test_rejection_sampler_thread_invariant_across_blocks(spec, min_rounds, monkeypatch):
     # three blocks, so two worker threads really split the work; at d = 2 and
-    # gamma = 0.01 the acceptance rate (2 - chi)/2 ~ 0.52 is below what the
-    # first round is sized for, so blocks also take a second round
+    # gamma = 0.01 the acceptance rate (2 - chi)/2 ~ 0.52 is below the hint
+    # round 0 is sized from, so blocks also take a second round
     rounds: set[int] = set()
+    simulate._rejection_plans(spec)  # the pilot's streams are not recorded
 
     def recording_stream(seed, *path):
         rounds.add(path[1] if len(path) > 1 else 0)
@@ -197,6 +208,67 @@ def test_early_rejection_is_exact(spec):
         assert stats == want_stats
 
 
+@pytest.mark.parametrize("make", [five_variable_spec, truncated_cvine_study_spec],
+                         ids=["bench5", "cvine10"])
+def test_rate_hint_keeps_output_a_function_of_spec_seed_and_n(make):
+    # the first call on a spec runs the pilot, a later one reuses its hint, and
+    # an equal spec built afresh measures the same hint: all give the same
+    # rows and counts, and the pilot's proposals are in no call's stats
+    n = BLOCK + 700
+    spec = make()
+    want, want_stats = sample_inverted_pareto(spec, n, seed=87)
+    for threads in (1, 2):
+        for again in (spec, make()):
+            z, stats = sample_inverted_pareto(again, n, seed=87, threads=threads)
+            np.testing.assert_array_equal(z, want)
+            assert stats == want_stats
+    assert make()._plans == {}  # nothing is measured before the first call
+
+
+def test_pilot_streams_are_disjoint_from_sampler_streams(monkeypatch, bench):
+    # the pilot's seed is fixed, so its paths must differ from those of every
+    # call, whatever the call's seed
+    paths: list[tuple] = []
+
+    def recording_stream(seed, *path):
+        paths.append((seed, *path))
+        return rng_stream(seed, *path)
+
+    hr2 = overrate(hr2_spec(0.01))
+    simulate._rejection_plans(bench)
+    monkeypatch.setattr(simulate, "rng_stream", recording_stream)
+    simulate._rejection_plans(five_variable_spec())
+    pilot = set(paths)
+    paths.clear()
+    for seed in (simulate._PILOT_SEED, 1):
+        sample_inverted_pareto(bench, 3 * BLOCK, seed=seed)
+        sample_inverted_pareto(hr2, 2 * BLOCK, seed=seed)
+        sample_conditional(bench, 2, 2 * BLOCK, seed=seed)
+        model_chi(bench, (1, 2), n_mc=100, seed=seed)
+    calls = set(paths)
+    assert pilot and any(len(p) > 2 and p[2] > 0 for p in calls)  # later rounds ran too
+    assert not pilot & calls
+
+
+@pytest.mark.parametrize("make,n", [(five_variable_spec, 40_000),
+                                    (truncated_cvine_study_spec, 20_000)],
+                         ids=["bench5", "cvine10"])
+def test_round0_accepts_little_surplus(make, n):
+    # round 0 asks for three binomial sd above the rows a block wants at the
+    # hint, so a call at the benchmark's sizes accepts few rows it throws away
+    _, stats = sample_inverted_pareto(make(), n, seed=1)
+    assert n <= stats.accepted <= 1.12 * n
+
+
+def test_rejection_sampler_that_accepts_nothing_stops(monkeypatch):
+    def no_rows(spec, plan, column, earlier=frozenset()):
+        return np.empty((0, spec.d)), np.empty(0, dtype=np.intp)
+
+    monkeypatch.setattr(simulate, "_conditional_block", no_rows)
+    with pytest.raises(NoConvergence, match="500 rounds"):
+        sample_inverted_pareto(hr2_spec(), 10, seed=0)
+
+
 @pytest.fixture()
 def block_calls(monkeypatch) -> list[int]:
     """The row count of every _conditional_block call from here on."""
@@ -220,14 +292,14 @@ def test_merged_steps_mix_blocks_and_rounds(monkeypatch, block_calls):
     # a small merge cap splits the call into several steps, and a step takes
     # blocks in different rounds; each block still gets the rows and counts of
     # drawing it on its own
-    spec = hr2_spec(0.01)
+    spec = overrate(hr2_spec(0.01))
     n = 2 * BLOCK + 808
     want, want_stats = late_rejection(spec, n, seed=85)
-    steps: list[list[tuple[int, int]]] = []
+    steps: list[list[tuple[tuple, int]]] = []
     real_round = simulate._rejection_round
 
     def recording_round(spec, plans, seed, chunk, threads):
-        steps.append([(blk.index, blk.rnd) for blk in chunk])
+        steps.append([(blk.key, blk.rnd) for blk in chunk])
         return real_round(spec, plans, seed, chunk, threads)
 
     monkeypatch.setattr(simulate, "_MERGE_CAP", 8000)
@@ -259,6 +331,8 @@ def test_merged_conditional_matches_per_block_draws(bench, monkeypatch, block_ca
 def test_one_merged_call_per_conditioning_variable(block_calls):
     # 20 000 rows are 5 blocks, each done in one round: one call per variable
     spec = truncated_cvine_study_spec()
+    simulate._rejection_plans(spec)  # the pilot's calls are not counted
+    block_calls.clear()
     _, stats = sample_inverted_pareto(spec, 20_000, seed=1)
     assert len(block_calls) == spec.d
     assert sum(block_calls) == stats.proposals
@@ -269,6 +343,7 @@ def test_rejection_draws_no_uniform_for_a_dropped_row(monkeypatch):
     # rows still live before it, so at d = 10, where most proposals drop
     # early, well under half of the d uniforms per proposal are drawn
     spec = truncated_cvine_study_spec()
+    simulate._rejection_plans(spec)  # the pilot's draws are not counted
     drawn = {"integers": 0, "random": 0}
     asked: list[int] = []  # rows asked of each column after column 0
 
@@ -356,7 +431,7 @@ def test_dropping_block_computes_each_value_once(spec):
     # column needs is still read back from the memo, not computed again; the
     # last-ranked plans of the 10-d model may drop every row
     sizes = []
-    for plan, earlier in simulate._rejection_plans(spec):
+    for plan, earlier in simulate._rejection_plans(spec)[0]:
         if not earlier:
             continue
         trace: list = []
@@ -373,7 +448,7 @@ def test_conditional_block_drops_only_sure_rejections():
     spec = joe4_spec()
     nodes = list(spec.vine.nodes)
     w = rng_stream(5).random((600, spec.d))
-    for plan, earlier in simulate._rejection_plans(spec):
+    for plan, earlier in simulate._rejection_plans(spec)[0]:
         full = full_block(spec, plan, w)
         z, live = simulate._conditional_block(spec, plan, simulate._matrix_columns(w), earlier)
         np.testing.assert_array_equal(z, full[live])
@@ -384,7 +459,7 @@ def test_conditional_block_drops_only_sure_rejections():
             assert 0 < live.size < 600
     # the last-ranked plan with its first drawn column forced below 1: every
     # row drops there, and no later column runs a kernel
-    plan, earlier = max(simulate._rejection_plans(spec), key=lambda got: len(got[1]))
+    plan, earlier = max(simulate._rejection_plans(spec)[0], key=lambda got: len(got[1]))
     w[:, 1] = 1e-9
     trace: list = []
     z, live = simulate._conditional_block(spec, plan, simulate._matrix_columns(w), earlier,
