@@ -4,13 +4,14 @@ checks between commits.
 
 Prints one line per kernel, kind and theta: the sha256 of the kernel's output
 over a fixed grid, or its exact value for a scalar summary. Every public
-kernel of `xvine.families` is covered (u, normal-score and log-pair forms,
-the inverses, the densities, `pair_tau`, `tail_chi` and `tau_inverse`) for
-every kind, with theta at both ends of its estimation box and at 0.3, 0.5
-and 0.7 of the way along its search scale. The grids put u and v within
-1e-12 of 0 and 1, scores beyond the clamp, and x / y from 1e-12 to 1e12.
-Then come the error classes each door raises for a wrong-form kind, a
-nonpositive x and an out-of-domain theta, and the sha256 of `log_density`,
+kernel of `xvine.families` is covered (the u-space h-functions, their
+inverses, the densities, `pair_tau`, `tail_chi` and `tau_inverse`) for every
+kind, with theta at both ends of its estimation box and at 0.3, 0.5 and 0.7
+of the way along its search scale. The grids put u and v within 1e-12 of 0
+and 1, and x / y from 1e-12 to 1e12; the score / log-pair conversions run
+on scores beyond the clamp. Then come the error classes each door raises for
+a nonpositive x, a u outside [0, 1] and an out-of-domain theta, and the
+sha256 of `log_density`,
 `conditional_cdf` and `conditional_quantile` on `five_variable_spec` and
 `truncated_cvine_study_spec` at log-normal points (sigma 1.5, seeds 1-3),
 each with its `_trace` event list. Run it on two checkouts and compare with
@@ -56,6 +57,8 @@ Z = np.array([-np.inf, -40.0, fm.Z_LO - 1e-9, fm.Z_LO, -7.0, -1.0, 0.0, 0.5, 3.0
 #: Tail points: y at three scales, x / y from 1e-12 to 1e12.
 Y = np.array([1e-3, 1.0, 7.0])
 RATIO = 10.0 ** np.arange(-12.0, 12.5, 0.5)
+#: Values outside the closed unit interval, NaN included.
+BAD_U = (-0.1, 1.5, float("nan"))
 SIGMA = 1.5
 SEEDS = (1, 2, 3)
 ROWS = 2000
@@ -96,7 +99,6 @@ def tail_lines() -> list[str]:
     xs, ys = (a.ravel() for a in np.meshgrid(RATIO, Y))
     xs = xs * ys
     us, yu = (a.ravel() for a in np.meshgrid(U, Y))
-    zs, yz = (a.ravel() for a in np.meshgrid(Z, Y))
     out = []
     for kind in fm.TAIL_KINDS:
         for th in thetas(fm.TAIL_BOXES[kind]):
@@ -111,11 +113,6 @@ def tail_lines() -> list[str]:
                 "tail_h_scalar": lambda: fm.tail_h(fam, 0.7, 1.3),
                 "tail_h_inv_scalar": lambda: fm.tail_h_inv(fam, 0.3, 1.3),
             }
-            if kind in fm.SCORE_KINDS:
-                calls["tail_h_score"] = lambda: fm.tail_h_score(fam, xs, ys)
-                calls["tail_h_inv_score"] = lambda: fm.tail_h_inv_score(fam, zs, yz)
-            else:
-                calls["tail_h_log_pair"] = lambda: fm.tail_h_log_pair(fam, xs, ys)
             for name, call in calls.items():
                 out.append(f"{tag} {name} {digest(call())}")
             out.append(f"{tag} tail_chi {fm.tail_chi(fam)!r}")
@@ -124,10 +121,8 @@ def tail_lines() -> list[str]:
 
 def pair_lines() -> list[str]:
     u, v = (a.ravel() for a in np.meshgrid(U, U))
-    zu, zv = (a.ravel() for a in np.meshgrid(Z, Z))
-    uc, vc = np.clip(u, EPS, 1.0 - EPS), np.clip(v, EPS, 1.0 - EPS)
-    p, q = (np.log(uc), np.log1p(-uc)), (np.log(vc), np.log1p(-vc))
-    sp, sq = fm.score_to_log_pair(zu), fm.score_to_log_pair(zv)
+    uc = np.clip(u, EPS, 1.0 - EPS)
+    p = np.log(uc), np.log1p(-uc)
     out = []
     for kind in fm.PAIR_KINDS:
         box = fm.PAIR_BOXES.get(kind)
@@ -143,15 +138,6 @@ def pair_lines() -> list[str]:
                 "pair_h_scalar": lambda: fm.pair_h(fam, 0.7, 0.2),
                 "pair_h_inv_scalar": lambda: fm.pair_h_inv(fam, 0.3, 0.8),
             }
-            if kind in fm.SCORE_KINDS:
-                calls["pair_h_score"] = lambda: fm.pair_h_score(fam, zu, zv)
-                calls["pair_h_inv_score"] = lambda: fm.pair_h_inv_score(fam, zu, zv)
-                calls["pair_log_density_score"] = lambda: fm.pair_log_density_score(fam, zu, zv)
-            else:
-                calls["pair_h_log_pair"] = lambda: fm.pair_h_log_pair(fam, p, q)
-                calls["pair_h_log_pair_scores"] = lambda: fm.pair_h_log_pair(fam, sp, sq)
-                calls["pair_log_density_log_pair"] = (
-                    lambda: fm.pair_log_density_log_pair(fam, p, q))
             for name, call in calls.items():
                 out.append(f"{tag} {name} {digest(call())}")
             tau = fm.pair_tau(fam)
@@ -169,20 +155,7 @@ def pair_lines() -> list[str]:
 
 def error_lines() -> list[str]:
     tf, pf = fm.TailFamily, fm.PairFamily
-    hr, lg = tf("hr", 1.0), tf("logistic", 2.0)
-    ga, cl = pf("gaussian", 0.5), pf("clayton", 2.0)
-    lp = (np.log([0.3]), np.log1p([-0.3]))
-    cases = {
-        # a kernel of one form handed a kind of the other
-        "tail_h_score logistic": (fm.tail_h_score, lg, 1.0, 1.0),
-        "tail_h_inv_score dirichlet": (fm.tail_h_inv_score, tf("dirichlet", 2.0), 0.0, 1.0),
-        "tail_h_log_pair hr": (fm.tail_h_log_pair, hr, 1.0, 1.0),
-        "pair_h_score clayton": (fm.pair_h_score, cl, 0.0, 0.0),
-        "pair_h_inv_score clayton": (fm.pair_h_inv_score, cl, 0.0, 0.0),
-        "pair_log_density_score clayton": (fm.pair_log_density_score, cl, 0.0, 0.0),
-        "pair_h_log_pair gaussian": (fm.pair_h_log_pair, ga, lp, lp),
-        "pair_log_density_log_pair gaussian": (fm.pair_log_density_log_pair, ga, lp, lp),
-    }
+    cases = {}
     for kind in fm.TAIL_KINDS:
         fam = tf(kind, 1.5)
         # nonpositive points at every tail door
@@ -191,12 +164,11 @@ def error_lines() -> list[str]:
             cases[f"tail_h {kind} x={x} y={y}"] = (fm.tail_h, fam, x, y)
             cases[f"prepare_tail_log_density {kind} x={x} y={y}"] = (
                 fm.prepare_tail_log_density, kind, x, y)
-            door = fm.tail_h_score if kind in fm.SCORE_KINDS else fm.tail_h_log_pair
-            cases[f"{door.__name__} {kind} x={x} y={y}"] = (door, fam, x, y)
         for y in (0.0, -1.0):
             cases[f"tail_h_inv {kind} y={y}"] = (fm.tail_h_inv, fam, 0.5, y)
-            if kind in fm.SCORE_KINDS:
-                cases[f"tail_h_inv_score {kind} y={y}"] = (fm.tail_h_inv_score, fam, 0.0, y)
+        # a target outside [0, 1]
+        for u in BAD_U:
+            cases[f"tail_h_inv {kind} u={u}"] = (fm.tail_h_inv, fam, u, 1.0)
         # out-of-domain theta
         for th in (-1.0, 0.0, 1.0, float("nan"), float("inf")):
             cases[f"TailFamily {kind} theta={th}"] = (tf, kind, th)
@@ -205,6 +177,12 @@ def error_lines() -> list[str]:
             cases[f"PairFamily {kind} theta={th}"] = (pf, kind, th)
         for tau in (-1.0, -0.5, 0.0, 0.5, 1.0):
             cases[f"tau_inverse {kind} tau={tau}"] = (fm.tau_inverse, kind, tau)
+        # a u or v outside [0, 1] at every u-space pair door
+        fam = pf(kind, fm.tau_inverse(kind, 0.5) if kind in fm.PAIR_BOXES else None)
+        for door in (fm.pair_log_density, fm.pair_density, fm.pair_h, fm.pair_h_inv):
+            for bad in BAD_U:
+                cases[f"{door.__name__} {kind} u={bad}"] = (door, fam, bad, 0.5)
+                cases[f"{door.__name__} {kind} v={bad}"] = (door, fam, 0.5, bad)
     return [f"error {name} {error_class(*call)}" for name, call in cases.items()]
 
 

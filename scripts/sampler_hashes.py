@@ -4,6 +4,8 @@
 Prints one line per call: the sha256 of the rows and the RejectionStats of
 `sample_inverted_pareto`, the sha256 of `sample_conditional` rows, and the
 exact `model_chi` values, over fixed specs, seeds, sizes and thread counts.
+The `hr2_overrate` calls set the spec's rate hint above its acceptance, so
+their blocks take a later round and its sizing is fingerprinted too.
 Run it on two checkouts and compare with one `diff`:
 
     PYTHONPATH=src python3 scripts/sampler_hashes.py > after.txt
@@ -24,7 +26,7 @@ import numpy as np
 from xvine.families import PairFamily, TailFamily
 from xvine.model import XVineSpec, model_chi
 from xvine.reference import chain_vine, five_variable_spec, hr_vine_spec, truncated_cvine_study_spec
-from xvine.simulate import sample_conditional, sample_inverted_pareto
+from xvine.simulate import _rejection_plans, sample_conditional, sample_inverted_pareto
 
 SEEDS = (1, 2, 3, 12345)
 THREADS = (1, 2)
@@ -51,6 +53,14 @@ def hr4_spec() -> XVineSpec:
 def hr2_spec() -> XVineSpec:
     """d = 2 and gamma = 0.01: chi near 1, acceptance about 0.52."""
     return XVineSpec(chain_vine(2), {(1, 2): TailFamily("hr", 0.01)})
+
+
+def hr2_overrate_spec() -> XVineSpec:
+    """hr2_spec with its rate hint set to 0.6, above its acceptance of about
+    0.52, so round 0 of a block falls short and the block takes a later round."""
+    spec = hr2_spec()
+    spec._plans[None] = (_rejection_plans(spec)[0], 0.6)
+    return spec
 
 
 def digest(z: np.ndarray) -> str:
@@ -92,6 +102,11 @@ def calls(quick: bool = False):
                     for threads in THREADS:
                         yield (f"conditional {name} j={j} n={n} seed={seed} threads={threads}",
                                partial(conditional, spec, j, n, seed, threads))
+    late = hr2_overrate_spec()
+    for seed in SEEDS:
+        for threads in THREADS:
+            yield (f"inverted_pareto hr2_overrate n=9000 seed={seed} threads={threads}",
+                   partial(inverted_pareto, late, 9_000, seed, threads))
     bench = five_variable_spec()
     for idx in ((1, 2), (2, 4, 5)):
         for seed in SEEDS[:3]:

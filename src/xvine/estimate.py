@@ -28,6 +28,7 @@ from .families import (
     TailFamily,
     _from_unit,
     _kind_record,
+    _unit,
     prepare_tail_log_density,
 )
 from .model import XVineSpec, _Evaluator
@@ -311,7 +312,7 @@ def _fit_pair(kind: str, forms: Callable[[bool], tuple], n: int, n_min: int) -> 
 
 def _unit_forms(u, v) -> Callable[[bool], tuple]:
     """forms() of u-space pairs, clipped and converted as the pair kernels do."""
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    u, v = _unit("pair fit", u, v)
     if u.size != v.size:
         raise DomainError("mismatched sample sizes")
     return lambda score: (_from_unit(u, score), _from_unit(v, score))

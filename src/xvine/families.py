@@ -126,14 +126,22 @@ def _ret(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _pos(name, *arrays):
-    out = []
-    for arr in arrays:
-        arr = np.asarray(arr, dtype=float)
-        if np.any(~(arr > 0.0)):
-            raise DomainError(f"{name} needs strictly positive arguments")
-        out.append(arr)
-    return out
+def _checked(need: str, ok: Callable):
+    """A door's input check: name, *arrays -> the arrays as floats, or a
+    DomainError if ok fails anywhere (NaN included)."""
+    def check(name, *arrays):
+        out = []
+        for arr in arrays:
+            arr = np.asarray(arr, dtype=float)
+            if not np.all(ok(arr)):
+                raise DomainError(f"{name} needs {need}")
+            out.append(arr)
+        return out
+    return check
+
+
+_pos = _checked("strictly positive arguments", lambda a: a > 0.0)
+_unit = _checked("arguments in [0, 1]", lambda a: (a >= 0.0) & (a <= 1.0))
 
 
 @dataclass(frozen=True)
@@ -170,15 +178,6 @@ def _kind_record(table: dict, what: str, kind: str) -> _Kind:
     rec = table.get(kind)
     if rec is None:
         raise DomainError(f"unknown {what} family {kind!r}")
-    return rec
-
-
-def _in_form(table: dict, fam, score: bool) -> _Kind:
-    """The record of fam's kind, which must work in the form a kernel needs."""
-    rec = table[fam.kind]
-    if rec.score != score:
-        form = "normal-score" if score else "log-pair"
-        raise DomainError(f"{form} kernel needs a {form} family, got {fam.kind}")
     return rec
 
 
@@ -574,20 +573,6 @@ def tail_h(fam: TailFamily, x, y):
     return _ret(std_normal_cdf(h) if rec.score else np.exp(h[0]))
 
 
-def tail_h_score(fam: TailFamily, x, y):
-    """tail_h as a normal score, Phi^-1(tail_h(x, y)); score kinds only."""
-    rec = _in_form(_TAIL_RECORDS, fam, True)
-    x, y = _pos("tail h", x, y)
-    return _ret(rec.h(x, y, fam.theta))
-
-
-def tail_h_log_pair(fam: TailFamily, x, y):
-    """tail_h as a log pair, clamped as pair_h clips; log-pair kinds only."""
-    rec = _in_form(_TAIL_RECORDS, fam, False)
-    x, y = _pos("tail h", x, y)
-    return _clamp_log_pair(rec.h(x, y, fam.theta))
-
-
 def _tail_root(rec: _Kind, w, y, th):
     """rec.h_inv(w, y, th), with a root beyond X_MAX brought back as X_MAX."""
     with np.errstate(over="ignore"):
@@ -600,17 +585,11 @@ def tail_h_inv(fam: TailFamily, u, y):
     A log-pair kind reads u short of 0 and 1 only, so a target below 1e-12
     keeps its own root; a score kind clips u as pair_h does."""
     (y,) = _pos("tail h_inv", y)
+    (u,) = _unit("tail h_inv", u)
     rec = _TAIL_RECORDS[fam.kind]
     w = _from_unit(u, True) if rec.score else _log_pair(
-        np.clip(np.asarray(u, dtype=float), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
+        np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
     return _ret(_tail_root(rec, w, y, fam.theta))
-
-
-def tail_h_inv_score(fam: TailFamily, z, y):
-    """Inverse of tail_h_score in x at fixed y, with z clamped; score kinds only."""
-    rec = _in_form(_TAIL_RECORDS, fam, True)
-    (y,) = _pos("tail h_inv", y)
-    return _ret(rec.h_inv(clamp_score(z), y, fam.theta))
 
 
 def tail_chi(fam: TailFamily) -> float:
@@ -637,10 +616,6 @@ class PairFamily:
         if not rec.domain(th):
             raise DomainError(f"{self.kind} needs {rec.need}, got {th}")
 
-    @property
-    def n_params(self) -> int:
-        return 0 if _PAIR_RECORDS[self.kind].box is None else 1
-
 
 def prepare_pair_log_density(kind: str, u, v) -> Callable[[float], np.ndarray]:
     """theta -> log c(u, v) for the pair kind, with the theta-free work done once.
@@ -648,6 +623,7 @@ def prepare_pair_log_density(kind: str, u, v) -> Callable[[float], np.ndarray]:
     theta is not checked: callers keep it inside the family's domain.
     """
     rec = _kind_record(_PAIR_RECORDS, "pair", kind)
+    u, v = _unit("pair density", u, v)
     p = rec.prepare(_from_unit(u, rec.score), _from_unit(v, rec.score))
     return lambda th: rec.evaluate(p, th)
 
@@ -663,6 +639,7 @@ def pair_density(fam: PairFamily, u, v):
 def pair_h(fam: PairFamily, u, v):
     """Conditional CDF of the first argument given the second, clamped to (0, 1)."""
     rec, th = _PAIR_RECORDS[fam.kind], fam.theta
+    u, v = _unit("pair h", u, v)
     if rec.h_u is not None:
         return _ret(_clip_unit(rec.h_u(_clip_unit(u), _clip_unit(v), th)))
     h = rec.h(_from_unit(u, rec.score), _from_unit(v, rec.score), th)
@@ -672,41 +649,11 @@ def pair_h(fam: PairFamily, u, v):
 def pair_h_inv(fam: PairFamily, w, v):
     """Inverse of pair_h in its first argument, clamped to (0, 1) as pair_h is."""
     rec = _PAIR_RECORDS[fam.kind]
+    w, v = _unit("pair h_inv", w, v)
     u = rec.h_inv(_from_unit(w, rec.score), _from_unit(v, rec.score), fam.theta)
     if not rec.score:   # from the smaller end, so a root near 1 rounds as 1 - (1 - u)
         u = np.where(u[0] <= u[1], np.exp(u[0]), -np.expm1(u[1]))
     return _ret(_clip_unit(std_normal_cdf(u) if rec.score else u))
-
-
-def pair_log_density_score(fam: PairFamily, zu, zv):
-    """pair_log_density at normal scores, clamped as pair_log_density clips u;
-    score kinds only."""
-    rec = _in_form(_PAIR_RECORDS, fam, True)
-    return _ret(rec.evaluate(rec.prepare(clamp_score(zu), clamp_score(zv)), fam.theta))
-
-
-def pair_h_score(fam: PairFamily, zu, zv):
-    """pair_h on normal scores, clamped where pair_h clips; score kinds only."""
-    rec = _in_form(_PAIR_RECORDS, fam, True)
-    return _ret(clamp_score(rec.h(clamp_score(zu), clamp_score(zv), fam.theta)))
-
-
-def pair_h_inv_score(fam: PairFamily, zw, zv):
-    """pair_h_inv on normal scores, clamped where pair_h_inv clips; score kinds only."""
-    rec = _in_form(_PAIR_RECORDS, fam, True)
-    return _ret(clamp_score(rec.h_inv(clamp_score(zw), clamp_score(zv), fam.theta)))
-
-
-def pair_h_log_pair(fam: PairFamily, p, q):
-    """pair_h on log pairs, clamped as pair_h clips; log-pair kinds only."""
-    rec = _in_form(_PAIR_RECORDS, fam, False)
-    return _clamp_log_pair(rec.h(p, q, fam.theta))
-
-
-def pair_log_density_log_pair(fam: PairFamily, p, q):
-    """pair_log_density on log pairs; log-pair kinds only."""
-    rec = _in_form(_PAIR_RECORDS, fam, False)
-    return _ret(rec.evaluate(rec.prepare(p, q), fam.theta))
 
 
 def pair_tau(fam: PairFamily) -> float:

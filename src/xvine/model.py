@@ -75,10 +75,6 @@ class XVineSpec:
     def q(self) -> int:
         return self.vine.q
 
-    def family_of(self, ref):
-        e = self.vine.find_edge(ref)
-        return self.tail[e] if e.level == 1 else self.pairs[e]
-
     def __repr__(self) -> str:
         return f"XVineSpec(d={self.d}, q={self.q})"
 

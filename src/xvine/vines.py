@@ -284,15 +284,6 @@ class VineSequence:
 
     # --- derived structures ----------------------------------------------------
 
-    def sub_vine(self, ref) -> VineSequence:
-        """The vine induced on the complete union of the referenced edge."""
-        top = self.find_edge(ref)
-        inside = [[e for e in t if e.union <= top.union] for t in self.trees[:top.level]]
-        sub = VineSequence([[(e.a, e.b) for e in inside[0]]], nodes=top.union)
-        for t in inside[1:]:
-            sub = sub.extend((e.child_a, e.child_b) for e in t)
-        return sub
-
     def truncate(self, q: int) -> VineSequence:
         """Keep only trees 1..q."""
         if not 1 <= q <= self.q:

@@ -1,15 +1,20 @@
-"""Shared builders for randomized specs, vines and subset functionals, and a
-u-space reference recursion."""
+"""Shared builders for randomized specs, vines and subset functionals, a
+caller of the family records in their own forms, and a u-space reference
+recursion."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from xvine.families import (
+    _PAIR_RECORDS,
+    _TAIL_RECORDS,
     PAIR_KINDS,
     TAIL_KINDS,
     PairFamily,
     TailFamily,
+    _clamp_log_pair,
+    clamp_score,
     pair_h,
     pair_h_inv,
     pair_log_density,
@@ -92,6 +97,29 @@ def rng() -> np.random.Generator:
 
 def make_random_vine(seed: int, d: int, q: int | None = None) -> VineSequence:
     return random_vine(d, np.random.default_rng(seed), q=q)
+
+
+def call_record(fam: TailFamily | PairFamily, slot: str, a, b):
+    """fam's record slot "h", "h_inv" or "log_density" (prepare, then evaluate)
+    on arguments in its kind's own form, clamped as the vine recursion clamps.
+
+    A score kind's pair slots clamp both scores on the way in, since a raw hr
+    tail score reaches them, and a score tail h_inv clamps its target. On the
+    way out a pair h or h_inv and a tail log pair are clamped in their form;
+    a tail score, a tail root x and a log-density are not.
+    """
+    tail = isinstance(fam, TailFamily)
+    rec = (_TAIL_RECORDS if tail else _PAIR_RECORDS)[fam.kind]
+    if rec.score and not tail:
+        a, b = clamp_score(a), clamp_score(b)
+    elif rec.score and slot == "h_inv":
+        a = clamp_score(a)
+    if slot == "log_density":
+        return rec.evaluate(rec.prepare(a, b), fam.theta)
+    out = getattr(rec, slot)(a, b, fam.theta)
+    if tail and (rec.score or slot == "h_inv"):
+        return out
+    return clamp_score(out) if rec.score else _clamp_log_pair(out)
 
 
 # ---------------------------------------------------------------------------

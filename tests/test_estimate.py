@@ -409,7 +409,7 @@ def test_fit_options_pin_keys_in_any_order(bench, bench_sample):
     opts = FitOptions(structure=bench.vine, truncation=2, pair_families={(3, 1, (2,)): "frank"})
     assert opts.pair_families == {(1, 3, (2,)): "frank"}
     report = fit_pipeline(bench_sample, 200, options=opts)
-    fam = report.spec.family_of((1, 3, (2,)))
+    fam = report.spec.pairs[report.spec.vine.find_edge((1, 3, (2,)))]
     assert fam.kind == "frank" and not report.errors
 
 

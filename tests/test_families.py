@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import log_ndtr, ndtr, ndtri
 
 import oracles as oc
-from conftest import PAIR_RANGES, TAIL_RANGES
+from conftest import PAIR_RANGES, TAIL_RANGES, call_record
 from xvine.errors import DomainError
+from xvine.estimate import fit_pair_edge, select_pair_family
 from xvine.numerics import _TRANSFORMS
 from xvine.families import (
     _PAIR_RECORDS,
@@ -36,12 +38,7 @@ from xvine.families import (
     pair_density,
     pair_h,
     pair_h_inv,
-    pair_h_inv_score,
-    pair_h_log_pair,
-    pair_h_score,
     pair_log_density,
-    pair_log_density_log_pair,
-    pair_log_density_score,
     pair_tau,
     prepare_pair_log_density,
     prepare_tail_log_density,
@@ -50,9 +47,6 @@ from xvine.families import (
     tail_density,
     tail_h,
     tail_h_inv,
-    tail_h_inv_score,
-    tail_h_log_pair,
-    tail_h_score,
     tail_log_density,
     tau_inverse,
 )
@@ -160,7 +154,7 @@ def test_tail_h_inv_round_trip_full_box(kind, th):
     # relative in that side, at every root below X_MAX; a root beyond it
     # comes back as X_MAX, where h still falls short of w. No warning, inf
     # or NaN anywhere. The double nearest 1 - 1e-12 lies below the log-pair
-    # clamp, so h is read before tail_h_log_pair clamps it.
+    # clamp, so h is read from the record, which does not clamp it.
     fam = TailFamily(kind, th)
     w, y = TAIL_INV_W, np.ones(TAIL_INV_W.size)
     if (kind, th) == ("dirichlet", 1e-3):   # a target of 9.6e-20, far below the pair clip
@@ -302,8 +296,6 @@ def test_pair_family_validation():
         PairFamily("gaussian", None)
     with pytest.raises(DomainError):
         PairFamily("plackett", 2.0)
-    assert PairFamily("indep").n_params == 0
-    assert PairFamily("joe", 2.0).n_params == 1
 
 
 @pytest.mark.parametrize("kind,theta", pair_cases())
@@ -492,6 +484,37 @@ def test_tau_inverse_rejects_unknown_kinds(kind):
         tau_inverse(kind, 0.3)
 
 
+#: Each door that takes values in [0, 1], with the number of its leading
+#: arguments that are such values (tail_h_inv's second is y).
+UNIT_DOORS = {
+    **{f"tail_h_inv {k}": (partial(tail_h_inv, TailFamily(k, th)), 1)
+       for k, th in (("hr", 1.0), ("logistic", 2.0))},
+    **{f"{door.__name__} {k}": (partial(door, PairFamily(k, th)), 2)
+       for door in (pair_log_density, pair_density, pair_h, pair_h_inv)
+       for k, th in (("indep", None), ("gaussian", 0.5), ("clayton", 2.0))},
+    "fit_pair_edge clayton": (partial(fit_pair_edge, kind="clayton"), 2),
+    "select_pair_family": (select_pair_family, 2),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, np.nan])
+@pytest.mark.parametrize("door", UNIT_DOORS)
+def test_unit_doors_reject_values_outside_the_unit_interval(door, bad):
+    # the closed interval passes, clipped inside; one value beyond it or NaN
+    # fails at the door with a typed error, not as a NaN, an extreme root or
+    # a boundary fit
+    call, n_unit = UNIT_DOORS[door]
+    args = list(np.random.default_rng(3).uniform(0.05, 0.95, size=(2, 60)))
+    for a, ends in zip(args[:n_unit], ((0.0, 1.0), (1.0, 0.0))):
+        a[:2] = ends
+    call(*args)
+    for i in range(n_unit):
+        broken = [a.copy() for a in args]
+        broken[i][5] = bad
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+            call(*broken)
+
+
 # ---------------------------------------------------------------------------
 # the record tables
 # ---------------------------------------------------------------------------
@@ -575,19 +598,19 @@ def test_score_kernels_under_ndtr_match_u_kernels():
         warnings.simplefilter("error")
         for th in HR_THETAS:
             fam = TailFamily("hr", float(th))
-            np.testing.assert_array_equal(ndtr(tail_h_score(fam, x, y)), tail_h(fam, x, y))
+            np.testing.assert_array_equal(ndtr(call_record(fam, "h", x, y)), tail_h(fam, x, y))
             with np.errstate(divide="ignore"):
                 z = ndtri(u)
-            np.testing.assert_array_equal(tail_h_inv_score(fam, z, y), tail_h_inv(fam, u, y))
+            np.testing.assert_array_equal(call_record(fam, "h_inv", z, y), tail_h_inv(fam, u, y))
         for th in GAUSS_THETAS:
             fam = PairFamily("gaussian", float(th))
             with np.errstate(divide="ignore"):
                 zu, zv = ndtri(u), ndtri(v)
-            np.testing.assert_array_equal(pair_log_density_score(fam, zu, zv),
+            np.testing.assert_array_equal(call_record(fam, "log_density", zu, zv),
                                           pair_log_density(fam, u, v))
-            np.testing.assert_allclose(ndtr(pair_h_score(fam, zu, zv)), pair_h(fam, u, v),
+            np.testing.assert_allclose(ndtr(call_record(fam, "h", zu, zv)), pair_h(fam, u, v),
                                        rtol=1e-14)
-            np.testing.assert_allclose(ndtr(pair_h_inv_score(fam, zu, zv)),
+            np.testing.assert_allclose(ndtr(call_record(fam, "h_inv", zu, zv)),
                                        pair_h_inv(fam, u, v), rtol=1e-14)
 
 
@@ -599,23 +622,13 @@ def test_score_round_trip_full_box():
                                                  [1e-3, 0.5, 1.0, 30.0]))
         for th in HR_THETAS:
             fam = TailFamily("hr", float(th))
-            back = tail_h_score(fam, tail_h_inv_score(fam, zz, yy), yy)
+            back = call_record(fam, "h", call_record(fam, "h_inv", zz, yy), yy)
             assert np.abs(back - zz).max() <= 1e-12, th
         w, zv = (a.ravel() for a in np.meshgrid(z, z))
         for th in GAUSS_THETAS:
             fam = PairFamily("gaussian", float(th))
-            back = pair_h_score(fam, pair_h_inv_score(fam, w, zv), zv)
+            back = call_record(fam, "h", call_record(fam, "h_inv", w, zv), zv)
             assert np.abs(back - w).max() <= 1e-12, th
-
-
-def test_score_kernels_reject_other_kinds():
-    with pytest.raises(DomainError):
-        tail_h_score(TailFamily("logistic", 2.0), 1.0, 1.0)
-    with pytest.raises(DomainError):
-        tail_h_inv_score(TailFamily("dirichlet", 2.0), 0.0, 1.0)
-    for kernel in (pair_h_score, pair_h_inv_score, pair_log_density_score):
-        with pytest.raises(DomainError):
-            kernel(PairFamily("clayton", 2.0), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +654,12 @@ def test_log_pair_reflection_swaps_the_logs():
     p, q = _log_pair(rng.uniform(size=50)), _log_pair(rng.uniform(size=50))
     for base in ("clayton", "gumbel", "joe"):
         surv, plain = PairFamily("surv" + base, 2.5), PairFamily(base, 2.5)
-        lh, lhb = pair_h_log_pair(surv, p, q)
-        mh, mhb = pair_h_log_pair(plain, p[::-1], q[::-1])
+        lh, lhb = call_record(surv, "h", p, q)
+        mh, mhb = call_record(plain, "h", p[::-1], q[::-1])
         np.testing.assert_array_equal(lh, mhb)
         np.testing.assert_array_equal(lhb, mh)
-        np.testing.assert_array_equal(pair_log_density_log_pair(surv, p, q),
-                                      pair_log_density_log_pair(plain, p[::-1], q[::-1]))
+        np.testing.assert_array_equal(call_record(surv, "log_density", p, q),
+                                      call_record(plain, "log_density", p[::-1], q[::-1]))
 
 
 def _mp_pair_h(mp, kind, th, u, v):
@@ -700,7 +713,7 @@ def test_h_kernels_match_mpmath():
             fam = PairFamily(kind, th)
             want = [float(_mp_h(mp, fam, a, b)) for a, b in zip(u, v)]
             np.testing.assert_allclose(pair_h(fam, u, v), want, rtol=1e-12, atol=1e-15)
-            lh, lhb = pair_h_log_pair(fam, _log_pair(u), _log_pair(v))
+            lh, lhb = call_record(fam, "h", _log_pair(u), _log_pair(v))
             np.testing.assert_allclose(np.exp(lh) + np.exp(lhb), 1.0, rtol=0.0, atol=1e-14)
         for kind, th in tail_cases():
             if kind == "hr":
@@ -709,7 +722,7 @@ def test_h_kernels_match_mpmath():
             want = [float(_mp_tail_h(mp, kind, mp.mpf(th), mp.mpf(a), mp.mpf(b)))
                     for a, b in zip(x, y)]
             np.testing.assert_allclose(tail_h(fam, x, y), want, rtol=1e-12)
-            lh, lhb = tail_h_log_pair(fam, x, y)
+            lh, lhb = call_record(fam, "h", x, y)
             np.testing.assert_allclose(np.exp(lh) + np.exp(lhb), 1.0, rtol=0.0, atol=1e-14)
 
 
@@ -821,7 +834,7 @@ def test_log_pair_h_keeps_both_ends(kind, th):
             for u in (eps, 1.0 - eps):
                 for v in (0.02, 0.5, 1.0 - 1e-9):
                     h = _mp_pair_h(mp, kind, mp.mpf(th), mp.mpf(u), mp.mpf(v))
-                    got = pair_h_log_pair(fam, _log_pair(u), _log_pair(v))
+                    got = call_record(fam, "h", _log_pair(u), _log_pair(v))
                     _assert_log_pair_near(got, h, mp, (u, v))
 
 
@@ -833,7 +846,7 @@ def test_tail_h_log_pair_keeps_both_ends(kind, th):
         for ratio in (1e-6, 1e-3, 0.2, 1.0, 5.0, 1e3, 1e6):
             x, y = 1.7 * ratio, 1.7
             h = _mp_tail_h(mp, kind, mp.mpf(th), mp.mpf(x), mp.mpf(y))
-            _assert_log_pair_near(tail_h_log_pair(fam, x, y), h, mp, ratio)
+            _assert_log_pair_near(call_record(fam, "h", x, y), h, mp, ratio)
 
 
 def test_score_log_pair_conversions_keep_both_ends():
@@ -845,12 +858,3 @@ def test_score_log_pair_conversions_keep_both_ends():
     # beyond the clamp, as clamp_score
     lu, lub = score_to_log_pair([-40.0, 40.0])
     np.testing.assert_allclose(log_pair_to_score((lu, lub)), [Z_LO, -Z_LO], rtol=1e-14)
-
-
-def test_log_pair_kernels_reject_score_kinds():
-    with pytest.raises(DomainError):
-        tail_h_log_pair(TailFamily("hr", 1.0), 1.0, 1.0)
-    p = _log_pair(0.3)
-    for kernel in (pair_h_log_pair, pair_log_density_log_pair):
-        with pytest.raises(DomainError):
-            kernel(PairFamily("gaussian", 0.5), p, p)

@@ -75,11 +75,6 @@ def test_spec_rejects_misplaced_families(bench):
         XVineSpec(vine, {**bench.tail, (1, 2): PairFamily("gaussian", 0.5)}, bench.pairs)
 
 
-def test_family_of(bench):
-    assert bench.family_of((2, 4)).kind == "logistic"
-    assert bench.family_of((1, 5, (4, 3, 2))).theta == 0.1
-
-
 # ---------------------------------------------------------------------------
 # density identities against direct closed forms
 # ---------------------------------------------------------------------------
@@ -409,8 +404,8 @@ def test_model_json_round_trip(bench):
     assert back.d == bench.d and back.q == bench.q
     for t in bench.vine.trees:
         for e in t:
-            orig = bench.family_of(e)
-            new = back.family_of(e.key)
+            orig = (bench.tail if e.level == 1 else bench.pairs)[e]
+            new = (back.tail if e.level == 1 else back.pairs)[back.vine.find_edge(e.key)]
             assert (orig.kind, orig.theta) == (new.kind, new.theta)
 
 

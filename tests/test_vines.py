@@ -302,14 +302,8 @@ def test_sampling_order_needs_full_vine(bench):
 
 
 # ---------------------------------------------------------------------------
-# sub-vines, truncation, telescoping
+# truncation, telescoping
 # ---------------------------------------------------------------------------
-
-def test_sub_vine_of_top_edge(bench):
-    sub = bench.sub_vine((3, 5, (2, 4)))
-    assert sub.d == 4 and sub.nodes == (2, 3, 4, 5)
-    assert {e.key for e in sub.trees[-1]} == {(3, 5, (2, 4))}
-
 
 def test_truncate_bounds(bench):
     assert bench.truncate(4).q == 4
