@@ -31,7 +31,7 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = five_variable_spec()
     fams = spec_families(bench)
-    opts = FitOptions(structure=bench.vine, tail_families=fams, pair_families=fams)
+    opts = FitOptions(structure=bench.vine, families=fams)
 
     truth = {}
     for lvl in range(1, bench.vine.q + 1):

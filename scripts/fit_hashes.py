@@ -90,8 +90,7 @@ def fits():
             yield f"student_t_{label} seed={seed}", prep(data), T_K, opts
         z = samples[seed]
         yield (f"five_variable_pinned seed={seed}", 1.0 / z, FIVE_K,
-               FitOptions(structure=bench.vine, tail_families=fams, pair_families=fams,
-                          threads=1))
+               FitOptions(structure=bench.vine, families=fams, threads=1))
         yield (f"five_variable_inverted_pareto seed={seed}", z, None,
                FitOptions(input_kind="inverted-pareto", truncation="mbic", threads=1))
 

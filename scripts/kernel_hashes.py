@@ -10,11 +10,11 @@ kind, with theta at both ends of its estimation box and at 0.3, 0.5 and 0.7
 of the way along its search scale. The grids put u and v within 1e-12 of 0
 and 1, and x / y from 1e-12 to 1e12; the score / log-pair conversions run
 on scores beyond the clamp. Then come the error classes each door raises for
-a nonpositive x, a u outside [0, 1] and an out-of-domain theta, and the
-sha256 of `log_density`,
-`conditional_cdf` and `conditional_quantile` on `five_variable_spec` and
-`truncated_cvine_study_spec` at log-normal points (sigma 1.5, seeds 1-3),
-each with its `_trace` event list. Run it on two checkouts and compare with
+a nonpositive or infinite x or y, a u outside [0, 1] and an out-of-domain
+theta, and the sha256 of `log_density`, `conditional_cdf` and
+`conditional_quantile` on `five_variable_spec` and `truncated_cvine_study_spec`
+at log-normal points (sigma 1.5, seeds 1-3), each with its `_trace` event
+list. Run it on two checkouts and compare with
 one `diff`:
 
     PYTHONPATH=src python3 scripts/kernel_hashes.py > after.txt
@@ -158,13 +158,14 @@ def error_lines() -> list[str]:
     cases = {}
     for kind in fm.TAIL_KINDS:
         fam = tf(kind, 1.5)
-        # nonpositive points at every tail door
-        for x, y in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (float("nan"), 1.0)):
+        # nonpositive and non-finite points at every tail door
+        for x, y in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (float("nan"), 1.0),
+                     (float("inf"), 1.0), (1.0, float("inf"))):
             cases[f"tail_log_density {kind} x={x} y={y}"] = (fm.tail_log_density, fam, x, y)
             cases[f"tail_h {kind} x={x} y={y}"] = (fm.tail_h, fam, x, y)
             cases[f"prepare_tail_log_density {kind} x={x} y={y}"] = (
                 fm.prepare_tail_log_density, kind, x, y)
-        for y in (0.0, -1.0):
+        for y in (0.0, -1.0, float("inf")):
             cases[f"tail_h_inv {kind} y={y}"] = (fm.tail_h_inv, fam, 0.5, y)
         # a target outside [0, 1]
         for u in BAD_U:

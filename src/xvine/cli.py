@@ -122,7 +122,6 @@ def cmd_fit(args) -> int:
         psi0=args.psi0,
         tau_min=args.tau_min,
         n_min=args.n_min,
-        aic_convention=args.aic,
         threads=args.threads,
     )
     report = fit_pipeline(data, k=args.k, options=options)
@@ -203,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sample conditionally on coordinate J being below 1")
     law.add_argument("--pareto", action="store_true",
                      help="emit multivariate-Pareto-scale samples (reciprocal)")
-    sim.add_argument("--threads", type=int, default=None)
+    sim.add_argument("--threads", type=int, default=1,
+                     help="worker threads (default 1); output is the same at any count")
     sim.add_argument("--out", required=True, help="output CSV file")
     sim.set_defaults(func=cmd_simulate)
 
@@ -224,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated pair families to consider")
     fit.add_argument("--tau-min", type=float, default=0.05)
     fit.add_argument("--n-min", type=int, default=10)
-    fit.add_argument("--aic", choices=("paper", "standard"), default="paper",
-                     help="averaged-AIC convention for first-tree fits")
-    fit.add_argument("--threads", type=int, default=None)
+    fit.add_argument("--threads", type=int, default=1,
+                     help="worker threads (default 1); output is the same at any count")
     fit.add_argument("--out", required=True, help="output JSON file")
     fit.set_defaults(func=cmd_fit)
 

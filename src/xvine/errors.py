@@ -6,6 +6,10 @@ class XVineError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class DomainError(XVineError):
+    """Argument outside the mathematical domain of the function."""
+
+
 # --- vine structures ---------------------------------------------------------
 
 class NotATree(XVineError):
@@ -20,7 +24,7 @@ class WrongCardinality(XVineError):
     """A tree has the wrong number of edges or an edge the wrong arity."""
 
 
-class UnknownEdge(XVineError):
+class UnknownEdge(DomainError):
     """An edge reference does not match any edge of the vine."""
 
 
@@ -45,10 +49,6 @@ class TruncatedVine(XVineError):
 
 
 # --- numerics ----------------------------------------------------------------
-
-class DomainError(XVineError):
-    """Argument outside the mathematical domain of the function."""
-
 
 class NoConvergence(XVineError):
     """An iterative routine failed to reach its tolerance."""

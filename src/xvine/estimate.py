@@ -33,7 +33,7 @@ from .families import (
 )
 from .model import XVineSpec, _Evaluator
 from .numerics import _TRANSFORMS, ScalarProblem, minimize_scalar
-from .simulate import parallel_map, resolve_threads
+from .simulate import _count, parallel_map
 from .vines import Edge, VineSequence, _components, _edge_key, _kruskal_forest
 
 
@@ -269,18 +269,15 @@ def fit_tail_edge(
     kind: str,
     *,
     n_min: int = 10,
-    aic_convention: str = "paper",
 ) -> EdgeFit:
     """Censored-likelihood fit of a tail family on a first-tree edge.
 
     Maximizes the likelihood twice, once over each coordinate's exceedance
-    rows, and averages the two estimates.  The reported AIC follows either
-    the half-sum convention (``"paper"``) or ``2 - (l_a + l_b)`` (``"standard"``).
+    rows, and averages the two estimates. The reported AIC is the paper's
+    half-sum one, ``2 - (l_a + l_b) / 2``.
     """
     a, b = _check_indices(ps, (a, b), 2)
     box = _kind_record(_TAIL_RECORDS, "tail", kind).box
-    if aic_convention not in ("paper", "standard"):
-        raise DomainError(f"unknown AIC convention {aic_convention!r}")
     mask_a = ps.exceed[:, a - 1]
     mask_b = ps.exceed[:, b - 1]
     if mask_a.sum() < n_min or mask_b.sum() < n_min:
@@ -292,8 +289,7 @@ def fit_tail_edge(
                   partial(TailFamily, kind))
         for mask in (mask_a, mask_b)))
     half_sum = 0.5 * (logls[0] + logls[1])
-    aic = 2.0 - half_sum if aic_convention == "paper" else 2.0 - (logls[0] + logls[1])
-    return EdgeFit(TailFamily(kind, 0.5 * (thetas[0] + thetas[1])), half_sum, aic,
+    return EdgeFit(TailFamily(kind, 0.5 * (thetas[0] + thetas[1])), half_sum, 2.0 - half_sum,
                    int((mask_a | mask_b).sum()), at_boundary=any(flags))
 
 
@@ -340,15 +336,12 @@ def select_tail_family(
     catalogue: Sequence[str] = TAIL_KINDS,
     *,
     n_min: int = 10,
-    aic_convention: str = "paper",
 ) -> EdgeFit:
     """Fit every tail family in the catalogue and keep the lowest AIC."""
     if not catalogue:
         raise DomainError("empty tail catalogue")
-    return _lowest_aic(catalogue, [
-        fit_tail_edge(ps, a, b, kind, n_min=n_min, aic_convention=aic_convention)
-        for kind in catalogue
-    ])
+    return _lowest_aic(catalogue, [fit_tail_edge(ps, a, b, kind, n_min=n_min)
+                                   for kind in catalogue])
 
 
 def select_pair_family(
@@ -402,20 +395,23 @@ def _kruskal(nodes: Sequence, weighted: Sequence[tuple[float, tuple, tuple]]) ->
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the full fitting pipeline."""
+    """Knobs for the full fitting pipeline.
+
+    `families` pins edges to kinds: its keys name edges as
+    `VineSequence.find_edge` reads them, and a key with an empty conditioning
+    set (a first-tree edge) takes a tail kind, any other key a pair kind.
+    """
 
     input_kind: str = "raw"
     structure: VineSequence | None = None
     truncation: int | str = "auto"
     tail_catalogue: tuple[str, ...] = TAIL_KINDS
     pair_catalogue: tuple[str, ...] = PAIR_KINDS
-    tail_families: Mapping[tuple, str] = field(default_factory=dict)
-    pair_families: Mapping[tuple, str] = field(default_factory=dict)
+    families: Mapping[tuple, str] = field(default_factory=dict)
     psi0: float = 0.9
     tau_min: float = 0.05
     n_min: int = 10
-    aic_convention: str = "paper"
-    threads: int | None = None
+    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.input_kind not in ("raw", "inverted-pareto"):
@@ -429,40 +425,27 @@ class FitOptions:
             object.__setattr__(self, "truncation", int(self.truncation))
         if not 0.0 < self.psi0 < 1.0:
             raise DomainError("psi0 must lie in (0, 1)")
-        if self.aic_convention not in ("paper", "standard"):
-            raise DomainError(f"unknown AIC convention {self.aic_convention!r}")
-        for what in ("tail_catalogue", "pair_catalogue"):
-            if not getattr(self, what):
+        for what, kinds, known in (("tail_catalogue", self.tail_catalogue, TAIL_KINDS),
+                                   ("pair_catalogue", self.pair_catalogue, PAIR_KINDS)):
+            if not kinds:
                 raise DomainError(f"empty {what}")
-
-        # pin keys name edges as VineSequence.find_edge reads them; a pinned
-        # kind is read only on its own trees (a key with an empty conditioning
-        # set is a first-tree edge), so one map of every edge's kind can pin both
-        for what in ("tail_families", "pair_families"):
-            object.__setattr__(self, what, {_edge_key(ref): kind
-                                            for ref, kind in getattr(self, what).items()})
-        for what, kinds, known in (
-            ("tail_catalogue", self.tail_catalogue, TAIL_KINDS),
-            ("pair_catalogue", self.pair_catalogue, PAIR_KINDS),
-            ("tail_families", self._pins(True).values(), TAIL_KINDS),
-            ("pair_families", self._pins(False).values(), PAIR_KINDS),
-        ):
             for kind in kinds:
                 if kind not in known:
                     raise DomainError(f"unknown family {kind!r} in {what}")
-        if self.structure is not None:
-            for key in (*self._pins(True), *self._pins(False)):
+        object.__setattr__(self, "families", {_edge_key(ref): kind
+                                              for ref, kind in self.families.items()})
+        for key, kind in self.families.items():
+            what, known = ("pair", PAIR_KINDS) if key[2] else ("tail", TAIL_KINDS)
+            if kind not in known:
+                raise DomainError(f"edge {key} needs a {what} kind, got {kind!r}")
+            if self.structure is not None:
                 self.structure.find_edge(key)   # UnknownEdge if it names no edge
         if (isinstance(self.n_min, bool) or not isinstance(self.n_min, Integral)
                 or self.n_min < 1):
             raise DomainError(f"n_min must be a positive integer, got {self.n_min!r}")
         if not 0.0 <= self.tau_min < 1.0:  # NaN fails it too
             raise DomainError(f"tau_min must lie in [0, 1), got {self.tau_min!r}")
-
-    def _pins(self, first: bool) -> dict[tuple, str]:
-        """The pins read on first-tree edges (tail_families) or deeper (pair_families)."""
-        pins = self.tail_families if first else self.pair_families
-        return {key: kind for key, kind in pins.items() if (not key[2]) == first}
+        _count(self.threads, "thread count", least=1)
 
 
 @dataclass(frozen=True)
@@ -517,18 +500,17 @@ def mbic_curve(records: Sequence[Sequence[dict]], psi0: float = 0.9) -> list[flo
 
 
 def _fit_one_tail(ps: PseudoSample, e: Edge, opts: FitOptions) -> EdgeFit:
-    kw = {"n_min": opts.n_min, "aic_convention": opts.aic_convention}
-    fixed = opts.tail_families.get(e.key)
+    fixed = opts.families.get(e.key)
     if fixed is not None:
-        return fit_tail_edge(ps, e.a, e.b, fixed, **kw)
-    return select_tail_family(ps, e.a, e.b, opts.tail_catalogue, **kw)
+        return fit_tail_edge(ps, e.a, e.b, fixed, n_min=opts.n_min)
+    return select_tail_family(ps, e.a, e.b, opts.tail_catalogue, n_min=opts.n_min)
 
 
 def _fit_one_pair(job: tuple, opts: FitOptions) -> tuple[EdgeFit, str | None]:
     """Fit of a deeper edge from its _pair_job; independence and why where it fails."""
     e, n, forms, abs_tau = job
     try:
-        fixed = opts.pair_families.get(e.key)
+        fixed = opts.families.get(e.key)
         if fixed is not None:
             return _fit_pair(fixed, forms, n, opts.n_min), None
         return _select_pair(opts.pair_catalogue, forms, n, abs_tau, opts.tau_min,
@@ -545,7 +527,7 @@ def _pair_job(ps: PseudoSample, ev: _Evaluator, e: Edge, opts: FitOptions,
     their |tau|, the candidates' abs_tau or computed here for a kind not pinned."""
     mask = _joint_exceedance(ps, e.cond)
     sides = ((e.child_a, e.a), (e.child_b, e.b))
-    fixed = opts.pair_families.get(e.key)
+    fixed = opts.families.get(e.key)
     kinds = opts.pair_catalogue if fixed is None else (fixed,)
     # a log pair masks as one (2, n) array, whose rows are its two ends
     forms = {score: tuple(np.asarray(ev.arg(c, node, score))[..., mask] for c, node in sides)
@@ -654,7 +636,6 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
     else:
         q_fit = q_cap
 
-    n_threads = resolve_threads(opts.threads)
     tail: dict[Edge, TailFamily] = {}
     pairs: dict[Edge, PairFamily] = {}
     levels: list[list[Edge]] = []  # each tree's edges in fitting order
@@ -678,10 +659,10 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
             edges = [joined[frozenset(p)] for p in chosen]
         levels.append(edges)
         if level == 1:
-            done = parallel_map(lambda e: (_fit_one_tail(ps, e, opts), None), edges, n_threads)
+            done = parallel_map(lambda e: (_fit_one_tail(ps, e, opts), None), edges, opts.threads)
         else:
             jobs = [_pair_job(ps, ev, e, opts, taus.get(_components(e))) for e in edges]
-            done = parallel_map(lambda job: _fit_one_pair(job, opts), jobs, n_threads)
+            done = parallel_map(lambda job: _fit_one_pair(job, opts), jobs, opts.threads)
         for e, (fit, error) in zip(edges, done):
             (tail if level == 1 else pairs)[e] = fit.family
             if error is not None:
@@ -695,7 +676,7 @@ def fit_pipeline(data: np.ndarray, k: int | None = None, options: FitOptions | N
     if opts.structure is None:
         fitted = {e.key for lvl in levels for e in lvl}
         errors += [f"pinned edge {key} is no edge of the fitted vine"
-                   for key in (*opts._pins(True), *opts._pins(False)) if key not in fitted]
+                   for key in opts.families if key not in fitted]
 
     # --- truncation -------------------------------------------------------
     mbic_list: tuple[float, ...] = ()

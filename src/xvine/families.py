@@ -140,7 +140,7 @@ def _checked(need: str, ok: Callable):
     return check
 
 
-_pos = _checked("strictly positive arguments", lambda a: a > 0.0)
+_pos = _checked("strictly positive finite arguments", lambda a: (a > 0.0) & (a < np.inf))
 _unit = _checked("arguments in [0, 1]", lambda a: (a >= 0.0) & (a <= 1.0))
 
 
@@ -518,11 +518,6 @@ PAIR_KINDS = tuple(_PAIR_RECORDS)
 #: Estimation search boxes: kind -> (low, high, ScalarProblem transform).
 TAIL_BOXES = {k: r.box for k, r in _TAIL_RECORDS.items()}
 PAIR_BOXES = {k: r.box for k, r in _PAIR_RECORDS.items() if r.box is not None}
-
-#: Kinds whose h-functions work on normal scores: the vine recursion carries
-#: their conditional values as scores z, with u = Phi(z).
-SCORE_KINDS = frozenset(k for table in (_TAIL_RECORDS, _PAIR_RECORDS)
-                        for k, r in table.items() if r.score)
 
 
 # ---------------------------------------------------------------------------

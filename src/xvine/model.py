@@ -330,17 +330,16 @@ def conditional_quantile(spec: XVineSpec, i: int, given: Iterable[int], u, x_giv
 
 
 def model_chi(spec: XVineSpec, idx: Sequence[int], n_mc: int = 100_000,
-              seed: int = 0, threads: int | None = None) -> float:
+              seed: int = 0, threads: int = 1) -> float:
     """Monte Carlo tail-dependence coefficient for a pair or triple of variables.
 
     n_mc must be an integer of at least 1; anything else raises DomainError.
-    threads=None reads XVINE_THREADS, as the samplers do.
     """
     return _chi_groups(spec, [idx], n_mc, seed, threads)[0]
 
 
 def _chi_groups(spec: XVineSpec, groups: Iterable[Sequence[int]], n_mc: int,
-                seed: int, threads: int | None = None) -> list[float]:
+                seed: int, threads: int = 1) -> list[float]:
     """model_chi of each group, with one conditional sample for each run of
     groups that share their first variable."""
     from .simulate import _count, sample_conditional

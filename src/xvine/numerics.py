@@ -18,11 +18,6 @@ from scipy import special
 
 from .errors import BracketFailure, DomainError, NoConvergence
 
-#: Upper limit substituted for an infinite quadrature endpoint. Integrands in
-#: this package decay at least like x**-2, so the discarded tail mass is below
-#: 1/IMPROPER_LIMIT and well under the tolerances in use.
-IMPROPER_LIMIT = 1.0e6
-
 _LN2 = math.log(2.0)
 
 #: Parameter transforms available to ScalarProblem: optimization runs on the
@@ -382,11 +377,9 @@ def invert_monotone(f, target, bracket, tol: float = 1e-10):
 
 
 def quad_1d(f, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Adaptive quadrature of f over (lo, hi); infinite hi truncated at IMPROPER_LIMIT."""
+    """Adaptive quadrature of f over the finite range (lo, hi)."""
     from scipy import integrate
 
-    if np.isinf(hi):
-        hi = IMPROPER_LIMIT
     val, err = integrate.quad(f, lo, hi, epsabs=tol, epsrel=tol, limit=300)
     if err > 50 * max(tol, tol * abs(val)):
         raise NoConvergence(f"quadrature error estimate {err:.3g} above tolerance")

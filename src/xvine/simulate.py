@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,23 +50,6 @@ class RejectionStats:
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.proposals if self.proposals else float("nan")
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Explicit argument, else the XVINE_THREADS variable, else 1.
-
-    A count that is not an integer (a bool included) or is below 1, or an
-    XVINE_THREADS that is not an integer, raises DomainError.
-    """
-    if threads is None:
-        env = os.environ.get("XVINE_THREADS", "")
-        if not env:
-            return 1
-        try:
-            threads = int(env)
-        except ValueError:
-            raise DomainError(f"XVINE_THREADS must be an integer, got {env!r}") from None
-    return _count(threads, "thread count", least=1)
 
 
 class _LiveRows(dict):
@@ -218,7 +200,7 @@ def _blocks(n: int) -> list[tuple[int, int]]:
 
 
 def sample_conditional(spec: XVineSpec, j: int, n: int, seed: int,
-                       threads: int | None = None,
+                       threads: int = 1,
                        _trace: list | None = None) -> np.ndarray:
     """Draw from the model law conditioned on coordinate j being below 1.
 
@@ -230,7 +212,7 @@ def sample_conditional(spec: XVineSpec, j: int, n: int, seed: int,
     if _count(j, "conditioning variable") not in spec.vine.nodes:
         raise DomainError(f"conditioning variable {j} not in model")
     n, seed = _count(n), _count(seed, "seed")
-    threads = resolve_threads(threads)
+    threads = _count(threads, "thread count", least=1)
     plan = _conditional_plan(spec, j)
     if n == 0:
         return np.empty((0, spec.d))
@@ -356,7 +338,7 @@ def _rejection_round(spec: XVineSpec, plans, seed: int, chunk: list[_Block],
 
 
 def sample_inverted_pareto(spec: XVineSpec, n: int, seed: int,
-                           threads: int | None = None,
+                           threads: int = 1,
                            ) -> tuple[np.ndarray, RejectionStats]:
     """Draw from the inverted-Pareto law of the model by rejection.
 
@@ -375,7 +357,7 @@ def sample_inverted_pareto(spec: XVineSpec, n: int, seed: int,
     (seed, n), never on the merging or the thread count.
     """
     n, seed = _count(n), _count(seed, "seed")
-    threads = resolve_threads(threads)
+    threads = _count(threads, "thread count", least=1)
     plans, rate = _rejection_plans(spec)
     if n == 0:
         return np.empty((0, spec.d)), RejectionStats(0, 0)
@@ -396,7 +378,7 @@ def sample_inverted_pareto(spec: XVineSpec, n: int, seed: int,
 
 
 def sample_pareto(spec: XVineSpec, n: int, seed: int,
-                  threads: int | None = None) -> tuple[np.ndarray, RejectionStats]:
+                  threads: int = 1) -> tuple[np.ndarray, RejectionStats]:
     """Multivariate-Pareto-scale samples: reciprocal of the inverted-Pareto law."""
     z, stats = sample_inverted_pareto(spec, n, seed, threads=threads)
     return 1.0 / z, stats

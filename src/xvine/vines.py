@@ -168,12 +168,9 @@ class VineSequence:
 
     __slots__ = ("d", "nodes", "trees", "_by_key", "_cond")
 
-    def __init__(self, trees: Sequence[Iterable], d: int | None = None,
-                 nodes: Iterable[int] | None = None):
+    def __init__(self, trees: Sequence[Iterable], d: int | None = None):
         raw_trees = [list(t) for t in trees]
-        if nodes is not None:
-            node_set = set(int(x) for x in nodes)
-        elif d is not None:
+        if d is not None:
             node_set = set(range(1, d + 1))
         else:
             node_set = set()

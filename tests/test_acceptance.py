@@ -63,7 +63,7 @@ def study(bench):
         z, _ = sample_inverted_pareto(bench, 4000, seed=1000 + rep)
         y = 1.0 / z
         pinned.append(fit_pipeline(y, 200, options=FitOptions(
-            structure=bench.vine, tail_families=fams, pair_families=fams)))
+            structure=bench.vine, families=fams)))
         free.append(fit_pipeline(y, 200, options=FitOptions(structure=bench.vine)))
     return pinned, free
 

@@ -260,20 +260,11 @@ def tail_chi_true() -> float:
     return tail_chi(TailFamily("hr", 1.5))
 
 
-def test_aic_conventions_are_affinely_linked(hr_ps):
-    a = fit_tail_edge(hr_ps, 1, 2, "hr", aic_convention="paper")
-    b = fit_tail_edge(hr_ps, 1, 2, "hr", aic_convention="standard")
-    assert b.aic - 2.0 == pytest.approx(2.0 * (a.aic - 2.0), rel=1e-12)
-    assert a.loglik == b.loglik
-
-
 def test_fit_tail_edge_validation(hr_ps):
     with pytest.raises(DomainError):
         fit_tail_edge(hr_ps, 1, 2, "gaussian")
     with pytest.raises(DomainError):
         fit_tail_edge(hr_ps, 1, 1, "hr")
-    with pytest.raises(DomainError):
-        fit_tail_edge(hr_ps, 1, 2, "hr", aic_convention="bayes")
     with pytest.raises(InsufficientData):
         fit_tail_edge(hr_ps, 1, 2, "hr", n_min=100_000)
 
@@ -373,8 +364,6 @@ def test_fit_options_validation():
         FitOptions(n_min=True)
     with pytest.raises(DomainError):
         FitOptions(psi0=1.0)
-    with pytest.raises(DomainError):
-        FitOptions(aic_convention="hqc")
 
 
 @pytest.mark.parametrize("bad", [
@@ -383,8 +372,8 @@ def test_fit_options_validation():
     {"pair_catalogue": ("gaussian", "clayton", "")},
     {"tail_catalogue": ()},
     {"tail_catalogue": ("hr", "husler")},
-    {"tail_families": {(1, 2, ()): "gumbel"}},
-    {"pair_families": {(1, 3, (2,)): "hr"}},
+    {"families": {(1, 2, ()): "gumbel"}},
+    {"families": {(1, 3, (2,)): "hr"}},
     {"n_min": -3},
     {"n_min": 0},
     {"n_min": 2.5},
@@ -399,39 +388,44 @@ def test_fit_options_reject_bad_kinds_and_thresholds(bad):
 
 
 def test_fit_options_accept_one_map_pinning_every_tree(bench):
-    # the first-tree kinds are read only as tail kinds, the rest as pair kinds
+    # the first-tree kinds are tail kinds, the rest pair kinds
     fams = spec_families(bench)
-    FitOptions(tail_families=fams, pair_families=fams, n_min=np.int64(5), tau_min=0.0)
+    FitOptions(families=fams, n_min=np.int64(5), tau_min=0.0)
 
 
 def test_fit_options_pin_keys_in_any_order(bench, bench_sample):
     # (3, 1, (2,)) names edge (1,3;2) as find_edge reads it
-    opts = FitOptions(structure=bench.vine, truncation=2, pair_families={(3, 1, (2,)): "frank"})
-    assert opts.pair_families == {(1, 3, (2,)): "frank"}
+    opts = FitOptions(structure=bench.vine, truncation=2, families={(3, 1, (2,)): "frank"})
+    assert opts.families == {(1, 3, (2,)): "frank"}
     report = fit_pipeline(bench_sample, 200, options=opts)
     fam = report.spec.pairs[report.spec.vine.find_edge((1, 3, (2,)))]
     assert fam.kind == "frank" and not report.errors
 
 
 @pytest.mark.parametrize("pins", [
-    {"tail_families": {(1, 3): "hr"}},
-    {"pair_families": {(1, 5, (2,)): "frank"}},
-    {"pair_families": {(5, 1, (4, 3, 2)): "frank", (1, 5, (2, 3)): "joe"}},
+    {(1, 3): "hr"},
+    {(1, 5, (2,)): "frank"},
+    {(5, 1, (4, 3, 2)): "frank", (1, 5, (2, 3)): "joe"},
 ])
 def test_fit_options_reject_pins_off_a_given_structure(bench, pins):
     with pytest.raises(UnknownEdge):
-        FitOptions(structure=bench.vine, **pins)
+        FitOptions(structure=bench.vine, families=pins)
 
 
-def test_fit_options_ignore_pins_on_the_other_map_s_trees(bench):
-    # a deeper key in tail_families and a tree-1 key in pair_families are not read
-    FitOptions(structure=bench.vine, tail_families={(1, 5, (2,)): "frank"},
-               pair_families={(1, 3): "hr"})
+@pytest.mark.parametrize("pins,given", [
+    ({(1, 2): "gaussian"}, False),             # a tree-1 key with a pair kind
+    ({(1, 3, (2,)): "hr"}, False),             # a deeper key with a tail kind
+    ({(1, 2): "husler"}, False),               # an unknown kind
+    ({(1, 3, (2,)): "notakind"}, False),
+    ({(1, 5, (2,)): "frank"}, True),           # no edge of the given structure
+])
+def test_fit_options_reject_misplaced_pins(bench, pins, given):
+    with pytest.raises(DomainError):
+        FitOptions(structure=bench.vine if given else None, families=pins)
 
 
 def test_pipeline_names_pins_off_a_learned_vine(bench_sample):
-    opts = FitOptions(truncation=2, tail_families={(1, 9): "hr"},
-                      pair_families={(2, 1, (7,)): "frank", (1, 3): "hr"})
+    opts = FitOptions(truncation=2, families={(1, 9): "hr", (2, 1, (7,)): "frank"})
     report = fit_pipeline(bench_sample, 200, options=opts)
     assert report.errors == ("pinned edge (1, 9, ()) is no edge of the fitted vine",
                              "pinned edge (1, 2, (7,)) is no edge of the fitted vine")
@@ -454,8 +448,7 @@ def test_pipeline_computes_each_tau_once(monkeypatch, bench_sample):
 def test_pipeline_known_structure_recovers_families(bench, bench_sample):
     opts = FitOptions(
         structure=bench.vine,
-        tail_families=spec_families(bench),
-        pair_families=spec_families(bench),
+        families=spec_families(bench),
     )
     report = fit_pipeline(bench_sample, 200, options=opts)
     assert report.k == 200.0 and report.n == 4000 and not report.errors
@@ -473,8 +466,7 @@ def test_pipeline_known_structure_recovers_families(bench, bench_sample):
 
 
 def test_pipeline_tree2_effective_size_is_k(bench, bench_sample):
-    opts = FitOptions(structure=bench.vine, tail_families=spec_families(bench),
-                      pair_families=spec_families(bench))
+    opts = FitOptions(structure=bench.vine, families=spec_families(bench))
     report = fit_pipeline(bench_sample, 200, options=opts)
     for rec in report.edges:
         if rec["level"] == 2:
@@ -504,7 +496,7 @@ def test_pipeline_errors_in_tree_and_slot_order(bench, bench_sample):
     fams = spec_families(bench)
     reports = [
         fit_pipeline(bench_sample, 200, options=FitOptions(
-            structure=bench.vine, pair_families=fams, n_min=190, threads=t))
+            structure=bench.vine, families=fams, n_min=190, threads=t))
         for t in (1, 2)
     ]
     assert reports[0].errors == reports[1].errors
@@ -531,29 +523,6 @@ def test_pipeline_ignores_rows_without_exceedances(bench):
         assert rec["n_eff"] == int(((z[:, rec["a"] - 1] < 1) | (z[:, rec["b"] - 1] < 1)).sum())
 
 
-def test_pipeline_threads_default_from_env(monkeypatch, bench, bench_sample):
-    import xvine.simulate as sim
-
-    workers: list = []
-
-    class RecordingPool(sim.ThreadPoolExecutor):
-        def __init__(self, max_workers=None):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    # fit_pipeline runs its per-edge fits through simulate.parallel_map
-    monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setenv("XVINE_THREADS", "2")
-    opts = FitOptions(structure=bench.vine, truncation=2)
-    r_env = fit_pipeline(bench_sample, 200, options=opts)
-    assert workers and set(workers) == {2}
-    workers.clear()
-    r_one = fit_pipeline(bench_sample, 200,
-                         options=FitOptions(structure=bench.vine, truncation=2, threads=1))
-    assert workers == []
-    assert r_env.edges == r_one.edges
-
-
 def test_pipeline_truncation_levels(bench, bench_sample):
     opts = FitOptions(structure=bench.vine, truncation=2)
     report = fit_pipeline(bench_sample, 200, options=opts)
@@ -576,7 +545,7 @@ def test_pipeline_input_checks(bench, bench_sample):
 
 def test_pipeline_mbic_reports_curve(bench, bench_sample):
     opts = FitOptions(structure=bench.vine, truncation="mbic",
-                      tail_families=spec_families(bench), pair_families=spec_families(bench))
+                      families=spec_families(bench))
     report = fit_pipeline(bench_sample, 200, options=opts)
     assert len(report.mbic) == 4
     assert report.q_star == 1 + int(np.argmin(report.mbic))
@@ -676,7 +645,7 @@ def test_pipeline_mbic_names_pins_past_the_stop():
     deep = [(r["a"], r["b"], tuple(r["cond"])) for r in full.edges
             if r["level"] > seq.q_star + 1]
     assert deep and not seq.errors
-    pinned = replace(base, pair_families={key: "frank" for key in deep})
+    pinned = replace(base, families={key: "frank" for key in deep})
     want = tuple(f"pinned edge {key} is no edge of the fitted vine" for key in deep)
     assert fit_pipeline(data, k, options=replace(pinned, truncation="mbic")).errors == want
     assert fit_pipeline(data, k, options=replace(pinned, truncation=seq.q_star + 1)).errors == want
@@ -685,7 +654,7 @@ def test_pipeline_mbic_names_pins_past_the_stop():
 def test_pipeline_partial_failure_is_reported():
     rng = np.random.default_rng(18)
     X = rng.normal(size=(300, 4))  # independent columns: joint exceedances are rare
-    opts = FitOptions(structure=chain_vine(4), pair_families={(1, 4, (2, 3)): "clayton"})
+    opts = FitOptions(structure=chain_vine(4), families={(1, 4, (2, 3)): "clayton"})
     report = fit_pipeline(X, 15, options=opts)
     assert len(report.errors) == 1 and "(1,4;2,3)" in report.errors[0]
     top = [rec for rec in report.edges if rec["level"] == 3]
@@ -694,8 +663,7 @@ def test_pipeline_partial_failure_is_reported():
 
 
 def test_fit_report_json_round_trip(bench, bench_sample):
-    opts = FitOptions(structure=bench.vine, tail_families=spec_families(bench),
-                      pair_families=spec_families(bench))
+    opts = FitOptions(structure=bench.vine, families=spec_families(bench))
     report = fit_pipeline(bench_sample, 200, options=opts)
     blob = json.loads(json.dumps(report.to_json()))
     again = model_from_json(blob)

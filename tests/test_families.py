@@ -25,7 +25,6 @@ from xvine.families import (
     LOG_LO,
     PAIR_BOXES,
     PAIR_KINDS,
-    SCORE_KINDS,
     TAIL_BOXES,
     TAIL_KINDS,
     X_MAX,
@@ -239,6 +238,21 @@ def test_tail_rejects_nonpositive_points():
         tail_h(fam, 1.0, 0.0)
     with pytest.raises(DomainError):
         tail_log_density(fam, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", TAIL_KINDS)
+def test_tail_doors_reject_infinite_points(kind):
+    # every kind raises at +inf, where logistic and Dirichlet gave NaN and
+    # hr and neglogistic -inf
+    fam = TailFamily(kind, 1.5)
+    for x, y in ((np.inf, 1.0), (1.0, np.inf)):
+        for door in (tail_log_density, tail_density, tail_h):
+            with pytest.raises(DomainError, match="finite"):
+                door(fam, x, y)
+        with pytest.raises(DomainError, match="finite"):
+            prepare_tail_log_density(kind, x, y)
+    with pytest.raises(DomainError, match="finite"):
+        tail_h_inv(fam, 0.5, np.inf)
 
 
 @pytest.mark.parametrize("kind", TAIL_KINDS)
@@ -540,7 +554,8 @@ def test_derived_tables_keep_contents_and_order():
         ("survgumbel", (1.0 + 1e-8, 17.0, "logm1")),
         ("survjoe", (1.0 + 1e-8, 30.0, "logm1")),
     ]
-    assert SCORE_KINDS == frozenset({"hr", "gaussian"})
+    assert {k for table in (_TAIL_RECORDS, _PAIR_RECORDS)
+            for k, r in table.items() if r.score} == {"hr", "gaussian"}
 
 
 def test_every_record_fills_the_slots_its_doors_reach():

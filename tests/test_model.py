@@ -359,16 +359,6 @@ def test_model_chi_validation(bench):
             model_chi(bench, idx)
 
 
-def test_model_chi_reads_xvine_threads(bench, monkeypatch):
-    # threads=None resolves as the samplers do: unset means one thread
-    monkeypatch.delenv("XVINE_THREADS", raising=False)
-    assert model_chi(bench, (1, 2), n_mc=2000, seed=3) == \
-           model_chi(bench, (1, 2), n_mc=2000, seed=3, threads=1)
-    monkeypatch.setenv("XVINE_THREADS", "abc")
-    with pytest.raises(DomainError):
-        model_chi(bench, (1, 2), n_mc=2000, seed=3)
-
-
 # ---------------------------------------------------------------------------
 # conditional copula extraction (quadrature route)
 # ---------------------------------------------------------------------------

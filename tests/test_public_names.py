@@ -1,5 +1,6 @@
-"""Every public function and class of the library has a user: it is exported
-in `xvine.__all__` or some module of the package refers to it."""
+"""Every public function, class and module-level constant of the library has
+a user: it is exported in `xvine.__all__` or some module of the package
+refers to it."""
 from __future__ import annotations
 
 import ast
@@ -13,9 +14,9 @@ MODULES = ("families", "model", "simulate", "estimate", "vines", "numerics")
 
 def _references(tree: ast.AST):
     """The names a module refers to in code: loads, attributes and imports,
-    not words in its docstrings or comments."""
+    not assignments or words in its docstrings or comments."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
@@ -23,10 +24,21 @@ def _references(tree: ast.AST):
             yield node.name
 
 
+def _defined(body):
+    """The names a module defines at its top level: functions, classes and
+    the targets of assignments."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id
+
+
 def test_every_public_name_is_exported_or_referenced():
     trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     used = set(xvine.__all__).union(*(_references(t) for t in trees.values()))
-    dead = [f"{m}.{node.name}" for m in MODULES for node in trees[m].body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in used]
+    dead = [f"{m}.{name}" for m in MODULES for name in _defined(trees[m].body)
+            if not name.startswith("_") and name not in used]
     assert not dead, f"public names that nothing in xvine exports or refers to: {dead}"

@@ -15,7 +15,7 @@ from conftest import make_random_vine, u_quantile
 from xvine import simulate
 from xvine.cli import main
 from xvine.errors import DomainError, NoConvergence
-from xvine.estimate import FitOptions, fit_pipeline
+from xvine.estimate import FitOptions
 from xvine.families import PairFamily, TailFamily, tail_chi
 from xvine.model import XVineSpec, conditional_cdf, model_chi, model_to_json
 from xvine.numerics import rng_stream
@@ -29,7 +29,6 @@ from xvine.simulate import (
     BLOCK,
     RejectionStats,
     parallel_map,
-    resolve_threads,
     sample_conditional,
     sample_inverted_pareto,
     sample_pareto,
@@ -478,31 +477,14 @@ def test_parallel_map_keeps_input_order():
         assert parallel_map(slow_square, range(5), threads) == [0, 1, 4, 9, 16]
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("XVINE_THREADS", "5")
-    assert resolve_threads(None) == 5
-    assert resolve_threads(2) == 2
-    monkeypatch.delenv("XVINE_THREADS")
-    assert resolve_threads(None) == 1
-
-
-def test_threads_reject_bad_counts(monkeypatch, bench, tmp_path, capsys):
-    for bad in ("abc", "1.5", "0", "-3"):
-        monkeypatch.setenv("XVINE_THREADS", bad)
-        with pytest.raises(DomainError, match="XVINE_THREADS|thread count"):
-            resolve_threads(None)
-        with pytest.raises(DomainError):
-            sample_conditional(bench, 1, 10, seed=0)
-        assert resolve_threads(2) == 2  # an explicit count does not read the variable
-    monkeypatch.delenv("XVINE_THREADS")
-    for bad in (0, -3, True, 2.5):
+def test_threads_reject_bad_counts(bench, tmp_path, capsys):
+    for bad in (0, -3, True, 2.5, None):
         with pytest.raises(DomainError, match="thread count"):
-            resolve_threads(bad)
-        with pytest.raises(DomainError):
+            sample_conditional(bench, 1, 10, seed=0, threads=bad)
+        with pytest.raises(DomainError, match="thread count"):
             sample_inverted_pareto(bench, 10, seed=0, threads=bad)
-        with pytest.raises(DomainError):
-            fit_pipeline(sample_inverted_pareto(bench, 300, seed=1)[0],
-                         options=FitOptions(input_kind="inverted-pareto", threads=bad))
+        with pytest.raises(DomainError, match="thread count"):
+            FitOptions(threads=bad)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(model_to_json(bench)))
     for bad in ("0", "-3"):

@@ -102,7 +102,7 @@ def raw_trees(v):
 
 def grown(v):
     """v rebuilt from its first tree by one extension per deeper tree."""
-    out = VineSequence([[(e.a, e.b) for e in v.trees[0]]], nodes=v.nodes)
+    out = VineSequence([[(e.a, e.b) for e in v.trees[0]]], d=v.d)
     for t in v.trees[1:]:
         out = out.extend((e.child_a, e.child_b) for e in t)
     return out
