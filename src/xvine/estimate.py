@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import combinations
 from numbers import Integral
 from typing import Callable, Mapping, Sequence
@@ -27,9 +26,9 @@ from .families import (
     PairFamily,
     TailFamily,
     _from_unit,
+    _Kind,
     _kind_record,
     _unit,
-    prepare_tail_log_density,
 )
 from .model import XVineSpec, _Evaluator
 from .numerics import _TRANSFORMS, ScalarProblem, minimize_scalar
@@ -42,7 +41,8 @@ from .vines import Edge, VineSequence, _components, _edge_key, _kruskal_forest
 
 @dataclass(frozen=True)
 class PseudoSample:
-    """Observations on the inverted-Pareto scale plus exceedance bookkeeping."""
+    """Observations on the inverted-Pareto scale plus exceedance bookkeeping;
+    z is checked here, positive and finite, and the tail fits read it as it is."""
 
     z: np.ndarray
     k: float
@@ -54,6 +54,8 @@ class PseudoSample:
             raise DomainError("pseudo-sample arrays must be matching 2-d arrays")
         if self.n != self.z.shape[0]:
             raise DomainError("row count mismatch in pseudo-sample")
+        if not np.all((self.z > 0.0) & (self.z < np.inf)):
+            raise DomainError("pseudo-sample z must be positive and finite")
         if not 0 < self.k:
             raise DomainError("effective sample size k must be positive")
 
@@ -62,14 +64,21 @@ class PseudoSample:
         return self.z.shape[1]
 
 
+def _matrix(data) -> np.ndarray:
+    """data as a float array of at least two rows and two columns."""
+    try:
+        X = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("data must be an array of numbers") from None
+    if X.ndim != 2 or min(X.shape) < 2:
+        raise DomainError("data must be a 2-d array of at least two rows and two columns")
+    return X
+
+
 def _raw_data(data: np.ndarray, k: int) -> np.ndarray:
     """The raw observations as a float array, checked for a rank transform with k."""
-    X = np.asarray(data, dtype=float)
-    if X.ndim != 2:
-        raise DomainError("data must be a 2-d array")
+    X = _matrix(data)
     n, d = X.shape
-    if n < 2 or d < 2:
-        raise DomainError("need at least two rows and two columns")
     if not np.isfinite(X).all():
         raise DomainError("data contains non-finite entries")
     if not 0 < k < n:
@@ -130,19 +139,14 @@ def _exceedance_rows(data: np.ndarray, k: int) -> tuple[int, PseudoSample]:
 
 def from_inverted_pareto(data: np.ndarray) -> PseudoSample:
     """Wrap samples already on the inverted-Pareto scale; k is the mean exceedance count."""
-    Z = np.asarray(data, dtype=float)
-    if Z.ndim != 2:
-        raise DomainError("data must be a 2-d array")
-    n, d = Z.shape
-    if n < 2 or d < 2:
-        raise DomainError("need at least two rows and two columns")
+    Z = _matrix(data)
     if not np.isfinite(Z).all() or (Z <= 0).any():
         raise DomainError("inverted-Pareto data must be strictly positive and finite")
     exceed = Z < 1.0
     k = float(exceed.sum(axis=0).mean())
     if k < 1.0:
         raise InsufficientData("fewer than one exceedance per column on average")
-    return PseudoSample(z=Z.copy(), k=k, n=n, exceed=exceed)
+    return PseudoSample(z=Z.copy(), k=k, n=Z.shape[0], exceed=exceed)
 
 
 def _check_indices(ps: PseudoSample, idx: Sequence[int], m: int) -> tuple[int, ...]:
@@ -239,20 +243,14 @@ class EdgeFit:
     selected_over: tuple[tuple[str, float], ...] = ()
 
 
-def _maximize(
-    box: tuple, loglik: Callable[[float], np.ndarray], family: Callable[[float], object]
-) -> tuple[float, float, bool]:
-    """Maximize sum(loglik(theta)) over the box: (theta, maximum, at_boundary).
-
-    `family(theta)` builds the family; building it at both ends of the box
-    checks the box against the family's domain once, so the objective itself
-    does only theta-dependent arithmetic.
-    """
-    lo, hi, transform = box
-    family(lo), family(hi)
+def _maximize(rec: _Kind, p) -> tuple[float, float, bool]:
+    """Maximize the kind's log-likelihood over its box, on data `p` from its prepare
+    step: (theta, maximum, at_boundary). The box lies in the kind's domain, so
+    the objective checks no theta."""
+    lo, hi, transform = rec.box
 
     def objective(theta: float) -> float:
-        return -float(loglik(theta).sum())
+        return -float(rec.evaluate(p, theta).sum())
 
     theta, neg = minimize_scalar(ScalarProblem(objective, (lo, hi), transform), tol=1e-7)
     fwd = _TRANSFORMS[transform][0]
@@ -277,20 +275,15 @@ def fit_tail_edge(
     half-sum one, ``2 - (l_a + l_b) / 2``.
     """
     a, b = _check_indices(ps, (a, b), 2)
-    box = _kind_record(_TAIL_RECORDS, "tail", kind).box
-    mask_a = ps.exceed[:, a - 1]
-    mask_b = ps.exceed[:, b - 1]
-    if mask_a.sum() < n_min or mask_b.sum() < n_min:
-        raise InsufficientData(
-            f"edge ({a},{b}): need at least {n_min} exceedances on each side"
-        )
+    rec = _kind_record(_TAIL_RECORDS, "tail", kind)
+    masks = ps.exceed[:, a - 1], ps.exceed[:, b - 1]
+    if min(mask.sum() for mask in masks) < n_min:
+        raise InsufficientData(f"edge ({a},{b}): need at least {n_min} exceedances on each side")
     thetas, logls, flags = zip(*(
-        _maximize(box, prepare_tail_log_density(kind, ps.z[mask, a - 1], ps.z[mask, b - 1]),
-                  partial(TailFamily, kind))
-        for mask in (mask_a, mask_b)))
+        _maximize(rec, rec.prepare(ps.z[mask, a - 1], ps.z[mask, b - 1])) for mask in masks))
     half_sum = 0.5 * (logls[0] + logls[1])
     return EdgeFit(TailFamily(kind, 0.5 * (thetas[0] + thetas[1])), half_sum, 2.0 - half_sum,
-                   int((mask_a | mask_b).sum()), at_boundary=any(flags))
+                   int((masks[0] | masks[1]).sum()), at_boundary=any(flags))
 
 
 def _fit_pair(kind: str, forms: Callable[[bool], tuple], n: int, n_min: int) -> EdgeFit:
@@ -301,8 +294,7 @@ def _fit_pair(kind: str, forms: Callable[[bool], tuple], n: int, n_min: int) -> 
         return EdgeFit(family=PairFamily(kind), loglik=0.0, aic=0.0, n_eff=n)
     if n < n_min:
         raise InsufficientData(f"need at least {n_min} rows, got {n}")
-    p = rec.prepare(*forms(rec.score))
-    theta, ll, flag = _maximize(rec.box, lambda th: rec.evaluate(p, th), partial(PairFamily, kind))
+    theta, ll, flag = _maximize(rec, rec.prepare(*forms(rec.score)))
     return EdgeFit(PairFamily(kind, theta), ll, 2.0 - 2.0 * ll, n, at_boundary=flag)
 
 
@@ -493,6 +485,8 @@ def mbic_curve(records: Sequence[Sequence[dict]], psi0: float = 0.9) -> list[flo
         psi = psi0 ** (j - 1)
         for rec in records[j - 1]:
             if rec["theta"] is not None:  # every edge but independence
+                if not rec["n_eff"] >= 1:
+                    raise DomainError(f"n_eff must be at least 1, got {rec['n_eff']!r}")
                 acc += math.log(rec["n_eff"]) - 2.0 * math.log(psi / (1.0 - psi))
             acc -= 2.0 * rec["loglik"] + 2.0 * math.log(1.0 - psi)
         out.append(acc)

@@ -9,13 +9,14 @@ overflows inside the estimation search boxes.
 
 Each base kind is one record (`_Kind`) holding its formulas, in the two
 tables `_TAIL_RECORDS` and `_PAIR_RECORDS`; the public kernels validate their
-input and call the record.
+input and call the record, and the model, sampler and fitter call it directly.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from numbers import Real
 
 import numpy as np
 from scipy.special import gammaln
@@ -126,9 +127,17 @@ def _ret(x):
     return float(x) if x.ndim == 0 else x
 
 
+def _broadcast(name: str, *arrays) -> None:
+    """DomainError unless the arrays broadcast together."""
+    try:
+        np.broadcast_shapes(*(np.shape(a) for a in arrays))
+    except ValueError:
+        raise DomainError(f"{name} needs arguments that broadcast together") from None
+
+
 def _checked(need: str, ok: Callable):
     """A door's input check: name, *arrays -> the arrays as floats, or a
-    DomainError if ok fails anywhere (NaN included)."""
+    DomainError if ok fails anywhere (NaN included) or they do not broadcast."""
     def check(name, *arrays):
         out = []
         for arr in arrays:
@@ -136,6 +145,7 @@ def _checked(need: str, ok: Callable):
             if not np.all(ok(arr)):
                 raise DomainError(f"{name} needs {need}")
             out.append(arr)
+        _broadcast(name, *out)
         return out
     return check
 
@@ -179,6 +189,15 @@ def _kind_record(table: dict, what: str, kind: str) -> _Kind:
     if rec is None:
         raise DomainError(f"unknown {what} family {kind!r}")
     return rec
+
+
+def _check_theta(rec: _Kind, th) -> None:
+    """DomainError unless th is a finite real (not a bool) in the kind's domain, or None."""
+    if rec.box is not None and (isinstance(th, bool) or not isinstance(th, Real)
+                                or not -math.inf < th < math.inf):
+        raise DomainError(f"{rec.name} needs a finite real parameter, got {th!r}")
+    if not rec.domain(th):
+        raise DomainError(f"{rec.name} needs {rec.need}, got {th}")
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +288,8 @@ _TAIL_RECORDS = {r.name: r for r in (
         "dirichlet", "theta > 0", lambda th: th > 0.0, (1e-3, 28.0, "log"), False,
         lambda x, y: (np.log(x) + np.log(y), np.log(x + y)), _dirichlet_evaluate,
         lambda x, y, th: reg_beta_log_cdf_sf(x, y, th + 1.0, th), _dirichlet_h_inv,
-        chi=lambda th: quad_1d(lambda t: float(reg_beta_cdf(1.0 / (1.0 + t), th + 1.0, th)),
-                               0.0, 1.0, tol=1e-11)),
+        # V(1, 1) = 2 - 2 I_{1/2}(th + 1, th) (Coles & Tawn 1991)
+        chi=lambda th: float(2.0 * reg_beta_cdf(0.5, th + 1.0, th))),
 )}
 
 
@@ -532,12 +551,7 @@ class TailFamily:
     theta: float
 
     def __post_init__(self) -> None:
-        rec = _kind_record(_TAIL_RECORDS, "tail", self.kind)
-        th = self.theta
-        if not np.isfinite(th):
-            raise DomainError(f"{self.kind} parameter must be finite, got {th}")
-        if not rec.domain(th):
-            raise DomainError(f"{self.kind} needs {rec.need}, got {th}")
+        _check_theta(_kind_record(_TAIL_RECORDS, "tail", self.kind), self.theta)
 
 
 def prepare_tail_log_density(kind: str, x, y) -> Callable[[float], np.ndarray]:
@@ -581,6 +595,7 @@ def tail_h_inv(fam: TailFamily, u, y):
     keeps its own root; a score kind clips u as pair_h does."""
     (y,) = _pos("tail h_inv", y)
     (u,) = _unit("tail h_inv", u)
+    _broadcast("tail h_inv", u, y)
     rec = _TAIL_RECORDS[fam.kind]
     w = _from_unit(u, True) if rec.score else _log_pair(
         np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
@@ -604,12 +619,7 @@ class PairFamily:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        rec = _kind_record(_PAIR_RECORDS, "pair", self.kind)
-        th = self.theta
-        if rec.box is not None and (th is None or not np.isfinite(th)):
-            raise DomainError(f"{self.kind} needs a finite parameter, got {th}")
-        if not rec.domain(th):
-            raise DomainError(f"{self.kind} needs {rec.need}, got {th}")
+        _check_theta(_kind_record(_PAIR_RECORDS, "pair", self.kind), self.theta)
 
 
 def prepare_pair_log_density(kind: str, u, v) -> Callable[[float], np.ndarray]:

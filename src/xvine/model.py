@@ -22,13 +22,13 @@ from .families import (
     TAIL_KINDS,
     PairFamily,
     TailFamily,
+    _broadcast,
     _clamp_log_pair,
     _from_unit,
     _tail_root,
     clamp_score,
     log_pair_to_score,
     score_to_log_pair,
-    tail_log_density,
 )
 from .numerics import std_normal_cdf
 from .vines import Edge, StructureMatrix, VineSequence, from_structure_matrix
@@ -103,22 +103,19 @@ def log_density(spec: XVineSpec, x):
     A coordinate of -inf counts as nonpositive. NaN or +inf raises DomainError.
     """
     arr, squeeze = _rows(spec, x)
-    pos = {n: i for i, n in enumerate(spec.vine.nodes)}
     ok = np.all(arr > 0.0, axis=1)
     out = np.full(arr.shape[0], -np.inf)
     if ok.any():
         xa = arr[ok]
-        col = {n: xa[:, pos[n]] for n in spec.vine.nodes}
+        col = {n: xa[:, i] for i, n in enumerate(spec.vine.nodes)}
         total = np.zeros(xa.shape[0])
-        for e in spec.vine.trees[0]:
-            total += tail_log_density(spec.tail[e], col[e.a], col[e.b])
         ev = _Evaluator(spec.tail, spec.pairs, col)
-        for t in spec.vine.trees[1:]:
+        for t in spec.vine.trees:
             for e in t:
                 fam, rec = ev.family(e)
-                p = rec.prepare(ev.arg(e.child_a, e.a, rec.score),
-                                ev.arg(e.child_b, e.b, rec.score))
-                total += rec.evaluate(p, fam.theta)
+                args = ((col[e.a], col[e.b]) if e.level == 1 else
+                        (ev.arg(e.child_a, e.a, rec.score), ev.arg(e.child_b, e.b, rec.score)))
+                total += rec.evaluate(rec.prepare(*args), fam.theta)
         out[ok] = total
     return float(out[0]) if squeeze else out
 
@@ -288,14 +285,12 @@ def _columns(spec: XVineSpec, i: int, given, x_given, x_i=None):
         if len(seq) != len(giv):
             raise InvalidIndex(f"expected {len(giv)} conditioning values")
         vals = {g: np.asarray(v, dtype=float) for g, v in zip(giv, seq)}
-    for g, v in vals.items():
-        if np.any(~((v > 0.0) & (v < np.inf))):
-            raise DomainError(f"conditioning value for variable {g} must be positive and finite")
     if x_i is not None:
-        xi = np.asarray(x_i, dtype=float)
-        if np.any(~((xi > 0.0) & (xi < np.inf))):
-            raise DomainError("evaluation points must be positive and finite")
-        vals[int(i)] = xi
+        vals[int(i)] = np.asarray(x_i, dtype=float)
+    for g, v in vals.items():
+        if not np.all((v > 0.0) & (v < np.inf)):
+            raise DomainError(f"the value of variable {g} must be positive and finite")
+    _broadcast("conditional values", *vals.values())
     return vals
 
 
@@ -323,23 +318,24 @@ def conditional_quantile(spec: XVineSpec, i: int, given: Iterable[int], u, x_giv
     e = resolve_conditional(spec, i, given)
     col = _columns(spec, i, given, x_given)
     u = np.asarray(u, dtype=float)
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    if not np.all((u > 0.0) & (u < 1.0)):   # NaN fails it too
         raise DomainError("conditional quantile needs u strictly inside (0, 1)")
+    _broadcast("conditional quantile", u, *col.values())
     ev = _Evaluator(spec.tail, spec.pairs, col, trace=_trace)
     return ev.quantile(e, int(i), ev.form(e, u))
 
 
 def model_chi(spec: XVineSpec, idx: Sequence[int], n_mc: int = 100_000,
-              seed: int = 0, threads: int = 1) -> float:
+              seed: int = 0) -> float:
     """Monte Carlo tail-dependence coefficient for a pair or triple of variables.
 
     n_mc must be an integer of at least 1; anything else raises DomainError.
     """
-    return _chi_groups(spec, [idx], n_mc, seed, threads)[0]
+    return _chi_groups(spec, [idx], n_mc, seed)[0]
 
 
 def _chi_groups(spec: XVineSpec, groups: Iterable[Sequence[int]], n_mc: int,
-                seed: int, threads: int = 1) -> list[float]:
+                seed: int) -> list[float]:
     """model_chi of each group, with one conditional sample for each run of
     groups that share their first variable."""
     from .simulate import _count, sample_conditional
@@ -354,8 +350,7 @@ def _chi_groups(spec: XVineSpec, groups: Iterable[Sequence[int]], n_mc: int,
             raise DomainError(f"unknown variables in {idx}")
         if nodes[0] != first:
             first = nodes[0]
-            z = sample_conditional(spec, first, _count(n_mc, "n_mc", least=1), seed,
-                                   threads=threads)
+            z = sample_conditional(spec, first, _count(n_mc, "n_mc", least=1), seed)
         out.append(float(np.all(z[:, [pos[v] for v in nodes[1:]]] < 1.0, axis=1).mean()))
     return out
 

@@ -1,11 +1,10 @@
 """Numerical kernels: special functions, scalar optimization, monotone inversion,
 quadrature, and reproducible random streams.
 
-Everything here is a thin, contract-checked layer over numpy/scipy. The rest of
-the package never imports scipy directly, so tolerances and truncation
-conventions live in one place. The scalar search is Brent's bounded method
-written out on Python floats, and scipy.integrate is imported on first use, so
-`import xvine` and a fit load only scipy.special.
+Everything here is a thin, contract-checked layer over numpy/scipy; the rest of
+the package imports from scipy only `gammaln`, in `families`. The scalar search
+is Brent's bounded method written out on Python floats, and scipy.integrate is
+imported on first use, so `import xvine` and a fit load only scipy.special.
 """
 from __future__ import annotations
 
@@ -321,18 +320,18 @@ def minimize_scalar(problem: ScalarProblem, tol: float = 1e-6) -> tuple[float, f
 
 
 def invert_monotone(f, target, bracket, tol: float = 1e-10):
-    """Solve f(x) = target for monotone (vectorized) f by bisection.
+    """Solve f(x) = target for increasing (vectorized) f by bisection.
 
     Parameters
     ----------
-    f : callable mapping arrays to arrays (monotone in its argument).
+    f : callable mapping arrays to arrays (nondecreasing in its argument).
     target : scalar or array of target values.
     bracket : (lo, hi) scalars or arrays bracketing every solution.
     tol : an entry stops at the first midpoint with |f(mid) - target| <= tol,
         or once its bracket has shrunk to rounding level.
 
-    A bracket that does not straddle every target raises BracketFailure, and
-    200 halvings without every entry stopped raise NoConvergence.
+    An f that falls over the bracket, or a bracket that does not straddle every
+    target, raises BracketFailure; 200 halvings without every entry stopped raise NoConvergence.
 
     Returns an array shaped like the broadcast inputs (floats collapse back to
     float).
@@ -346,12 +345,9 @@ def invert_monotone(f, target, bracket, tol: float = 1e-10):
 
     flo = np.asarray(f(lo), dtype=float)
     fhi = np.asarray(f(hi), dtype=float)
-    sign = 1.0 if np.all(fhi >= flo) else -1.0
-    if sign < 0 and not np.all(fhi <= flo):
-        raise BracketFailure("f is not monotone over the bracket")
-
-    straddle = (sign * flo <= sign * target + tol) & (sign * fhi >= sign * target - tol)
-    if not np.all(straddle):
+    if not np.all(fhi >= flo):
+        raise BracketFailure("f is not increasing over the bracket")
+    if not np.all((flo <= target + tol) & (fhi >= target - tol)):
         raise BracketFailure("target not bracketed")
 
     # Each entry keeps the midpoint at which it alone met a stopping rule, so
@@ -363,7 +359,7 @@ def invert_monotone(f, target, bracket, tol: float = 1e-10):
         fm = np.asarray(f(mid), dtype=float)
         err = fm - target
         stop = np.abs(err) <= tol
-        go_up = sign * err < 0
+        go_up = err < 0
         lo = np.where(go_up, mid, lo)
         hi = np.where(go_up, hi, mid)
         stop |= (hi - lo) <= 1e-15 * np.maximum(1.0, np.abs(mid))

@@ -177,6 +177,14 @@ def test_pseudo_sample_validation():
         PseudoSample(z=z, k=2.0, n=4, exceed=z < 1)
     with pytest.raises(DomainError):
         PseudoSample(z=z, k=0.0, n=3, exceed=z < 1)
+    # z is checked where it enters, so the tail fits read it unchecked
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        zb = z.copy()
+        zb[1, 0] = bad
+        with pytest.raises(DomainError, match="positive and finite"):
+            PseudoSample(z=zb, k=2.0, n=3, exceed=zb < 1)
+        with pytest.raises(DomainError, match="positive and finite"):
+            fit_tail_edge(PseudoSample(z=zb, k=2.0, n=3, exceed=zb < 1), 1, 2, "hr", n_min=1)
 
 
 def test_empirical_chi_hand_computed():

@@ -15,7 +15,14 @@ from scipy.special import log_ndtr, ndtr, ndtri
 import oracles as oc
 from conftest import PAIR_RANGES, TAIL_RANGES, call_record
 from xvine.errors import DomainError
-from xvine.estimate import fit_pair_edge, select_pair_family
+from xvine.estimate import (
+    fit_pair_edge,
+    fit_pipeline,
+    from_inverted_pareto,
+    mbic_curve,
+    rank_transform,
+    select_pair_family,
+)
 from xvine.numerics import _TRANSFORMS
 from xvine.families import (
     _PAIR_RECORDS,
@@ -49,6 +56,8 @@ from xvine.families import (
     tail_log_density,
     tau_inverse,
 )
+from xvine.model import conditional_cdf
+from xvine.reference import five_variable_spec
 
 GRID = np.array([0.07, 0.31, 0.9, 1.0, 1.8, 6.3])
 
@@ -529,9 +538,57 @@ def test_unit_doors_reject_values_outside_the_unit_interval(door, bad):
             call(*broken)
 
 
+#: Malformed input that each door turns into a DomainError where it enters.
+_WORDS = [["a", "b"], ["c", "d"]]
+MALFORMED = {
+    **{f"{door.__name__} unbroadcastable": partial(door, fam, *args)
+       for door, fam, args in (
+           (tail_h, TailFamily("hr", 1.0), ([1.0, 2.0], [1.0, 2.0, 3.0])),
+           (tail_log_density, TailFamily("logistic", 2.0), ([1.0, 2.0], [1.0, 2.0, 3.0])),
+           (tail_h_inv, TailFamily("dirichlet", 2.0), ([0.2, 0.7], [1.0, 2.0, 3.0])),
+           (pair_h, PairFamily("clayton", 2.0), ([0.2, 0.7], [0.1, 0.2, 0.3])),
+           (pair_log_density, PairFamily("gumbel", 2.0), ([0.2, 0.7], [0.1, 0.2, 0.3])),
+           (pair_h_inv, PairFamily("frank", 2.0), ([0.2, 0.7], [0.1, 0.2, 0.3])))},
+    "conditional_cdf unbroadcastable": partial(
+        conditional_cdf, five_variable_spec(), 1, (2,), [1.0, 2.0], [[1.0, 2.0, 3.0]]),
+    "PairFamily string theta": partial(PairFamily, "gaussian", "x"),
+    "TailFamily string theta": partial(TailFamily, "hr", "x"),
+    "TailFamily bool theta": partial(TailFamily, "hr", True),
+    "fit_pipeline words": partial(fit_pipeline, _WORDS, 1),
+    "rank_transform words": partial(rank_transform, _WORDS, 1),
+    "from_inverted_pareto words": partial(from_inverted_pareto, _WORDS),
+    "mbic_curve n_eff 0": partial(
+        mbic_curve, [[], [{"theta": 2.0, "n_eff": 0, "loglik": 1.0}]]),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED)
+def test_doors_raise_domain_error_on_malformed_input(call):
+    with pytest.raises(DomainError):
+        MALFORMED[call]()
+
+
+def test_valid_theta_is_stored_as_given():
+    assert type(TailFamily("hr", 2).theta) is int
+    assert type(PairFamily("clayton", np.float64(2.0)).theta) is np.float64
+
+
 # ---------------------------------------------------------------------------
 # the record tables
 # ---------------------------------------------------------------------------
+
+def test_every_box_end_builds_a_family():
+    # the fitter searches each box without building families, so both ends,
+    # as given and through the search transform, lie in the kind's domain
+    for cls, table in ((TailFamily, _TAIL_RECORDS), (PairFamily, _PAIR_RECORDS)):
+        for kind, rec in table.items():
+            if rec.box is None:
+                continue
+            lo, hi, transform = rec.box
+            fwd, inv = _TRANSFORMS[transform]
+            for th in (lo, hi, float(inv(fwd(lo))), float(inv(fwd(hi)))):
+                assert cls(kind, th).theta == th
+
 
 def test_derived_tables_keep_contents_and_order():
     # bench/worker.py and scripts/kernel_timing.py read these

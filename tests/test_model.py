@@ -324,6 +324,9 @@ def test_conditional_validation(bench):
         conditional_cdf(bench, 1, (2, 3, 4), 0.5, [1.0, -1.0, 1.0])
     with pytest.raises(DomainError):
         conditional_quantile(bench, 1, (2, 3, 4), 1.5, [1.0, 1.0, 1.0])
+    # a NaN u on a logistic edge, which returned NaN
+    with pytest.raises(DomainError):
+        conditional_quantile(bench, 4, (2,), [0.5, np.nan], [[1.0, 2.0]])
     with pytest.raises(InvalidIndex):
         conditional_cdf(bench, 1, (2, 3, 4), 0.5, {2: 1.0, 3: 1.0, 5: 1.0})
 

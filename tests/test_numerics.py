@@ -240,8 +240,9 @@ def test_invert_monotone_scalar_and_array():
 
 
 def test_invert_monotone_decreasing_and_unbracketed():
-    f = lambda x: -x
-    assert abs(invert_monotone(f, -5.0, (0.0, 10.0)) - 5.0) < 1e-9
+    # f must increase: a decreasing one is refused
+    with pytest.raises(BracketFailure):
+        invert_monotone(lambda x: -x, -5.0, (0.0, 10.0))
     # a bracket that does not straddle the target
     with pytest.raises(BracketFailure):
         invert_monotone(lambda x: x, 100.0, (0.0, 1.0))

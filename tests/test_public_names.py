@@ -1,6 +1,7 @@
 """Every public function, class and module-level constant of the library has
 a user: it is exported in `xvine.__all__` or some module of the package
-refers to it."""
+refers to it. And the three jobs reach the family formulas only through the
+records, never through the public family kernels."""
 from __future__ import annotations
 
 import ast
@@ -42,3 +43,15 @@ def test_every_public_name_is_exported_or_referenced():
     dead = [f"{m}.{name}" for m in MODULES for name in _defined(trees[m].body)
             if not name.startswith("_") and name not in used]
     assert not dead, f"public names that nothing in xvine exports or refers to: {dead}"
+
+
+#: The public family kernels: doors for users, which check their input again.
+DOORS = ("tail_log_density", "tail_density", "tail_h", "tail_h_inv",
+         "prepare_tail_log_density", "pair_log_density", "pair_density", "pair_h",
+         "pair_h_inv", "prepare_pair_log_density")
+
+
+def test_the_jobs_call_the_records_not_the_doors():
+    for m in ("model", "simulate", "estimate"):
+        used = sorted(set(_references(ast.parse((SRC / f"{m}.py").read_text()))) & set(DOORS))
+        assert not used, f"{m} calls the family doors {used}"
