@@ -10,11 +10,12 @@ kind, with theta at both ends of its estimation box and at 0.3, 0.5 and 0.7
 of the way along its search scale. The grids put u and v within 1e-12 of 0
 and 1, and x / y from 1e-12 to 1e12; the score / log-pair conversions run
 on scores beyond the clamp. Then come the error classes each door raises for
-a nonpositive or infinite x or y, a u outside [0, 1] and an out-of-domain
-theta, and the sha256 of `log_density`, `conditional_cdf` and
-`conditional_quantile` on `five_variable_spec` and `truncated_cvine_study_spec`
-at log-normal points (sigma 1.5, seeds 1-3), each with its `_trace` event
-list. Run it on two checkouts and compare with
+a nonpositive or infinite x or y, a u outside [0, 1], an out-of-domain theta,
+and a string or a complex argument, the last two also at the model's density
+and conditional doors. Last come the sha256 of `log_density`,
+`conditional_cdf` and `conditional_quantile` on `five_variable_spec` and
+`truncated_cvine_study_spec` at log-normal points (sigma 1.5, seeds 1-3), each
+with its `_trace` event list. Run it on two checkouts and compare with
 one `diff`:
 
     PYTHONPATH=src python3 scripts/kernel_hashes.py > after.txt
@@ -34,7 +35,13 @@ import numpy as np
 
 from xvine import families as fm
 from xvine.errors import XVineError
-from xvine.model import conditional_cdf, conditional_quantile, log_density
+from xvine.model import (
+    conditional_cdf,
+    conditional_quantile,
+    density,
+    exponent_measure_density,
+    log_density,
+)
 from xvine.reference import five_variable_spec, truncated_cvine_study_spec
 
 #: Positions along a box's search scale at which theta is taken.
@@ -59,6 +66,8 @@ Y = np.array([1e-3, 1.0, 7.0])
 RATIO = 10.0 ** np.arange(-12.0, 12.5, 0.5)
 #: Values outside the closed unit interval, NaN included.
 BAD_U = (-0.1, 1.5, float("nan"))
+#: Arguments that are no real numbers: a string and a complex number.
+NOT_REAL = ("a", 1j)
 SIGMA = 1.5
 SEEDS = (1, 2, 3)
 ROWS = 2000
@@ -165,6 +174,15 @@ def error_lines() -> list[str]:
             cases[f"tail_h {kind} x={x} y={y}"] = (fm.tail_h, fam, x, y)
             cases[f"prepare_tail_log_density {kind} x={x} y={y}"] = (
                 fm.prepare_tail_log_density, kind, x, y)
+        for bad in NOT_REAL:
+            for door in (fm.tail_log_density, fm.tail_density, fm.tail_h):
+                cases[f"{door.__name__} {kind} x={bad!r}"] = (door, fam, bad, 1.0)
+                cases[f"{door.__name__} {kind} y={bad!r}"] = (door, fam, 1.0, bad)
+            cases[f"prepare_tail_log_density {kind} x={bad!r}"] = (
+                fm.prepare_tail_log_density, kind, bad, 1.0)
+            cases[f"tail_h_inv {kind} u={bad!r}"] = (fm.tail_h_inv, fam, bad, 1.0)
+            cases[f"tail_h_inv {kind} y={bad!r}"] = (fm.tail_h_inv, fam, 0.5, bad)
+            cases[f"TailFamily {kind} theta={bad!r}"] = (tf, kind, bad)
         for y in (0.0, -1.0, float("inf")):
             cases[f"tail_h_inv {kind} y={y}"] = (fm.tail_h_inv, fam, 0.5, y)
         # a target outside [0, 1]
@@ -178,12 +196,26 @@ def error_lines() -> list[str]:
             cases[f"PairFamily {kind} theta={th}"] = (pf, kind, th)
         for tau in (-1.0, -0.5, 0.0, 0.5, 1.0):
             cases[f"tau_inverse {kind} tau={tau}"] = (fm.tau_inverse, kind, tau)
+        for bad in NOT_REAL:
+            cases[f"PairFamily {kind} theta={bad!r}"] = (pf, kind, bad)
+            cases[f"tau_inverse {kind} tau={bad!r}"] = (fm.tau_inverse, kind, bad)
         # a u or v outside [0, 1] at every u-space pair door
         fam = pf(kind, fm.tau_inverse(kind, 0.5) if kind in fm.PAIR_BOXES else None)
         for door in (fm.pair_log_density, fm.pair_density, fm.pair_h, fm.pair_h_inv):
             for bad in BAD_U:
                 cases[f"{door.__name__} {kind} u={bad}"] = (door, fam, bad, 0.5)
                 cases[f"{door.__name__} {kind} v={bad}"] = (door, fam, 0.5, bad)
+            for bad in NOT_REAL:
+                cases[f"{door.__name__} {kind} u={bad!r}"] = (door, fam, bad, 0.5)
+                cases[f"{door.__name__} {kind} v={bad!r}"] = (door, fam, 0.5, bad)
+    spec = five_variable_spec()
+    for bad in NOT_REAL:
+        for door in (log_density, density, exponent_measure_density):
+            cases[f"{door.__name__} x={bad!r}"] = (door, spec, [bad] * spec.d)
+        cases[f"conditional_cdf x_i={bad!r}"] = (conditional_cdf, spec, 1, (2,), bad, [1.0])
+        cases[f"conditional_cdf x_given={bad!r}"] = (conditional_cdf, spec, 1, (2,), 1.0, [bad])
+        cases[f"conditional_quantile u={bad!r}"] = (
+            conditional_quantile, spec, 1, (2,), bad, [1.0])
     return [f"error {name} {error_class(*call)}" for name, call in cases.items()]
 
 

@@ -1,5 +1,13 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the argument checks of
+the public functions that raise it."""
 from __future__ import annotations
+
+import math
+import operator
+from functools import partial
+from numbers import Real
+
+import numpy as np
 
 
 class XVineError(Exception):
@@ -80,3 +88,57 @@ class InsufficientData(XVineError):
 
 class InfeasibleLevel(XVineError):
     """Requested truncation level outside 1..d-1."""
+
+
+# --- argument checks -------------------------------------------------------
+
+def _count(n, name: str = "sample size", least: int = 0) -> int:
+    """n as an int; DomainError unless it is an integer (numpy's too, not a
+    bool) >= least."""
+    if isinstance(n, bool):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {n!r}") from None
+    if n < least:
+        need = "nonnegative" if least == 0 else f"at least {least}"
+        raise DomainError(f"{name} must be {need}, got {n}")
+    return n
+
+
+def _real(x, name: str):
+    """x as given; DomainError unless it is a finite real number (numpy's
+    too, not a bool)."""
+    if isinstance(x, bool) or not isinstance(x, Real) or not -math.inf < x < math.inf:
+        raise DomainError(f"{name} must be a finite real number, got {x!r}")
+    return x
+
+
+def _arrays(name: str, *arrays, need: str = "", ok=None) -> list[np.ndarray]:
+    """The arrays as float arrays, a float64 one as it is; DomainError unless
+    each has a numpy integer or float dtype (not bool, complex, text or
+    objects such as None, nor ragged), ok(array) holds everywhere (NaN should
+    fail it), and they broadcast together."""
+    out = []
+    for arr in arrays:
+        try:
+            arr = np.asarray(arr)
+        except ValueError:   # ragged
+            arr = None
+        if arr is None or arr.dtype.kind not in "fiu":
+            raise DomainError(f"{name} needs real-valued arguments")
+        arr = arr.astype(float, copy=False)
+        if ok is not None and not np.all(ok(arr)):
+            raise DomainError(f"{name} needs {need}")
+        out.append(arr)
+    try:
+        np.broadcast_shapes(*(arr.shape for arr in out))
+    except ValueError:
+        raise DomainError(f"{name} needs arguments that broadcast together") from None
+    return out
+
+
+_pos = partial(_arrays, need="strictly positive and finite arguments",
+               ok=lambda a: (a > 0.0) & (a < np.inf))
+_unit = partial(_arrays, need="arguments in [0, 1]", ok=lambda a: (a >= 0.0) & (a <= 1.0))

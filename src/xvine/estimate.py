@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from numbers import Integral
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -17,6 +16,11 @@ from .errors import (
     InsufficientData,
     NotATree,
     XVineError,
+    _arrays,
+    _count,
+    _pos,
+    _real,
+    _unit,
 )
 from .families import (
     _PAIR_RECORDS,
@@ -28,11 +32,10 @@ from .families import (
     _from_unit,
     _Kind,
     _kind_record,
-    _unit,
 )
 from .model import XVineSpec, _Evaluator
 from .numerics import _TRANSFORMS, ScalarProblem, minimize_scalar
-from .simulate import _count, parallel_map
+from .simulate import parallel_map
 from .vines import Edge, VineSequence, _components, _edge_key, _kruskal_forest
 
 
@@ -54,8 +57,7 @@ class PseudoSample:
             raise DomainError("pseudo-sample arrays must be matching 2-d arrays")
         if self.n != self.z.shape[0]:
             raise DomainError("row count mismatch in pseudo-sample")
-        if not np.all((self.z > 0.0) & (self.z < np.inf)):
-            raise DomainError("pseudo-sample z must be positive and finite")
+        _pos("pseudo-sample z", self.z)
         if not 0 < self.k:
             raise DomainError("effective sample size k must be positive")
 
@@ -64,35 +66,30 @@ class PseudoSample:
         return self.z.shape[1]
 
 
-def _matrix(data) -> np.ndarray:
-    """data as a float array of at least two rows and two columns."""
-    try:
-        X = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("data must be an array of numbers") from None
+def _matrix(X: np.ndarray) -> np.ndarray:
+    """X, a converted array; DomainError unless it is 2-d with at least two rows and columns."""
     if X.ndim != 2 or min(X.shape) < 2:
         raise DomainError("data must be a 2-d array of at least two rows and two columns")
     return X
 
 
-def _raw_data(data: np.ndarray, k: int) -> np.ndarray:
-    """The raw observations as a float array, checked for a rank transform with k."""
-    X = _matrix(data)
+def _raw_data(data: np.ndarray, k: float) -> tuple[np.ndarray, float]:
+    """The raw observations and k as floats, checked for a rank transform."""
+    X = _matrix(*_arrays("data", data, need="finite entries", ok=np.isfinite))
     n, d = X.shape
-    if not np.isfinite(X).all():
-        raise DomainError("data contains non-finite entries")
+    k = float(_real(k, "k"))
     if not 0 < k < n:
         raise DomainError(f"k must lie strictly between 0 and n={n}")
     for j in range(d):
         if np.all(X[:, j] == X[0, j]):
             raise DegenerateColumn(f"column {j + 1} is constant")
-    return X
+    return X, k
 
 
 def _scaled_ranks(rnk: np.ndarray, n: int, k: float) -> np.ndarray:
     """Maximal ranks out of n on the inverted-Pareto scale of k exceedances."""
     u_hat = 1.0 - (rnk - 0.5) / n
-    return u_hat * (n / float(k))
+    return u_hat * (n / k)
 
 
 def _max_ranks(cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -114,9 +111,9 @@ def rank_transform(data: np.ndarray, k: int) -> PseudoSample:
     ``(n / k) * (1 - (rnk - 0.5) / n)``, so values below 1 flag the ``k``
     largest observations of that column.
     """
-    X = _raw_data(data, k)
+    X, k = _raw_data(data, k)
     z = _scaled_ranks(_max_ranks(np.sort(X.T, axis=1), X), X.shape[0], k)
-    return PseudoSample(z=z, k=float(k), n=X.shape[0], exceed=z < 1.0)
+    return PseudoSample(z=z, k=k, n=X.shape[0], exceed=z < 1.0)
 
 
 def _exceedance_rows(data: np.ndarray, k: int) -> tuple[int, PseudoSample]:
@@ -126,22 +123,20 @@ def _exceedance_rows(data: np.ndarray, k: int) -> tuple[int, PseudoSample]:
     above its (n - top + 1)-th smallest, top being the number of maximal ranks
     that scale below 1 (k of them for integer k).
     """
-    X = _raw_data(data, k)
+    X, k = _raw_data(data, k)
     n = X.shape[0]
     cols = np.sort(X.T, axis=1)
     top = int(np.count_nonzero(_scaled_ranks(np.arange(1, n + 1), n, k) < 1.0))
     exceed = X >= (cols[:, n - top] if top else np.inf)
     rows = exceed.any(axis=1)
     kept = X[rows]
-    return n, PseudoSample(z=_scaled_ranks(_max_ranks(cols, kept), n, k), k=float(k),
+    return n, PseudoSample(z=_scaled_ranks(_max_ranks(cols, kept), n, k), k=k,
                            n=kept.shape[0], exceed=exceed[rows])
 
 
 def from_inverted_pareto(data: np.ndarray) -> PseudoSample:
     """Wrap samples already on the inverted-Pareto scale; k is the mean exceedance count."""
-    Z = _matrix(data)
-    if not np.isfinite(Z).all() or (Z <= 0).any():
-        raise DomainError("inverted-Pareto data must be strictly positive and finite")
+    Z = _matrix(*_pos("inverted-Pareto data", data))
     exceed = Z < 1.0
     k = float(exceed.sum(axis=0).mean())
     if k < 1.0:
@@ -150,7 +145,7 @@ def from_inverted_pareto(data: np.ndarray) -> PseudoSample:
 
 
 def _check_indices(ps: PseudoSample, idx: Sequence[int], m: int) -> tuple[int, ...]:
-    out = tuple(int(i) for i in idx)
+    out = tuple(_count(i, "index") for i in idx)
     if len(out) != m or len(set(out)) != m:
         raise DomainError(f"expected {m} distinct indices, got {idx!r}")
     if any(not 1 <= i <= ps.d for i in out):
@@ -203,12 +198,10 @@ def empirical_tau(u: np.ndarray, v: np.ndarray) -> float:
     Ties and the final ratio follow scipy.stats.kendalltau, so the two agree
     bit for bit.
     """
-    u = np.asarray(u, dtype=float).ravel()
-    v = np.asarray(v, dtype=float).ravel()
+    u, v = (a.ravel() for a in _arrays("Kendall's tau", u, v, need="finite values",
+                                        ok=np.isfinite))
     if u.size != v.size:
         raise DomainError("mismatched sample sizes")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise DomainError("Kendall's tau needs finite values")
     n = u.size
     if n < 2:
         return 0.0
@@ -276,6 +269,7 @@ def fit_tail_edge(
     """
     a, b = _check_indices(ps, (a, b), 2)
     rec = _kind_record(_TAIL_RECORDS, "tail", kind)
+    n_min = _count(n_min, "n_min", least=1)
     masks = ps.exceed[:, a - 1], ps.exceed[:, b - 1]
     if min(mask.sum() for mask in masks) < n_min:
         raise InsufficientData(f"edge ({a},{b}): need at least {n_min} exceedances on each side")
@@ -298,17 +292,17 @@ def _fit_pair(kind: str, forms: Callable[[bool], tuple], n: int, n_min: int) -> 
     return EdgeFit(PairFamily(kind, theta), ll, 2.0 - 2.0 * ll, n, at_boundary=flag)
 
 
-def _unit_forms(u, v) -> Callable[[bool], tuple]:
-    """forms() of u-space pairs, clipped and converted as the pair kernels do."""
+def _unit_forms(u, v) -> tuple[Callable[[bool], tuple], int]:
+    """forms() of u-space pairs, clipped and converted as the pair kernels do, and n."""
     u, v = _unit("pair fit", u, v)
     if u.size != v.size:
         raise DomainError("mismatched sample sizes")
-    return lambda score: (_from_unit(u, score), _from_unit(v, score))
+    return (lambda score: (_from_unit(u, score), _from_unit(v, score))), u.size
 
 
 def fit_pair_edge(u: np.ndarray, v: np.ndarray, kind: str, *, n_min: int = 10) -> EdgeFit:
     """Maximum pseudo-likelihood fit of a pair-copula family."""
-    return _fit_pair(kind, _unit_forms(u, v), int(np.size(u)), n_min)
+    return _fit_pair(kind, *_unit_forms(u, v), _count(n_min, "n_min", least=1))
 
 
 def _forced_indep(n: int) -> EdgeFit:
@@ -350,8 +344,11 @@ def select_pair_family(
     ``tau_min`` in absolute value are forced to the independence copula
     without trying the rest of the catalogue.
     """
-    forms, n = _unit_forms(u, v), int(np.size(u))
-    return _select_pair(catalogue, forms, n, abs(empirical_tau(u, v)), tau_min, n_min)
+    if not 0.0 <= _real(tau_min, "tau_min") < 1.0:
+        raise DomainError(f"tau_min must lie in [0, 1), got {tau_min!r}")
+    forms, n = _unit_forms(u, v)
+    return _select_pair(catalogue, forms, n, abs(empirical_tau(u, v)), tau_min,
+                        _count(n_min, "n_min", least=1))
 
 
 def _select_pair(catalogue: Sequence[str], forms: Callable[[bool], tuple], n: int,
@@ -411,11 +408,9 @@ class FitOptions:
         if isinstance(self.truncation, str):
             if self.truncation not in ("auto", "mbic"):
                 raise DomainError(f"unknown truncation mode {self.truncation!r}")
-        elif isinstance(self.truncation, bool) or not isinstance(self.truncation, Integral):
-            raise DomainError("truncation must be an int, 'auto' or 'mbic'")
         else:
-            object.__setattr__(self, "truncation", int(self.truncation))
-        if not 0.0 < self.psi0 < 1.0:
+            object.__setattr__(self, "truncation", _count(self.truncation, "truncation"))
+        if not 0.0 < _real(self.psi0, "psi0") < 1.0:
             raise DomainError("psi0 must lie in (0, 1)")
         for what, kinds, known in (("tail_catalogue", self.tail_catalogue, TAIL_KINDS),
                                    ("pair_catalogue", self.pair_catalogue, PAIR_KINDS)):
@@ -432,10 +427,8 @@ class FitOptions:
                 raise DomainError(f"edge {key} needs a {what} kind, got {kind!r}")
             if self.structure is not None:
                 self.structure.find_edge(key)   # UnknownEdge if it names no edge
-        if (isinstance(self.n_min, bool) or not isinstance(self.n_min, Integral)
-                or self.n_min < 1):
-            raise DomainError(f"n_min must be a positive integer, got {self.n_min!r}")
-        if not 0.0 <= self.tau_min < 1.0:  # NaN fails it too
+        _count(self.n_min, "n_min", least=1)
+        if not 0.0 <= _real(self.tau_min, "tau_min") < 1.0:
             raise DomainError(f"tau_min must lie in [0, 1), got {self.tau_min!r}")
         _count(self.threads, "thread count", least=1)
 
@@ -477,7 +470,7 @@ class FitReport:
 
 def mbic_curve(records: Sequence[Sequence[dict]], psi0: float = 0.9) -> list[float]:
     """Truncation criterion per level; entry ``q-1`` scores truncating after tree q."""
-    if not 0.0 < psi0 < 1.0:
+    if not 0.0 < _real(psi0, "psi0") < 1.0:
         raise DomainError("psi0 must lie in (0, 1)")
     out = [0.0]
     acc = 0.0

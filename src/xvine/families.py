@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from numbers import Real
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError
+from .errors import DomainError, _arrays, _pos, _real, _unit
 from .numerics import (
     _log_pair_of_smaller,
     invert_monotone,
@@ -127,33 +126,6 @@ def _ret(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _broadcast(name: str, *arrays) -> None:
-    """DomainError unless the arrays broadcast together."""
-    try:
-        np.broadcast_shapes(*(np.shape(a) for a in arrays))
-    except ValueError:
-        raise DomainError(f"{name} needs arguments that broadcast together") from None
-
-
-def _checked(need: str, ok: Callable):
-    """A door's input check: name, *arrays -> the arrays as floats, or a
-    DomainError if ok fails anywhere (NaN included) or they do not broadcast."""
-    def check(name, *arrays):
-        out = []
-        for arr in arrays:
-            arr = np.asarray(arr, dtype=float)
-            if not np.all(ok(arr)):
-                raise DomainError(f"{name} needs {need}")
-            out.append(arr)
-        _broadcast(name, *out)
-        return out
-    return check
-
-
-_pos = _checked("strictly positive finite arguments", lambda a: (a > 0.0) & (a < np.inf))
-_unit = _checked("arguments in [0, 1]", lambda a: (a >= 0.0) & (a <= 1.0))
-
-
 @dataclass(frozen=True)
 class _Kind:
     """The formulas of one family kind.
@@ -193,9 +165,8 @@ def _kind_record(table: dict, what: str, kind: str) -> _Kind:
 
 def _check_theta(rec: _Kind, th) -> None:
     """DomainError unless th is a finite real (not a bool) in the kind's domain, or None."""
-    if rec.box is not None and (isinstance(th, bool) or not isinstance(th, Real)
-                                or not -math.inf < th < math.inf):
-        raise DomainError(f"{rec.name} needs a finite real parameter, got {th!r}")
+    if rec.box is not None:
+        _real(th, f"{rec.name} parameter")
     if not rec.domain(th):
         raise DomainError(f"{rec.name} needs {rec.need}, got {th}")
 
@@ -595,7 +566,7 @@ def tail_h_inv(fam: TailFamily, u, y):
     keeps its own root; a score kind clips u as pair_h does."""
     (y,) = _pos("tail h_inv", y)
     (u,) = _unit("tail h_inv", u)
-    _broadcast("tail h_inv", u, y)
+    _arrays("tail h_inv", u, y)
     rec = _TAIL_RECORDS[fam.kind]
     w = _from_unit(u, True) if rec.score else _log_pair(
         np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
@@ -671,6 +642,7 @@ def tau_inverse(kind: str, tau: float) -> float:
     rec = _kind_record(_PAIR_RECORDS, "pair", kind)
     if rec.box is None:
         raise DomainError(f"{kind} has no parameter to solve for")
+    _real(tau, "tau")
     if rec.tau_inv is not None:
         return rec.tau_inv(tau)
     lo, hi, _ = rec.box

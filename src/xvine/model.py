@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidIndex, RecursionUnavailable
+from .errors import DomainError, InvalidIndex, RecursionUnavailable, _arrays, _count, _pos
 from .families import (
     _PAIR_RECORDS,
     _TAIL_RECORDS,
@@ -22,7 +22,6 @@ from .families import (
     TAIL_KINDS,
     PairFamily,
     TailFamily,
-    _broadcast,
     _clamp_log_pair,
     _from_unit,
     _tail_root,
@@ -84,16 +83,12 @@ class XVineSpec:
 # ---------------------------------------------------------------------------
 
 def _rows(spec: XVineSpec, x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
+    (arr,) = _arrays("points", x, need="no NaN or +inf coordinate", ok=lambda a: a < np.inf)
     squeeze = arr.ndim == 1
     if squeeze:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != spec.d:
         raise DomainError(f"expected points with {spec.d} coordinates, got shape {arr.shape}")
-    if np.any(np.isnan(arr)):
-        raise DomainError("coordinates must not be NaN")
-    if np.any(arr == np.inf):
-        raise DomainError("coordinates must not be +inf")
     return arr, squeeze
 
 
@@ -250,8 +245,7 @@ def resolve_conditional(spec: XVineSpec, i: int, given: Iterable[int]) -> Edge:
     deeper conditioning set reduces to the unique deepest edge carrying i whose
     variables all lie in {i} u given.
     """
-    giv = frozenset(int(g) for g in given)
-    i = int(i)
+    giv = frozenset(given)
     if i in giv:
         raise InvalidIndex(f"target {i} also appears in the conditioning set")
     if not giv:
@@ -274,24 +268,24 @@ def resolve_conditional(spec: XVineSpec, i: int, given: Iterable[int]) -> Edge:
         f"no recursion through the vine yields {i} given {sorted(giv)}")
 
 
-def _columns(spec: XVineSpec, i: int, given, x_given, x_i=None):
-    giv = sorted(int(g) for g in given)
+def _query(spec: XVineSpec, i, given, x_given, *x_i):
+    """The checked arguments of a conditional: (its edge, i, the values by
+    variable), with x_i, if passed, as the value of i."""
+    i = _count(i, "target variable")
+    giv = sorted(_count(g, "conditioning variable") for g in given)
+    e = resolve_conditional(spec, i, giv)
     if isinstance(x_given, Mapping):
-        vals = {int(k): np.asarray(v, dtype=float) for k, v in x_given.items()}
+        vals = {_count(k, "x_given key"): v for k, v in x_given.items()}
         if sorted(vals) != giv:
             raise InvalidIndex(f"x_given keys {sorted(vals)} do not match {giv}")
     else:
         seq = list(x_given) if not isinstance(x_given, np.ndarray) else x_given
         if len(seq) != len(giv):
             raise InvalidIndex(f"expected {len(giv)} conditioning values")
-        vals = {g: np.asarray(v, dtype=float) for g, v in zip(giv, seq)}
-    if x_i is not None:
-        vals[int(i)] = np.asarray(x_i, dtype=float)
-    for g, v in vals.items():
-        if not np.all((v > 0.0) & (v < np.inf)):
-            raise DomainError(f"the value of variable {g} must be positive and finite")
-    _broadcast("conditional values", *vals.values())
-    return vals
+        vals = dict(zip(giv, seq))
+    if x_i:
+        vals[i] = x_i[0]
+    return e, i, dict(zip(vals, _pos("conditional values", *vals.values())))
 
 
 def conditional_cdf(spec: XVineSpec, i: int, given: Iterable[int], x_i, x_given,
@@ -301,10 +295,9 @@ def conditional_cdf(spec: XVineSpec, i: int, given: Iterable[int], x_i, x_given,
     Every value of x_i and x_given must be positive and finite; NaN, zero,
     negative values and +inf raise DomainError.
     """
-    e = resolve_conditional(spec, i, given)
-    col = _columns(spec, i, given, x_given, x_i=x_i)
+    e, i, col = _query(spec, i, given, x_given, x_i)
     ev = _Evaluator(spec.tail, spec.pairs, col, trace=_trace)
-    val = ev.native(e, int(i))
+    val = ev.native(e, i)
     return std_normal_cdf(val) if ev.family(e)[1].score else np.exp(val)
 
 
@@ -315,14 +308,12 @@ def conditional_quantile(spec: XVineSpec, i: int, given: Iterable[int], u, x_giv
     u must lie strictly inside (0, 1), and every conditioning value must be
     positive and finite; anything else raises DomainError.
     """
-    e = resolve_conditional(spec, i, given)
-    col = _columns(spec, i, given, x_given)
-    u = np.asarray(u, dtype=float)
-    if not np.all((u > 0.0) & (u < 1.0)):   # NaN fails it too
-        raise DomainError("conditional quantile needs u strictly inside (0, 1)")
-    _broadcast("conditional quantile", u, *col.values())
+    e, i, col = _query(spec, i, given, x_given)
+    (u,) = _arrays("conditional quantile", u, need="u strictly inside (0, 1)",
+                   ok=lambda a: (a > 0.0) & (a < 1.0))
+    _arrays("conditional quantile", u, *col.values())
     ev = _Evaluator(spec.tail, spec.pairs, col, trace=_trace)
-    return ev.quantile(e, int(i), ev.form(e, u))
+    return ev.quantile(e, i, ev.form(e, u))
 
 
 def model_chi(spec: XVineSpec, idx: Sequence[int], n_mc: int = 100_000,
@@ -338,7 +329,7 @@ def _chi_groups(spec: XVineSpec, groups: Iterable[Sequence[int]], n_mc: int,
                 seed: int) -> list[float]:
     """model_chi of each group, with one conditional sample for each run of
     groups that share their first variable."""
-    from .simulate import _count, sample_conditional
+    from .simulate import sample_conditional
 
     pos = {n: i for i, n in enumerate(spec.vine.nodes)}
     out, first = [], None

@@ -6,7 +6,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _arrays, _count, _real
 from .families import PairFamily, TailFamily
 from .model import XVineSpec
 from .numerics import rng_stream
@@ -51,9 +51,8 @@ def five_variable_spec() -> XVineSpec:
 
 def chain_vine(d: int, q: int | None = None) -> VineSequence:
     """D-vine (path) tree sequence on 1 - 2 - ... - d, optionally truncated."""
-    if d < 2:
-        raise DomainError("need at least two variables")
-    depth = d - 1 if q is None else q
+    d = _count(d, "d", least=2)
+    depth = d - 1 if q is None else _count(q, "truncation level", least=1)
     trees: list[list] = [[frozenset({i, i + 1}) for i in range(1, d)]]
     for _ in range(2, depth + 1):
         prev = trees[-1]
@@ -63,9 +62,8 @@ def chain_vine(d: int, q: int | None = None) -> VineSequence:
 
 def cvine(d: int, q: int | None = None) -> VineSequence:
     """C-vine rooted at 1, then 2, ... ; optionally truncated at level q."""
-    if d < 2:
-        raise DomainError("need at least two variables")
-    depth = d - 1 if q is None else q
+    d = _count(d, "d", least=2)
+    depth = d - 1 if q is None else _count(q, "truncation level", least=1)
     trees: list[list] = [[frozenset({1, m}) for m in range(2, d + 1)]]
     for lvl in range(2, depth + 1):
         prev = trees[-1]
@@ -80,7 +78,7 @@ def logistic_vine_spec(vine: VineSequence, theta: float) -> XVineSpec:
     conditional copula on an edge with j conditioning variables is the
     survival Clayton with parameter theta / (j * theta - 1).
     """
-    if theta <= 1.0:
+    if _real(theta, "logistic parameter") <= 1.0:
         raise DomainError("logistic parameter must exceed 1")
     tail = {e: TailFamily("logistic", theta) for e in vine.level_edges(1)}
     pairs = {}
@@ -99,7 +97,7 @@ def neglogistic_vine_spec(vine: VineSequence, theta: float) -> XVineSpec:
     copula on an edge with j conditioning variables is the Clayton with
     parameter theta / (1 + j * theta).
     """
-    if theta <= 0.0:
+    if _real(theta, "negative logistic parameter") <= 0.0:
         raise DomainError("negative logistic parameter must be positive")
     tail = {e: TailFamily("neglogistic", theta) for e in vine.level_edges(1)}
     pairs = {}
@@ -111,13 +109,14 @@ def neglogistic_vine_spec(vine: VineSequence, theta: float) -> XVineSpec:
     return XVineSpec(vine, tail, pairs)
 
 
-def _as_variogram(gamma: np.ndarray, d: int) -> np.ndarray:
-    g = np.asarray(gamma, dtype=float)
-    if g.shape != (d, d):
-        raise DomainError(f"variogram must be {d}x{d}")
+def _as_variogram(gamma: np.ndarray, d: int | None = None) -> np.ndarray:
+    """gamma as a float array, checked as a d x d variogram (d x d for some d if None)."""
+    (g,) = _arrays("variogram", gamma)
+    if g.ndim != 2 or g.shape != (d or len(g),) * 2:
+        raise DomainError(f"variogram must be a square matrix of {d or 'any'} rows")
     if not np.allclose(g, g.T) or not np.allclose(np.diag(g), 0.0):
         raise DomainError("variogram must be symmetric with zero diagonal")
-    if (g[~np.eye(d, dtype=bool)] <= 0).any():
+    if (g[~np.eye(len(g), dtype=bool)] <= 0).any():
         raise DomainError("off-diagonal variogram entries must be positive")
     return g
 
@@ -125,11 +124,13 @@ def _as_variogram(gamma: np.ndarray, d: int) -> np.ndarray:
 def hr_partial_rho(gamma: np.ndarray, a: int, b: int, cond: Sequence[int]) -> float:
     """Partial correlation of (a, b) given `cond` in the Gaussian family behind
     Huesler-Reiss tails with variogram `gamma` (1-based indices)."""
-    d = np.asarray(gamma).shape[0]
-    g = _as_variogram(gamma, d)
-    cond = sorted(int(c) for c in cond)
+    g = _as_variogram(gamma)
+    a, b, *cond = (_count(v, "variable", least=1) for v in (a, b, *cond))
     if not cond:
         raise DomainError("need at least one conditioning variable")
+    if max(a, b, *cond) > len(g):
+        raise DomainError(f"variables must lie in 1..{len(g)}")
+    cond.sort()
     anchor = cond[0]
     rest = [c for c in cond if c != anchor]
     idx = [a, b, *rest]
@@ -172,10 +173,12 @@ def truncated_cvine_study_spec(d: int = 10, q: int = 4, seed: int = 20,
     parameters drawn uniformly from [1, 2]; tree j >= 2 uses Gaussian pair
     copulas with correlation 1.1 - 0.1 * j (floored at `rho_floor`).
     """
+    d, q = _count(d, "d", least=2), _count(q, "truncation level")
+    _real(rho_floor, "rho_floor")
     if not 1 <= q <= d - 1:
         raise DomainError(f"truncation level {q} not in 1..{d - 1}")
     vine = cvine(d, q=q)
-    rng = rng_stream(seed)
+    rng = rng_stream(_count(seed, "seed"))
     tail = {}
     for i, e in enumerate(vine.level_edges(1)):
         kind = "hr" if i % 2 == 0 else "neglogistic"

@@ -19,14 +19,13 @@ straight into the output.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidIndex, NoConvergence
+from .errors import DomainError, InvalidIndex, NoConvergence, _count
 from .model import XVineSpec, _Evaluator
 from .numerics import rng_stream
 from .vines import Edge, sampling_order
@@ -79,21 +78,6 @@ class _LiveRows(dict):
 
     def get(self, key, default=None):
         return self[key] if key in self else default
-
-
-def _count(n, name: str = "sample size", least: int = 0) -> int:
-    """n as an int; DomainError unless it is an integer (numpy's too, not a
-    bool) >= least."""
-    if isinstance(n, bool):
-        raise DomainError(f"{name} must be an integer, got {n!r}")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {n!r}") from None
-    if n < least:
-        need = "nonnegative" if least == 0 else f"at least {least}"
-        raise DomainError(f"{name} must be {need}, got {n}")
-    return n
 
 
 def _conditional_plan(spec: XVineSpec, j: int):

@@ -28,6 +28,7 @@ from .errors import (
     UnknownEdge,
     WrongCardinality,
     XVineError,
+    _count,
 )
 
 
@@ -171,7 +172,7 @@ class VineSequence:
     def __init__(self, trees: Sequence[Iterable], d: int | None = None):
         raw_trees = [list(t) for t in trees]
         if d is not None:
-            node_set = set(range(1, d + 1))
+            node_set = set(range(1, _count(d, "d") + 1))
         else:
             node_set = set()
             for item in raw_trees[0] if raw_trees else ():
@@ -248,6 +249,7 @@ class VineSequence:
         return self.q < self.d - 1
 
     def level_edges(self, j: int) -> tuple[Edge, ...]:
+        j = _count(j, "tree index")
         if not 1 <= j <= self.q:
             raise DomainError(f"tree index {j} outside 1..{self.q}")
         return self.trees[j - 1]
@@ -283,6 +285,7 @@ class VineSequence:
 
     def truncate(self, q: int) -> VineSequence:
         """Keep only trees 1..q."""
+        q = _count(q, "truncation level")
         if not 1 <= q <= self.q:
             raise DomainError(f"truncation level {q} outside 1..{self.q}")
         return VineSequence._of(self.nodes, self.trees[:q])
@@ -329,7 +332,7 @@ class VineSequence:
         smallest eligible node other than `first_diag` is peeled each round.
         """
         if diagonal is not None:
-            diagonal = tuple(int(x) for x in diagonal)
+            diagonal = tuple(_count(x, "diagonal entry") for x in diagonal)
             if sorted(diagonal) != list(self.nodes):
                 raise InfeasibleDiagonal(
                     f"diagonal {diagonal} is not a permutation of the nodes")
@@ -337,7 +340,7 @@ class VineSequence:
                 raise InfeasibleDiagonal(
                     f"first_diag={first_diag} conflicts with diagonal[0]={diagonal[0]}")
             first_diag = diagonal[0]
-        if first_diag is not None and first_diag not in self.nodes:
+        if first_diag is not None and _count(first_diag, "first_diag") not in self.nodes:
             raise InfeasibleDiagonal(f"first_diag={first_diag} is not a node")
 
         d, q = self.d, self.q
@@ -473,6 +476,7 @@ def sampling_order(vine: VineSequence, j: int) -> SamplingOrder:
     if vine.is_truncated:
         raise TruncatedVine(
             f"sampling order needs all {vine.d - 1} trees, vine has {vine.q}")
+    j = _count(j, "node")
     if j not in vine.nodes:
         raise DomainError(f"node {j} not in vine")
     sigma = [j]
@@ -521,9 +525,8 @@ def _prufer_tree(seq: Sequence[int], d: int) -> list[tuple[int, int]]:
 
 def random_vine(d: int, rng, q: int | None = None) -> VineSequence:
     """Random regular vine on 1..d (testing aid): random spanning tree per level."""
-    if d < 2:
-        raise DomainError("need d >= 2")
-    q = d - 1 if q is None else q
+    d = _count(d, "d", least=2)
+    q = d - 1 if q is None else _count(q, "truncation level")
     if not 1 <= q <= d - 1:
         raise DomainError(f"truncation level {q} outside 1..{d - 1}")
     if d == 2:

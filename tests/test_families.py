@@ -16,12 +16,17 @@ import oracles as oc
 from conftest import PAIR_RANGES, TAIL_RANGES, call_record
 from xvine.errors import DomainError
 from xvine.estimate import (
+    FitOptions,
+    empirical_chi,
+    empirical_tau,
     fit_pair_edge,
     fit_pipeline,
+    fit_tail_edge,
     from_inverted_pareto,
     mbic_curve,
     rank_transform,
     select_pair_family,
+    select_tail_family,
 )
 from xvine.numerics import _TRANSFORMS
 from xvine.families import (
@@ -56,8 +61,15 @@ from xvine.families import (
     tail_log_density,
     tau_inverse,
 )
-from xvine.model import conditional_cdf
-from xvine.reference import five_variable_spec
+from xvine.model import (
+    conditional_cdf,
+    conditional_quantile,
+    density,
+    exponent_measure_density,
+    log_density,
+)
+from xvine.reference import chain_vine, cvine, five_variable_spec
+from xvine.vines import VineSequence, random_vine
 
 GRID = np.array([0.07, 0.31, 0.9, 1.0, 1.8, 6.3])
 
@@ -540,6 +552,9 @@ def test_unit_doors_reject_values_outside_the_unit_interval(door, bad):
 
 #: Malformed input that each door turns into a DomainError where it enters.
 _WORDS = [["a", "b"], ["c", "d"]]
+_SPEC = five_variable_spec()
+_PS = rank_transform(np.random.default_rng(5).normal(size=(60, 3)), 20)
+_UV = np.random.default_rng(6).uniform(size=(2, 50))
 MALFORMED = {
     **{f"{door.__name__} unbroadcastable": partial(door, fam, *args)
        for door, fam, args in (
@@ -559,6 +574,49 @@ MALFORMED = {
     "from_inverted_pareto words": partial(from_inverted_pareto, _WORDS),
     "mbic_curve n_eff 0": partial(
         mbic_curve, [[], [{"theta": 2.0, "n_eff": 0, "loglik": 1.0}]]),
+    # an integer argument given as a float, a string or a bool
+    **{f"conditional_cdf {what} i": partial(conditional_cdf, _SPEC, i, (2,), 1.0, [1.0])
+       for what, i in (("float", 1.7), ("text", "1"), ("bool", True))},
+    "conditional_quantile float i": partial(conditional_quantile, _SPEC, 1.7, (2,), 0.5, [1.0]),
+    "conditional_cdf float given": partial(conditional_cdf, _SPEC, 1, (2.5,), 1.0, [1.0]),
+    "conditional_quantile float given": partial(
+        conditional_quantile, _SPEC, 1, (2.5,), 0.5, [1.0]),
+    "conditional_cdf float key": partial(conditional_cdf, _SPEC, 1, (2,), 1.0, {2.5: 1.0}),
+    "empirical_chi float index": partial(empirical_chi, _PS, (1.5, 2)),
+    "fit_tail_edge float index": partial(fit_tail_edge, _PS, 1.5, 2, "hr"),
+    "select_tail_family float index": partial(select_tail_family, _PS, 1.5, 2),
+    "to_structure_matrix float diagonal": partial(
+        _SPEC.vine.to_structure_matrix, diagonal=(1.5, 2, 3, 4, 5)),
+    "VineSequence float d": partial(VineSequence, [[(1, 2)]], d=2.5),
+    "level_edges float": partial(_SPEC.vine.level_edges, 1.5),
+    "truncate float": partial(_SPEC.vine.truncate, 1.5),
+    "cvine float d": partial(cvine, 3.5),
+    "chain_vine float d": partial(chain_vine, 3.5),
+    "random_vine float d": partial(random_vine, 3.5, np.random.default_rng(0)),
+    # arrays of text or complex numbers
+    **{f"{door.__name__} text": partial(door, _SPEC, [["a"] * 5])
+       for door in (log_density, density, exponent_measure_density)},
+    "log_density complex": partial(log_density, _SPEC, 1j * np.ones((2, 5))),
+    "conditional_cdf text values": partial(conditional_cdf, _SPEC, 1, (2,), "a", ["b"]),
+    "conditional_quantile text u": partial(conditional_quantile, _SPEC, 1, (2,), "a", [1.0]),
+    "empirical_tau text": partial(empirical_tau, ["a"], ["b"]),
+    "empirical_tau complex": partial(empirical_tau, [1j, 2j], [1.0, 2.0]),
+    **{f"{door.__name__} text": partial(door, TailFamily("hr", 1.0), "a", 1.0)
+       for door in (tail_h, tail_h_inv, tail_log_density, tail_density)},
+    "tail_h complex": partial(tail_h, TailFamily("hr", 1.0), 1j, 1.0),
+    **{f"{door.__name__} text": partial(door, PairFamily("clayton", 2.0), "a", 0.5)
+       for door in (pair_h, pair_h_inv, pair_log_density, pair_density)},
+    # scalar parameters out of their domain, or not numbers
+    "fit_pair_edge n_min 0": partial(fit_pair_edge, _UV[0, :0], _UV[1, :0], "clayton", n_min=0),
+    "fit_tail_edge text n_min": partial(fit_tail_edge, _PS, 1, 2, "hr", n_min="a"),
+    "fit_pair_edge text n_min": partial(fit_pair_edge, *_UV, "clayton", n_min="a"),
+    "select_pair_family NaN tau_min": partial(select_pair_family, *_UV, tau_min=math.nan),
+    "tau_inverse text tau": partial(tau_inverse, "frank", "a"),
+    "FitOptions text psi0": partial(FitOptions, psi0="a"),
+    "FitOptions text tau_min": partial(FitOptions, tau_min="a"),
+    "mbic_curve text psi0": partial(mbic_curve, [], psi0="a"),
+    "rank_transform text k": partial(rank_transform, np.eye(3), "a"),
+    "rank_transform bool k": partial(rank_transform, np.eye(3), True),
 }
 
 
@@ -566,6 +624,12 @@ MALFORMED = {
 def test_doors_raise_domain_error_on_malformed_input(call):
     with pytest.raises(DomainError):
         MALFORMED[call]()
+
+
+def test_numpy_integers_are_indices():
+    i64 = np.int64
+    want = conditional_cdf(_SPEC, 1, (2,), 1.0, [1.0])
+    assert conditional_cdf(_SPEC, i64(1), (i64(2),), 1.0, {i64(2): 1.0}) == want
 
 
 def test_valid_theta_is_stored_as_given():
