@@ -92,7 +92,7 @@ class InfeasibleLevel(XVineError):
 
 # --- argument checks -------------------------------------------------------
 
-def _count(n, name: str = "sample size", least: int = 0) -> int:
+def _count(n, name: str = "sample size", least: float = 0) -> int:
     """n as an int; DomainError unless it is an integer (numpy's too, not a
     bool) >= least."""
     if isinstance(n, bool):

@@ -198,8 +198,9 @@ def empirical_tau(u: np.ndarray, v: np.ndarray) -> float:
     Ties and the final ratio follow scipy.stats.kendalltau, so the two agree
     bit for bit.
     """
-    u, v = (a.ravel() for a in _arrays("Kendall's tau", u, v, need="finite values",
-                                        ok=np.isfinite))
+    (u,), (v,) = (_arrays("Kendall's tau", a, need="finite values", ok=np.isfinite)
+                  for a in (u, v))
+    u, v = u.ravel(), v.ravel()
     if u.size != v.size:
         raise DomainError("mismatched sample sizes")
     n = u.size
@@ -408,8 +409,9 @@ class FitOptions:
         if isinstance(self.truncation, str):
             if self.truncation not in ("auto", "mbic"):
                 raise DomainError(f"unknown truncation mode {self.truncation!r}")
-        else:
-            object.__setattr__(self, "truncation", _count(self.truncation, "truncation"))
+        else:  # a level outside 1..d-1 raises InfeasibleLevel in fit_pipeline
+            object.__setattr__(self, "truncation",
+                               _count(self.truncation, "truncation", least=-math.inf))
         if not 0.0 < _real(self.psi0, "psi0") < 1.0:
             raise DomainError("psi0 must lie in (0, 1)")
         for what, kinds, known in (("tail_catalogue", self.tail_catalogue, TAIL_KINDS),

@@ -29,6 +29,7 @@ from .errors import (
     WrongCardinality,
     XVineError,
     _count,
+    _real,
 )
 
 
@@ -301,15 +302,13 @@ class VineSequence:
         def g(s: frozenset) -> float:
             if len(s) == 1 and s not in gamma:
                 return 1.0
+            nodes = f"{{{','.join(map(str, sorted(s)))}}}"
             try:
-                v = float(gamma[s])
+                v = float(_real(gamma[s], f"gamma of {nodes}"))
             except KeyError:
-                raise MissingSubset(
-                    f"gamma is missing the subset {{{','.join(map(str, sorted(s)))}}}"
-                ) from None
+                raise MissingSubset(f"gamma is missing the subset {nodes}") from None
             if not v > 0.0:
-                raise NonpositiveValue(
-                    f"gamma of {{{','.join(map(str, sorted(s)))}}} must be positive, got {v}")
+                raise NonpositiveValue(f"gamma of {nodes} must be positive, got {v}")
             return v
 
         out = 1.0

@@ -226,6 +226,13 @@ def test_empirical_tau():
             empirical_tau(y, x)
 
 
+def test_empirical_tau_flattens_equal_sizes():
+    x = np.random.default_rng(3).normal(size=6)
+    want = empirical_tau(x, x[::-1])
+    assert empirical_tau(x.reshape(2, 3), x[::-1].reshape(3, 2)) == want
+    assert empirical_tau(x, x[::-1].reshape(2, 3)) == want
+
+
 def _tau_cases(rng, n):
     """Untied, tied and clipped-pseudo-observation samples of size n."""
     u = rng.normal(size=n)
@@ -542,6 +549,12 @@ def test_pipeline_truncation_levels(bench, bench_sample):
     with pytest.raises(InfeasibleLevel):
         fit_pipeline(bench_sample, 200,
                      options=FitOptions(structure=shallow, truncation=3))
+
+
+@pytest.mark.parametrize("level", [-1, 0])
+def test_pipeline_truncation_below_one(bench_sample, level):
+    with pytest.raises(InfeasibleLevel):
+        fit_pipeline(bench_sample, 200, options=FitOptions(truncation=level))
 
 
 def test_pipeline_input_checks(bench, bench_sample):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 from functools import partial
 
 import numpy as np
@@ -593,6 +594,8 @@ MALFORMED = {
     "cvine float d": partial(cvine, 3.5),
     "chain_vine float d": partial(chain_vine, 3.5),
     "random_vine float d": partial(random_vine, 3.5, np.random.default_rng(0)),
+    "telescoping_product text gamma": partial(
+        _SPEC.vine.telescoping_product, defaultdict(lambda: "a")),
     # arrays of text or complex numbers
     **{f"{door.__name__} text": partial(door, _SPEC, [["a"] * 5])
        for door in (log_density, density, exponent_measure_density)},
